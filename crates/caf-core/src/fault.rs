@@ -17,6 +17,15 @@ use std::time::Duration;
 
 use crate::rng::{splitmix64_hash, SplitMix64};
 
+/// Simulated size of a reliable-delivery acknowledgement frame, in bytes
+/// (the threaded fabric and the DES mirror both charge it).
+pub const ACK_BYTES: usize = 16;
+
+/// Incarnation stamped on every image's traffic. Restarts (which would
+/// bump it) are not implemented; the constant still flows through the
+/// protocol so the posthumous filter exercises the real comparison.
+pub const FIRST_INCARNATION: u64 = 1;
+
 /// Per-link override of the drop probability (both directions are
 /// distinct: `(from, to)` is ordered).
 #[derive(Debug, Clone, PartialEq)]

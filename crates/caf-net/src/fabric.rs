@@ -14,92 +14,37 @@
 //! space condvar (woken by drains) — modelling GASNet flow control, which
 //! the paper suspects behind the Fig. 14 large-bunch anomaly.
 //!
-//! Reliability: by default the wire is lossless and the fabric adds zero
-//! protocol overhead. With an active [`FaultPlan`] the wire drops,
-//! duplicates, delays, and stalls traffic per the plan's seeded schedule,
-//! and every remote message is routed through the ack/retry sublayer
-//! ([`crate::reliable`]): per-link sequence numbers, receiver-side dedup,
-//! ack timers with exponential backoff, and a capped retry budget whose
-//! exhaustion is surfaced to the runtime's no-progress watchdog.
-//!
-//! Fail-stop crashes: a [`CrashFault`](caf_core::fault::CrashFault) in the
-//! plan (or a runtime call to [`Fabric::mark_crashed`], e.g. from a panic
-//! boundary) silences an image mid-run — every wire transmission touching
-//! it is destroyed from that point on. When failure detection is engaged
-//! ([`Fabric::with_chaos`] with [`FailureParams`]), each image pumps
-//! heartbeats on idle links and drives a per-image
-//! [`FailureDetectorState`] from heartbeat deadlines *and* retry-budget
-//! exhaustion; confirmed deaths surface through
-//! [`Fabric::poll_failures`], and traffic from a confirmed-dead
-//! incarnation is discarded by the posthumous filter.
+//! Layers: [`Fabric::new`] is a lossless wire with zero protocol state.
+//! [`Fabric::with_chaos`] drops, duplicates, delays, and stalls traffic
+//! per a seeded [`FaultPlan`], routes remote messages through the ack/retry
+//! sublayer ([`crate::reliable`]) and, given [`FailureParams`], runs
+//! heartbeat failure detection ([`crate::failure`]) beside it. A crashed
+//! image ([`CrashFault`](caf_core::fault::CrashFault) or
+//! [`Fabric::mark_crashed`]) has every transmission touching it destroyed.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use caf_core::config::NetworkModel;
-use caf_core::failure::{FailureDetectorState, FailureEvent, FailureParams, PeerHealth};
-use caf_core::fault::{FaultPlan, RetryPolicy};
+use caf_core::failure::FailureParams;
+use caf_core::fault::{FaultPlan, RetryPolicy, ACK_BYTES, FIRST_INCARNATION};
 use caf_core::ids::ImageId;
 use caf_core::rng::splitmix64_hash;
 use parking_lot::Mutex;
 
+use crate::failure::{ConfirmedDown, FailureLayer, HEARTBEAT_BYTES};
 use crate::inbox::Inbox;
-use crate::reliable::{Outstanding, RecvState, SenderState, Wire, ACK_BYTES, HEARTBEAT_BYTES};
+use crate::reliable::{Reliable, Wire};
 use crate::stats::FabricStats;
 
-/// Incarnation stamped on every image's traffic. Restarts (which would
-/// bump it) are not implemented; the constant still flows through the
-/// protocol so the posthumous filter exercises the real comparison.
-const FIRST_INCARNATION: u64 = 1;
-
-/// A death confirmed by (or reported to) an image's failure detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfirmedDown {
-    /// The dead image.
-    pub peer: usize,
-    /// Its last known incarnation; traffic stamped `<=` this is posthumous.
-    pub incarnation: u64,
-    /// Wall-clock from the crash firing on the wire to this observer's
-    /// confirmation. `None` when the crash origin is unknown to the
-    /// fabric (e.g. the death was learned from a broadcast).
-    pub latency: Option<Duration>,
-}
-
-/// Per-observing-image failure-detection state.
-struct Observer {
-    detector: FailureDetectorState,
-    /// Last heartbeat emission per peer link.
-    last_hb: Vec<Instant>,
-    /// Confirmed deaths not yet drained by [`Fabric::poll_failures`].
-    confirmed: VecDeque<ConfirmedDown>,
-}
-
-/// Heartbeat + failure-detection state, engaged by
-/// [`Fabric::with_chaos`] when failure params are supplied.
-struct FailureLayer {
-    params: FailureParams,
-    observers: Vec<Mutex<Observer>>,
-}
-
-/// Fault-injection schedule plus the reliable-delivery state answering it.
+/// The fault schedule plus the reliable layer answering it.
 struct Chaos<M> {
     plan: FaultPlan,
-    retry: RetryPolicy,
     /// Fabric creation time — stall windows are relative to this.
     epoch: Instant,
-    /// Per-sending-image retry state (indexed by sender).
-    senders: Vec<Mutex<SenderState<M>>>,
-    /// Per-receiving-image dedup state (indexed by receiver).
-    receivers: Vec<Mutex<RecvState>>,
-    /// Heartbeats + failure detectors, when engaged.
-    failure: Option<FailureLayer>,
+    reliable: Reliable<M>,
 }
-
-/// Retransmission batch drained under the sender lock: destination,
-/// sequence, shared payload slot, payload bytes.
-type Resend<M> = Vec<(ImageId, u64, Arc<Mutex<Option<M>>>, usize)>;
 
 /// The interconnect between `n` images, carrying messages of type `M`.
 pub struct Fabric<M> {
@@ -108,47 +53,34 @@ pub struct Fabric<M> {
     non_fifo: bool,
     seq: AtomicU64,
     stats: FabricStats,
+    /// Fault injection and reliable delivery; `None` on a lossless wire.
     chaos: Option<Chaos<M>>,
-    /// Fail-stop flags, one per image. Set by a
-    /// [`CrashFault`](caf_core::fault::CrashFault) firing on the wire or
-    /// by [`Fabric::mark_crashed`]; once set, every
-    /// transmission touching the image is destroyed. Allocated in every
-    /// mode (panic boundaries crash images even without a fault plan).
+    /// Heartbeats and failure detectors; only ever set alongside `chaos`.
+    failure: Option<FailureLayer>,
+    /// Fail-stop flags, one per image, set by a crash fault firing on the
+    /// wire or by [`Fabric::mark_crashed`] (panic boundaries crash images
+    /// even without a fault plan).
     crashed: Vec<AtomicBool>,
     /// When each crash fired — the base for detection-latency reporting.
     crashed_at: Vec<Mutex<Option<Instant>>>,
-    /// Set when the runtime aborts (e.g. the no-progress watchdog fired):
-    /// releases senders parked under backpressure so their threads can be
-    /// joined instead of sleeping on a drain that will never come.
+    /// Set by [`Fabric::halt`]: releases senders parked under backpressure
+    /// so their threads can be joined.
     halted: AtomicBool,
 }
 
 impl<M: Send> Fabric<M> {
-    /// A fabric over `n` images with the given cost model. `non_fifo`
-    /// enables deterministic pseudo-random reordering of same-pair
-    /// messages (delivery deadlines get up to `latency/2` extra skew).
+    /// A lossless fabric over `n` images with the given cost model.
+    /// `non_fifo` enables deterministic pseudo-random reordering of
+    /// same-pair messages (deadlines get up to `latency/2` extra skew).
     pub fn new(n: usize, model: NetworkModel, non_fifo: bool) -> Arc<Self> {
-        Fabric::build(n, model, non_fifo, None, None)
+        Arc::new(Fabric::lossless(n, model, non_fifo))
     }
 
-    /// A fabric whose wire misbehaves per `plan` and whose delivery layer
-    /// answers with `retry`. All remote traffic is routed through the
-    /// ack/retry sublayer — even when the plan is currently inactive, so
-    /// protocol overhead can be measured in isolation.
-    pub fn with_faults(
-        n: usize,
-        model: NetworkModel,
-        non_fifo: bool,
-        plan: FaultPlan,
-        retry: RetryPolicy,
-    ) -> Arc<Self> {
-        Fabric::build(n, model, non_fifo, Some((plan, retry)), None)
-    }
-
-    /// [`Fabric::with_faults`] plus optional fail-stop failure detection:
-    /// with `failure` set, every image pumps heartbeats on idle links,
-    /// runs a [`FailureDetectorState`] over its peers, and surfaces
-    /// confirmed deaths through [`Fabric::poll_failures`].
+    /// A fabric whose wire misbehaves per `plan` and whose ack/retry
+    /// sublayer answers with `retry` — engaged even for an inactive plan,
+    /// so protocol overhead can be measured in isolation. With `failure`
+    /// set, images also heartbeat idle links, run failure detectors, and
+    /// surface confirmed deaths through [`Fabric::poll_failures`].
     pub fn with_chaos(
         n: usize,
         model: NetworkModel,
@@ -157,60 +89,27 @@ impl<M: Send> Fabric<M> {
         retry: RetryPolicy,
         failure: Option<FailureParams>,
     ) -> Arc<Self> {
-        Fabric::build(n, model, non_fifo, Some((plan, retry)), failure)
-    }
-
-    fn build(
-        n: usize,
-        model: NetworkModel,
-        non_fifo: bool,
-        faults: Option<(FaultPlan, RetryPolicy)>,
-        failure: Option<FailureParams>,
-    ) -> Arc<Self> {
         let epoch = Instant::now();
         Arc::new(Fabric {
+            chaos: Some(Chaos { plan, epoch, reliable: Reliable::new(n, retry) }),
+            failure: failure.map(|params| FailureLayer::new(n, params, epoch)),
+            ..Fabric::lossless(n, model, non_fifo)
+        })
+    }
+
+    fn lossless(n: usize, model: NetworkModel, non_fifo: bool) -> Self {
+        Fabric {
             inboxes: (0..n).map(|_| Inbox::new()).collect(),
             model,
             non_fifo,
             seq: AtomicU64::new(0),
             stats: FabricStats::default(),
-            chaos: faults.map(|(plan, retry)| Chaos {
-                plan,
-                retry,
-                epoch,
-                senders: (0..n).map(|_| Mutex::new(SenderState::new(n))).collect(),
-                receivers: (0..n).map(|_| Mutex::new(RecvState::new(n))).collect(),
-                failure: failure.map(|params| FailureLayer {
-                    observers: (0..n)
-                        .map(|me| {
-                            let mut detector = FailureDetectorState::new(params.clone());
-                            for peer in (0..n).filter(|&p| p != me) {
-                                detector.monitor(peer, Duration::ZERO);
-                            }
-                            Mutex::new(Observer {
-                                detector,
-                                last_hb: vec![epoch; n],
-                                confirmed: VecDeque::new(),
-                            })
-                        })
-                        .collect(),
-                    params,
-                }),
-            }),
+            chaos: None,
+            failure: None,
             crashed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             crashed_at: (0..n).map(|_| Mutex::new(None)).collect(),
             halted: AtomicBool::new(false),
-        })
-    }
-
-    /// Number of images attached to the fabric.
-    pub fn size(&self) -> usize {
-        self.inboxes.len()
-    }
-
-    /// The cost model in force.
-    pub fn model(&self) -> &NetworkModel {
-        &self.model
+        }
     }
 
     /// Aggregate traffic statistics.
@@ -223,26 +122,11 @@ impl<M: Send> Fabric<M> {
         self.chaos.is_some()
     }
 
-    /// Whether heartbeat-based failure detection is engaged.
-    pub fn failure_active(&self) -> bool {
-        self.chaos.as_ref().is_some_and(|c| c.failure.is_some())
-    }
-
-    /// The failure-detection windows in force, if engaged.
-    pub fn failure_params(&self) -> Option<&FailureParams> {
-        self.chaos.as_ref().and_then(|c| c.failure.as_ref()).map(|fl| &fl.params)
-    }
-
     /// Whether `image` has fail-stopped (crash fault fired, or the
     /// runtime reported it via [`Fabric::mark_crashed`]). An image thread
     /// observing its own flag must unwind instead of continuing to run.
     pub fn is_crashed(&self, image: ImageId) -> bool {
         self.crashed[image.index()].load(Ordering::Acquire)
-    }
-
-    /// Every image whose fail-stop flag is set.
-    pub fn crashed_images(&self) -> Vec<usize> {
-        (0..self.size()).filter(|&i| self.is_crashed(ImageId(i))).collect()
     }
 
     /// Reports `image` as fail-stopped from outside the fault plan — the
@@ -260,15 +144,8 @@ impl<M: Send> Fabric<M> {
     /// `ImageDown` broadcast): engages the posthumous filter there
     /// without waiting out the observer's own suspect window.
     pub fn mark_peer_dead(&self, observer: ImageId, peer: usize, incarnation: u64) {
-        if let Some(chaos) = &self.chaos {
-            if let Some(fl) = &chaos.failure {
-                let elapsed = chaos.epoch.elapsed();
-                fl.observers[observer.index()].lock().detector.mark_dead(
-                    peer,
-                    incarnation,
-                    elapsed,
-                );
-            }
+        if let Some(fl) = &self.failure {
+            fl.mark_dead(observer, peer, incarnation);
         }
     }
 
@@ -276,37 +153,21 @@ impl<M: Send> Fabric<M> {
     /// poll (pumping the detector first, so an image that only polls
     /// still advances its deadlines).
     pub fn poll_failures(&self, image: ImageId) -> Vec<ConfirmedDown> {
-        self.pump_retries(image);
-        let Some(fl) = self.chaos.as_ref().and_then(|c| c.failure.as_ref()) else {
-            return Vec::new();
-        };
-        fl.observers[image.index()].lock().confirmed.drain(..).collect()
+        self.pump(image);
+        self.failure.as_ref().map_or_else(Vec::new, |fl| fl.poll(image))
     }
 
     /// `image`'s detector counters: `(suspects_raised, false_suspects)`.
     /// Zero when failure detection is off.
     pub fn failure_metrics(&self, image: ImageId) -> (u64, u64) {
-        match self.chaos.as_ref().and_then(|c| c.failure.as_ref()) {
-            Some(fl) => {
-                let obs = fl.observers[image.index()].lock();
-                (obs.detector.suspects_raised(), obs.detector.false_suspects())
-            }
-            None => (0, 0),
-        }
+        self.failure.as_ref().map_or((0, 0), |fl| fl.metrics(image))
     }
 
     /// Announces `image`'s clean exit to every surviving detector, so the
     /// silence of a normal staggered shutdown is never read as a crash.
     pub fn retire(&self, image: ImageId) {
-        if let Some(chaos) = &self.chaos {
-            if let Some(fl) = &chaos.failure {
-                let elapsed = chaos.epoch.elapsed();
-                for (me, obs) in fl.observers.iter().enumerate() {
-                    if me != image.index() {
-                        obs.lock().detector.retire(image.index(), elapsed);
-                    }
-                }
-            }
+        if let Some(fl) = &self.failure {
+            fl.retire(image);
         }
     }
 
@@ -319,14 +180,14 @@ impl<M: Send> Fabric<M> {
     /// Unacknowledged reliable messages currently owned by `image` as a
     /// sender (its retry queue depth). Zero without a fault layer.
     pub fn retry_backlog(&self, image: ImageId) -> usize {
-        self.chaos.as_ref().map_or(0, |c| c.senders[image.index()].lock().backlog())
+        self.chaos.as_ref().map_or(0, |c| c.reliable.backlog(image))
     }
 
-    /// Aborts the fabric: flow control stops parking senders (over-capacity
-    /// sends are admitted immediately) and every image is poked awake.
-    /// Used by the runtime when tearing down after a detected stall —
-    /// communication threads blocked in [`Fabric::send`] must be joinable.
-    /// Irreversible.
+    /// Aborts the fabric: flow control stops refusing senders
+    /// (over-capacity sends are admitted immediately) and every image is
+    /// poked awake. Used by the runtime when tearing down after a
+    /// detected stall — communication threads blocked in [`Fabric::send`]
+    /// must be joinable. Irreversible.
     pub fn halt(&self) {
         self.halted.store(true, Ordering::Release);
         for inbox in &self.inboxes {
@@ -334,9 +195,20 @@ impl<M: Send> Fabric<M> {
         }
     }
 
-    /// Whether [`Fabric::halt`] has been called.
-    pub fn halted(&self) -> bool {
-        self.halted.load(Ordering::Acquire)
+    /// Flow-control admission: refused only while `to`'s bounded inbox is
+    /// full. Self-sends are exempt (the sender is its inbox's only
+    /// drainer), as is all traffic once the fabric is halted, and traffic
+    /// with a crashed endpoint, which the wire-level crash drop eats.
+    fn admits(&self, from: ImageId, to: ImageId) -> bool {
+        match self.model.inbox_capacity {
+            Some(cap) if from != to => {
+                self.inboxes[to.index()].len() < cap
+                    || self.halted.load(Ordering::Acquire)
+                    || self.is_crashed(to)
+                    || self.is_crashed(from)
+            }
+            _ => true,
+        }
     }
 
     /// Sends `msg` with a simulated payload of `payload_bytes` from `from`
@@ -344,11 +216,9 @@ impl<M: Send> Fabric<M> {
     /// still traverse the model's loopback (zero latency, injection cost
     /// only) so semantics don't change between local and remote targets.
     pub fn send(&self, from: ImageId, to: ImageId, payload_bytes: usize, msg: M) {
-        // Backpressure: park while the target inbox is over capacity.
-        // Self-sends are exempt: the sender is the only drainer of its
-        // own inbox, so throttling it can never make progress.
-        if let Some(cap) = self.model.inbox_capacity.filter(|_| from != to) {
-            let inbox = &self.inboxes[to.index()];
+        while !self.admits(from, to) {
+            self.stats.note_backpressure_stall();
+            self.pump(from);
             // Re-probe interval: a drain notification wakes us instantly;
             // the timeout only bounds missed-wakeup / abort latency and
             // lets a parked sender keep pumping its retransmit timers.
@@ -357,26 +227,15 @@ impl<M: Send> Fabric<M> {
             } else {
                 Duration::from_micros(100)
             };
-            // A crashed endpoint ends the park: a dead receiver never
-            // drains its inbox, and a dead sender has nothing to deliver —
-            // either way the message is destined for the wire-level
-            // crash drop, so admit it immediately.
-            while inbox.len() >= cap
-                && !self.halted()
-                && !self.is_crashed(to)
-                && !self.is_crashed(from)
-            {
-                self.stats.note_backpressure_stall();
-                self.pump_retries(from);
-                inbox.wait_space_until(cap, Instant::now() + quantum);
-            }
+            let cap = self.model.inbox_capacity.expect("only a bounded inbox refuses");
+            self.inboxes[to.index()].wait_space_until(cap, Instant::now() + quantum);
         }
         self.inject(from, to, payload_bytes, msg);
     }
 
     /// Attempts to send under flow control without blocking: returns the
-    /// message back if the target inbox is over capacity. Callers that
-    /// can make progress while refused (an image thread draining its own
+    /// message back when [`Fabric::send`] would park. Callers that can
+    /// make progress while refused (an image thread draining its own
     /// inbox — GASNet's poll-while-blocked rule for requests) should loop
     /// on this instead of [`Fabric::send`], whose parked stall can
     /// deadlock if every potential drainer blocks simultaneously.
@@ -387,13 +246,9 @@ impl<M: Send> Fabric<M> {
         payload_bytes: usize,
         msg: M,
     ) -> Result<(), M> {
-        if let Some(cap) = self.model.inbox_capacity.filter(|_| from != to) {
-            // A crashed target's inbox never drains; don't refuse forever —
-            // admit the message and let the wire-level crash drop eat it.
-            if self.inboxes[to.index()].len() >= cap && !self.is_crashed(to) {
-                self.stats.note_backpressure_stall();
-                return Err(msg);
-            }
+        if !self.admits(from, to) {
+            self.stats.note_backpressure_stall();
+            return Err(msg);
         }
         self.inject(from, to, payload_bytes, msg);
         Ok(())
@@ -410,31 +265,16 @@ impl<M: Send> Fabric<M> {
     }
 
     /// Logical send: counts the message once and routes it either raw
-    /// (lossless wire, or loopback) or through the reliable envelope.
+    /// (lossless wire, or loopback) or through the reliable layer.
     fn inject(&self, from: ImageId, to: ImageId, payload_bytes: usize, msg: M) {
         self.stats.note_send(payload_bytes);
-        match &self.chaos {
+        let wire = match &self.chaos {
             // Self-sends bypass the wire — and therefore the fault layer —
             // in both modes.
-            Some(chaos) if from != to => {
-                let payload = Arc::new(Mutex::new(Some(msg)));
-                let link_seq = {
-                    let mut st = chaos.senders[from.index()].lock();
-                    let seq = st.next_seq[to.index()];
-                    st.next_seq[to.index()] = seq + 1;
-                    st.outstanding[to.index()].push_back(Outstanding {
-                        link_seq: seq,
-                        payload: Arc::clone(&payload),
-                        bytes: payload_bytes,
-                        attempts: 1,
-                        next_retry: Instant::now() + chaos.retry.timeout_after(1),
-                    });
-                    seq
-                };
-                self.transmit(from, to, payload_bytes, Wire::Data { from, link_seq, payload });
-            }
-            _ => self.transmit(from, to, payload_bytes, Wire::Raw(msg)),
-        }
+            Some(chaos) if from != to => chaos.reliable.inject(from, to, payload_bytes, msg),
+            _ => Wire::Raw(msg),
+        };
+        self.transmit(from, to, payload_bytes, wire);
     }
 
     /// Wire-level transmission: applies the cost model, non-FIFO jitter,
@@ -497,248 +337,73 @@ impl<M: Send> Fabric<M> {
         inbox.push(Instant::now() + delay, wire);
     }
 
-    /// Retransmits every overdue outstanding message owned by `image`,
-    /// advancing ack timers with exponential backoff and abandoning
-    /// messages whose retry budget is exhausted. Called from the sending
-    /// image's own fabric entry points (lazy pumping — the fabric has no
-    /// thread of its own).
-    fn pump_retries(&self, image: ImageId) {
+    /// Runs `image`'s protocol timers from its own fabric entry points
+    /// (lazy pumping — the fabric has no thread of its own): due
+    /// retransmissions first, then the failure-detection duty cycle.
+    fn pump(&self, image: ImageId) {
         let Some(chaos) = &self.chaos else { return };
         if self.is_crashed(image) {
             return; // the dead retransmit nothing and heartbeat no one
         }
         let now = Instant::now();
-        // Peers this image's detector has confirmed dead: their pending
-        // retransmissions are dead letters — abandon them instead of
-        // burning the retry budget against a black hole.
-        let dead: Vec<usize> = match &chaos.failure {
-            Some(fl) => fl.observers[image.index()]
-                .lock()
-                .detector
-                .dead_peers()
-                .into_iter()
-                .map(|(peer, _)| peer)
-                .collect(),
-            None => Vec::new(),
-        };
-        let mut resend: Resend<M> = Vec::new();
-        let mut exhausted: Vec<usize> = Vec::new();
-        {
-            let mut st = chaos.senders[image.index()].lock();
-            for (dest, queue) in st.outstanding.iter_mut().enumerate() {
-                if dead.contains(&dest) {
-                    for _ in 0..queue.len() {
-                        self.stats.note_crash_drop();
-                    }
-                    queue.clear();
-                    continue;
-                }
-                queue.retain_mut(|o| {
-                    if o.next_retry > now {
-                        return true;
-                    }
-                    if o.attempts > chaos.retry.max_retries {
-                        // Budget spent (original + max_retries resends):
-                        // abandon. The message may still be in flight —
-                        // if it truly never arrives, the runtime's
-                        // watchdog turns the quiet into a diagnostic.
-                        self.stats.note_retry_exhausted();
-                        exhausted.push(dest);
-                        return false;
-                    }
-                    o.attempts += 1;
-                    o.next_retry = now + chaos.retry.timeout_after(o.attempts);
-                    resend.push((ImageId(dest), o.link_seq, Arc::clone(&o.payload), o.bytes));
-                    true
-                });
-            }
+        let fl = self.failure.as_ref();
+        let is_dead = |peer| fl.is_some_and(|fl| fl.is_dead(image, peer));
+        let (resend, exhausted) = chaos.reliable.pump(image, now, is_dead, &self.stats);
+        if let Some(fl) = fl {
+            fl.on_retry_exhausted(image, &exhausted);
         }
-        if let Some(fl) = &chaos.failure {
-            if !exhausted.is_empty() {
-                // A spent retry budget is a strong death hint: skip the
-                // silence deadline and go straight to the suspect window.
-                let elapsed = chaos.epoch.elapsed();
-                let mut obs = fl.observers[image.index()].lock();
-                for dest in exhausted {
-                    obs.detector.on_retry_exhausted(dest, elapsed);
-                }
-            }
-        }
-        for (dest, link_seq, payload, bytes) in resend {
+        for (dest, bytes, wire) in resend {
             self.stats.note_retry();
-            self.transmit(image, dest, bytes, Wire::Data { from: image, link_seq, payload });
+            self.transmit(image, dest, bytes, wire);
         }
-        self.pump_failure(image, chaos, now);
-    }
-
-    /// Failure-detection duty cycle for `image`, run from its own fabric
-    /// calls (the same lazy-pumping discipline as retransmission):
-    /// heartbeat every peer whose link has been idle past the period,
-    /// then advance the detector's deadlines and queue any confirmed
-    /// deaths for [`Fabric::poll_failures`].
-    fn pump_failure(&self, image: ImageId, chaos: &Chaos<M>, now: Instant) {
-        let Some(fl) = &chaos.failure else { return };
-        let elapsed = now.saturating_duration_since(chaos.epoch);
-        let mut beats: Vec<usize> = Vec::new();
-        {
-            let mut obs = fl.observers[image.index()].lock();
-            for peer in (0..self.size()).filter(|&p| p != image.index()) {
-                // No point heartbeating the confirmed dead or retired.
-                if matches!(
-                    obs.detector.health(peer),
-                    Some(PeerHealth::Dead) | Some(PeerHealth::Retired)
-                ) {
-                    continue;
-                }
-                if now.saturating_duration_since(obs.last_hb[peer]) >= fl.params.heartbeat_period {
-                    obs.last_hb[peer] = now;
-                    beats.push(peer);
-                }
-            }
-            for ev in obs.detector.tick(elapsed) {
-                if let FailureEvent::Confirmed { peer, incarnation, .. } = ev {
-                    let latency =
-                        (*self.crashed_at[peer].lock()).map(|at| now.saturating_duration_since(at));
-                    obs.confirmed.push_back(ConfirmedDown { peer, incarnation, latency });
-                }
-            }
-        }
-        for peer in beats {
+        let Some(fl) = fl else { return };
+        for peer in fl.pump(image, now, &self.crashed_at) {
             self.stats.note_heartbeat();
-            self.transmit(
-                image,
-                ImageId(peer),
-                HEARTBEAT_BYTES,
-                Wire::Heartbeat { from: image, incarnation: FIRST_INCARNATION },
-            );
+            let beat = Wire::Heartbeat { from: image, incarnation: FIRST_INCARNATION };
+            self.transmit(image, ImageId(peer), HEARTBEAT_BYTES, beat);
         }
     }
 
-    /// Earliest retransmission deadline owed by `image`, for park
-    /// clamping (a blocked sender must wake in time to retransmit).
-    fn next_retry_at(&self, image: ImageId) -> Option<Instant> {
-        self.chaos
-            .as_ref()
-            .and_then(|c| c.senders[image.index()].lock().next_retry_at())
-    }
-
-    /// Protocol processing of one popped wire envelope at `image`.
-    /// Returns the payload if this envelope surfaces a fresh message.
+    /// Opens one popped wire envelope at `image`. Returns the payload if
+    /// this envelope surfaces a fresh message.
     fn open(&self, image: ImageId, wire: Wire<M>) -> Option<M> {
-        match wire {
+        let (from, incarnation) = match wire {
             Wire::Raw(msg) => {
                 self.stats.note_delivered();
-                Some(msg)
+                return Some(msg);
             }
-            Wire::Data { from, link_seq, payload } => {
-                let chaos = self.chaos.as_ref().expect("Data frames only exist under chaos");
-                // Posthumous filter: data from a confirmed-dead
-                // incarnation (a retransmit buffered in flight when the
-                // sender died) must not be acked, delivered, or allowed
-                // to resurrect work under a poisoned finish epoch.
-                if !self.note_life_sign(chaos, image, from, FIRST_INCARNATION) {
-                    self.stats.note_posthumous_drop();
-                    return None;
-                }
-                // Always (re-)acknowledge — the previous ack may itself
-                // have been dropped. Acks ride the faulty wire too.
-                self.stats.note_ack();
-                self.transmit(image, from, ACK_BYTES, Wire::Ack { from: image, link_seq });
-                let fresh =
-                    chaos.receivers[image.index()].lock().trackers[from.index()].note(link_seq);
-                if fresh {
-                    let msg = payload.lock().take();
-                    debug_assert!(msg.is_some(), "fresh sequence with an empty payload slot");
-                    if msg.is_some() {
-                        self.stats.note_delivered();
-                    }
-                    msg
-                } else {
-                    self.stats.note_dup_discarded();
-                    None
-                }
-            }
-            Wire::Ack { from, link_seq } => {
-                if let Some(chaos) = &self.chaos {
-                    if !self.note_life_sign(chaos, image, from, FIRST_INCARNATION) {
-                        self.stats.note_posthumous_drop();
-                        return None;
-                    }
-                    let mut st = chaos.senders[image.index()].lock();
-                    let queue = &mut st.outstanding[from.index()];
-                    if let Some(pos) = queue.iter().position(|o| o.link_seq == link_seq) {
-                        queue.remove(pos);
-                    }
-                }
-                None
-            }
-            Wire::Heartbeat { from, incarnation } => {
-                if let Some(chaos) = &self.chaos {
-                    if !self.note_life_sign(chaos, image, from, incarnation) {
-                        self.stats.note_posthumous_drop();
-                    }
-                }
-                None
+            Wire::Data { from, .. } | Wire::Ack { from, .. } => (from, FIRST_INCARNATION),
+            Wire::Heartbeat { from, incarnation } => (from, incarnation),
+        };
+        // Posthumous filter: a frame from a confirmed-dead incarnation must
+        // not be acked, delivered, or resurrect work under a poisoned epoch.
+        if let Some(fl) = &self.failure {
+            if !fl.note_life_sign(image, from, incarnation) {
+                self.stats.note_posthumous_drop();
+                return None;
             }
         }
-    }
-
-    /// Feeds one received frame into `image`'s failure detector as a life
-    /// sign from `from`. Returns whether the frame should be accepted
-    /// (`false` = posthumous). Always `true` without a failure layer.
-    fn note_life_sign(
-        &self,
-        chaos: &Chaos<M>,
-        image: ImageId,
-        from: ImageId,
-        incarnation: u64,
-    ) -> bool {
-        match &chaos.failure {
-            Some(fl) => {
-                let elapsed = chaos.epoch.elapsed();
-                fl.observers[image.index()].lock().detector.on_life_sign(
-                    from.index(),
-                    incarnation,
-                    elapsed,
-                )
-            }
-            None => true,
+        let chaos = self.chaos.as_ref().expect("protocol frames only exist under chaos");
+        let (ack, msg) = chaos.reliable.open(image, wire, &self.stats);
+        if let Some((to, ack)) = ack {
+            // Acks ride the faulty wire too.
+            self.stats.note_ack();
+            self.transmit(image, to, ACK_BYTES, ack);
         }
+        msg
     }
 
     /// Non-blocking receive for `image`: the earliest due message, if any.
-    /// Also pumps `image`'s retransmission timers.
+    /// Protocol frames (acks, heartbeats, filtered duplicates) are
+    /// consumed without surfacing. Also pumps `image`'s protocol timers.
     pub fn try_recv(&self, image: ImageId) -> Option<M> {
-        self.pump_retries(image);
+        self.pump(image);
         while let Some(wire) = self.inboxes[image.index()].try_pop_due() {
             if let Some(msg) = self.open(image, wire) {
                 return Some(msg);
             }
         }
         None
-    }
-
-    /// Blocking receive for `image` with a deadline. Protocol frames
-    /// (acks, filtered duplicates) are consumed without surfacing; parks
-    /// are clamped to the next retransmission deadline.
-    pub fn recv_until(&self, image: ImageId, deadline: Instant) -> Option<M> {
-        loop {
-            self.pump_retries(image);
-            let park = self.next_retry_at(image).map_or(deadline, |r| r.min(deadline));
-            match self.inboxes[image.index()].pop_due_until(park) {
-                Some(wire) => {
-                    if let Some(msg) = self.open(image, wire) {
-                        return Some(msg);
-                    }
-                }
-                None => {
-                    if Instant::now() >= deadline {
-                        return None;
-                    }
-                    // Woke early to pump retries; loop.
-                }
-            }
-        }
     }
 
     /// Queue depth at `image`'s inbox (due and undue messages).
@@ -756,10 +421,11 @@ impl<M: Send> Fabric<M> {
     /// a retransmission falls due, or `deadline` passes. See
     /// [`Inbox::wait_activity`].
     pub fn wait_activity(&self, image: ImageId, deadline: Instant) {
-        self.pump_retries(image);
-        let park = self.next_retry_at(image).map_or(deadline, |r| r.min(deadline));
-        self.inboxes[image.index()].wait_activity(park);
-        self.pump_retries(image);
+        self.pump(image);
+        // A parked sender must wake in time to retransmit.
+        let retry = self.chaos.as_ref().and_then(|c| c.reliable.next_retry_at(image));
+        self.inboxes[image.index()].wait_activity(retry.map_or(deadline, |r| r.min(deadline)));
+        self.pump(image);
     }
 }
 
@@ -769,6 +435,20 @@ mod tests {
 
     fn img(i: usize) -> ImageId {
         ImageId(i)
+    }
+
+    /// Receives the way the runtime does: poll [`Fabric::try_recv`], park
+    /// in [`Fabric::wait_activity`] until something happens.
+    fn recv<M: Send>(f: &Fabric<M>, image: ImageId, deadline: Instant) -> Option<M> {
+        loop {
+            if let Some(m) = f.try_recv(image) {
+                return Some(m);
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            f.wait_activity(image, deadline);
+        }
     }
 
     #[test]
@@ -785,7 +465,7 @@ mod tests {
         let f: Arc<Fabric<&str>> = Fabric::new(2, model, false);
         f.send(img(0), img(1), 0, "hi");
         assert_eq!(f.try_recv(img(1)), None, "message must not be visible early");
-        let got = f.recv_until(img(1), Instant::now() + Duration::from_secs(2));
+        let got = recv(&f, img(1), Instant::now() + Duration::from_secs(2));
         assert_eq!(got, Some("hi"));
     }
 
@@ -832,6 +512,20 @@ mod tests {
     }
 
     #[test]
+    fn try_send_admits_whatever_send_admits() {
+        let model = NetworkModel { inbox_capacity: Some(1), ..NetworkModel::instant() };
+        let f: Arc<Fabric<u8>> = Fabric::new(3, model, false);
+        f.send(img(0), img(2), 0, 1); // fills image 2's capacity-1 inbox
+        assert_eq!(f.try_send(img(0), img(2), 0, 2), Err(2), "full inbox refuses");
+        f.mark_crashed(img(1));
+        assert_eq!(f.try_send(img(1), img(2), 0, 3), Ok(()), "a dead sender is never refused");
+        assert_eq!(f.stats().crash_drops(), 1, "its message dies on the wire");
+        f.halt();
+        assert_eq!(f.try_send(img(0), img(2), 0, 4), Ok(()), "halted fabric admits, as send does");
+        assert_eq!(f.inbox_depth(img(2)), 2);
+    }
+
+    #[test]
     fn non_fifo_can_reorder_same_pair_messages() {
         // With reordering enabled and a measurable latency, *some* pair of
         // consecutive sends ends up with inverted deadlines. We test
@@ -845,7 +539,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(2);
         let mut order = Vec::new();
         while order.len() < 32 {
-            if let Some(m) = f.recv_until(img(1), deadline) {
+            if let Some(m) = recv(&f, img(1), deadline) {
                 order.push(m);
             } else {
                 panic!("timed out draining");
@@ -862,6 +556,11 @@ mod tests {
     // Chaos layer
     // ------------------------------------------------------------------
 
+    /// A fault-injecting fabric without failure detection.
+    fn faulty(n: usize, plan: FaultPlan, retry: RetryPolicy) -> Arc<Fabric<u32>> {
+        Fabric::with_chaos(n, NetworkModel::instant(), false, plan, retry, None)
+    }
+
     fn drain_reliable(
         f: &Arc<Fabric<u32>>,
         at: ImageId,
@@ -871,7 +570,7 @@ mod tests {
         let deadline = Instant::now() + patience;
         let mut got = Vec::new();
         while got.len() < expect && Instant::now() < deadline {
-            if let Some(m) = f.recv_until(at, Instant::now() + Duration::from_millis(5)) {
+            if let Some(m) = recv(f, at, Instant::now() + Duration::from_millis(5)) {
                 got.push(m);
             }
         }
@@ -887,8 +586,7 @@ mod tests {
     #[test]
     fn heavy_drop_rate_still_delivers_every_message_once() {
         let plan = FaultPlan::uniform_drop(0xC0FFEE, 0.4).with_dup(0.2);
-        let f: Arc<Fabric<u32>> =
-            Fabric::with_faults(2, NetworkModel::instant(), false, plan, RetryPolicy::aggressive());
+        let f = faulty(2, plan, RetryPolicy::aggressive());
         let total = 200u32;
         for i in 0..total {
             f.send(img(0), img(1), 4, i);
@@ -897,7 +595,7 @@ mod tests {
         let mut got = Vec::new();
         while got.len() < total as usize {
             assert!(Instant::now() < deadline, "lost messages: got {}", got.len());
-            if let Some(m) = f.recv_until(img(1), Instant::now() + Duration::from_millis(2)) {
+            if let Some(m) = recv(&f, img(1), Instant::now() + Duration::from_millis(2)) {
                 got.push(m);
             }
             pump_sender(&f, img(0)); // sender consumes acks, pumps retries
@@ -920,8 +618,7 @@ mod tests {
     #[test]
     fn duplicates_are_filtered_not_double_counted() {
         let plan = FaultPlan::none(9).with_dup(1.0); // duplicate everything
-        let f: Arc<Fabric<u32>> =
-            Fabric::with_faults(2, NetworkModel::instant(), false, plan, RetryPolicy::aggressive());
+        let f = faulty(2, plan, RetryPolicy::aggressive());
         for i in 0..50 {
             f.send(img(0), img(1), 0, i);
         }
@@ -945,8 +642,7 @@ mod tests {
             max_retries: 3,
         };
         let horizon = retry.exhaustion_horizon();
-        let f: Arc<Fabric<u32>> =
-            Fabric::with_faults(2, NetworkModel::instant(), false, plan, retry);
+        let f = faulty(2, plan, retry);
         f.send(img(0), img(1), 0, 7);
         assert_eq!(f.retry_backlog(img(0)), 1);
         let deadline = Instant::now() + horizon * 4 + Duration::from_millis(50);
@@ -969,8 +665,7 @@ mod tests {
             max_timeout: Duration::from_millis(1),
             max_retries: 4,
         };
-        let f: Arc<Fabric<u32>> =
-            Fabric::with_faults(2, NetworkModel::instant(), false, plan, retry);
+        let f = faulty(2, plan, retry);
         f.send(img(0), img(1), 0, 11);
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut surfaced = Vec::new();
@@ -995,17 +690,15 @@ mod tests {
     fn stall_window_defers_delivery_until_it_closes() {
         let stall = Duration::from_millis(40);
         let plan = FaultPlan::none(2).with_stall(1, Duration::ZERO, stall);
-        let f: Arc<Fabric<u32>> = Fabric::with_faults(
+        let f = faulty(
             2,
-            NetworkModel::instant(),
-            false,
             plan,
             RetryPolicy { ack_timeout: Duration::from_secs(1), ..RetryPolicy::default() },
         );
         let t0 = Instant::now();
         f.send(img(0), img(1), 0, 3);
         assert_eq!(f.try_recv(img(1)), None, "stalled image must not see the message yet");
-        let got = f.recv_until(img(1), t0 + Duration::from_secs(5));
+        let got = recv(&f, img(1), t0 + Duration::from_secs(5));
         assert_eq!(got, Some(3));
         assert!(
             t0.elapsed() >= stall - Duration::from_millis(1),
@@ -1018,8 +711,6 @@ mod tests {
     // ------------------------------------------------------------------
     // Fail-stop crashes + failure detection
     // ------------------------------------------------------------------
-
-    use caf_core::failure::FailureParams;
 
     fn chaos_pair(plan: FaultPlan) -> Arc<Fabric<u32>> {
         Fabric::with_chaos(
@@ -1062,7 +753,7 @@ mod tests {
         assert_eq!(downs[0].incarnation, 1);
         assert!(downs[0].latency.is_some(), "fabric knows when the crash fired");
         assert!(f.is_crashed(img(1)));
-        assert_eq!(f.crashed_images(), vec![1]);
+        assert!(!f.is_crashed(img(0)), "only the victim crashed");
         assert!(f.stats().crash_drops() > 0, "traffic to the dead image is destroyed");
     }
 
@@ -1081,7 +772,7 @@ mod tests {
         // (e.g. from an ImageDown broadcast).
         f.send(img(1), img(0), 4, 77);
         f.mark_peer_dead(img(0), 1, 1);
-        let got = f.recv_until(img(0), Instant::now() + Duration::from_millis(200));
+        let got = recv(&f, img(0), Instant::now() + Duration::from_millis(200));
         assert_eq!(got, None, "posthumous payload must not surface");
         assert!(f.stats().posthumous_drops() > 0);
         assert_eq!(f.stats().delivered(), 0);
@@ -1105,6 +796,50 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(1), "sender parked on a dead drainer");
         assert!(f.stats().crash_drops() > 0);
         assert!(f.try_send(img(0), img(1), 0, 3).is_ok(), "try_send must admit-and-drop too");
+    }
+
+    #[test]
+    fn confirmed_death_abandons_pending_retransmits() {
+        // Acks can never come back (image 1 is never polled), and the ack
+        // timeout is an hour: only the death verdict empties the queue.
+        let slow = RetryPolicy { ack_timeout: Duration::from_secs(3600), ..RetryPolicy::default() };
+        let pair = |params| {
+            Fabric::with_chaos(
+                2,
+                NetworkModel::instant(),
+                false,
+                FaultPlan::none(8),
+                slow.clone(),
+                params,
+            )
+        };
+
+        // Learned from a broadcast.
+        let f: Arc<Fabric<u32>> = pair(Some(FailureParams::default()));
+        for i in 0..3 {
+            f.send(img(0), img(1), 0, i);
+        }
+        assert_eq!(f.retry_backlog(img(0)), 3);
+        f.mark_peer_dead(img(0), 1, 1);
+        assert_eq!(f.try_recv(img(0)), None); // the next pump
+        assert_eq!(f.retry_backlog(img(0)), 0, "dead letters must leave the queue");
+        assert_eq!(f.stats().crash_drops(), 3, "abandoned frames count as crash drops");
+
+        // Confirmed by image 0's own detector (image 1 falls silent).
+        let f: Arc<Fabric<u32>> = pair(Some(FailureParams::aggressive()));
+        for i in 0..3 {
+            f.send(img(0), img(1), 0, i);
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while f.poll_failures(img(0)).is_empty() {
+            assert!(Instant::now() < deadline, "silence never confirmed the death");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        assert_eq!(f.retry_backlog(img(0)), 3, "confirmation lands after this pump's retry walk");
+        assert_eq!(f.try_recv(img(0)), None); // the next pump
+        assert_eq!(f.retry_backlog(img(0)), 0);
+        assert_eq!(f.stats().crash_drops(), 3);
+        assert_eq!(f.stats().retries(), 0, "nothing was retransmitted into the void");
     }
 
     #[test]
@@ -1156,7 +891,7 @@ mod tests {
         // Same plan + same send order → identical drop/dup counters.
         let run = |seed: u64| {
             let plan = FaultPlan::uniform_drop(seed, 0.3).with_dup(0.3);
-            let f: Arc<Fabric<u32>> = Fabric::with_faults(
+            let f: Arc<Fabric<u32>> = Fabric::with_chaos(
                 2,
                 NetworkModel::instant(),
                 false,
@@ -1164,6 +899,7 @@ mod tests {
                 // Ack timeout far beyond the test body: no retransmission
                 // ever fires, so wire traffic is exactly the sends.
                 RetryPolicy { ack_timeout: Duration::from_secs(60), ..RetryPolicy::default() },
+                None,
             );
             for i in 0..100 {
                 f.send(img(0), img(1), 0, i);

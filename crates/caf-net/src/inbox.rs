@@ -97,29 +97,6 @@ impl<M> Inbox<M> {
         }
     }
 
-    /// Blocks until a message is due or `deadline` passes; returns the
-    /// message or `None` on timeout.
-    pub fn pop_due_until(&self, deadline: Instant) -> Option<M> {
-        let mut inner = self.inner.lock();
-        loop {
-            let now = Instant::now();
-            if inner.heap.peek().is_some_and(|t| t.deliver_at <= now) {
-                let msg = inner.heap.pop().expect("peeked").msg;
-                self.len.store(inner.heap.len(), Ordering::Release);
-                drop(inner);
-                self.space.notify_all();
-                return Some(msg);
-            }
-            if now >= deadline {
-                return None;
-            }
-            // Park until the earliest pending deadline, an arrival, or
-            // the caller's deadline — whichever comes first.
-            let until = inner.heap.peek().map(|t| t.deliver_at.min(deadline)).unwrap_or(deadline);
-            self.arrived.wait_until(&mut inner, until);
-        }
-    }
-
     /// Parks the caller until the queue depth drops below `cap`, a drain
     /// notification arrives, or `deadline` passes. Returns whether space
     /// is available. Senders loop on this under flow control; the timeout
@@ -138,10 +115,10 @@ impl<M> Inbox<M> {
         true
     }
 
-    /// Wakes any receiver parked in [`Inbox::wait_activity`] or
-    /// [`Inbox::pop_due_until`] without enqueueing a message. Used by
-    /// communication threads after advancing an operation's completion
-    /// state, so the image re-evaluates its wait predicate promptly.
+    /// Wakes any receiver parked in [`Inbox::wait_activity`] without
+    /// enqueueing a message. Used by communication threads after
+    /// advancing an operation's completion state, so the image
+    /// re-evaluates its wait predicate promptly.
     pub fn poke(&self) {
         self.arrived.notify_all();
         // Senders parked on flow control also re-check (a poke may mean
@@ -197,6 +174,20 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// Receives the way the fabric does: pop what is due, else park in
+    /// [`Inbox::wait_activity`] until something happens or `deadline`.
+    fn pop_until<M>(inbox: &Inbox<M>, deadline: Instant) -> Option<M> {
+        loop {
+            if let Some(msg) = inbox.try_pop_due() {
+                return Some(msg);
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            inbox.wait_activity(deadline);
+        }
+    }
+
     #[test]
     fn due_messages_pop_in_deadline_order() {
         let inbox = Inbox::new();
@@ -214,15 +205,15 @@ mod tests {
         inbox.push(Instant::now() + Duration::from_millis(50), 42u32);
         assert_eq!(inbox.try_pop_due(), None);
         assert_eq!(inbox.len(), 1);
-        let got = inbox.pop_due_until(Instant::now() + Duration::from_millis(500));
+        let got = pop_until(&inbox, Instant::now() + Duration::from_millis(500));
         assert_eq!(got, Some(42));
     }
 
     #[test]
-    fn pop_due_until_times_out() {
+    fn wait_activity_times_out() {
         let inbox: Inbox<u8> = Inbox::new();
         let start = Instant::now();
-        let got = inbox.pop_due_until(start + Duration::from_millis(20));
+        let got = pop_until(&inbox, start + Duration::from_millis(20));
         assert_eq!(got, None);
         assert!(start.elapsed() >= Duration::from_millis(20));
     }
@@ -286,7 +277,7 @@ mod tests {
                 inbox.push(Instant::now(), 7u8);
             })
         };
-        let got = inbox.pop_due_until(Instant::now() + Duration::from_secs(5));
+        let got = pop_until(&inbox, Instant::now() + Duration::from_secs(5));
         assert_eq!(got, Some(7));
         producer.join().unwrap();
     }

@@ -20,10 +20,6 @@ use parking_lot::Mutex;
 
 use crate::watchdog::FinishDiag;
 
-/// The incarnation every image starts (and, with no restart support,
-/// dies) at — mirrors the fabric's numbering.
-pub(crate) const FIRST_INCARNATION: u64 = 1;
-
 /// Panic payload used by survivors unwinding after a confirmed failure.
 /// Delivered via `resume_unwind` so the global panic hook stays silent —
 /// the failure is reported once, as a `RuntimeError`, not once per thread.

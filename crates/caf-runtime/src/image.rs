@@ -13,6 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use caf_core::cofence::LocalAccess;
+use caf_core::fault::FIRST_INCARNATION;
 use caf_core::ids::{EventId, FinishId, ImageId, Parity};
 use caf_core::termination::{EpochDetector, WaveDetector};
 use caf_core::topology::Team;
@@ -22,7 +23,7 @@ use caf_net::CommPump;
 use crate::coarray::Coarray;
 use crate::completion::{Completion, Stage};
 use crate::event::{CoEvent, Event};
-use crate::failure::{CrashUnwind, FailUnwind, ImageFailureObservation, FIRST_INCARNATION};
+use crate::failure::{CrashUnwind, FailUnwind, ImageFailureObservation};
 use crate::msg::{Am, AmFn, FinishTag, Msg};
 use crate::runtime::Shared;
 use crate::state::{FinishFrame, ImageState, PendingOp};

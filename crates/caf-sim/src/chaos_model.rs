@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use caf_core::failure::{FailureDetectorState, FailureEvent, FailureParams};
-use caf_core::fault::{FaultPlan, RetryPolicy, SeqTracker};
+use caf_core::fault::{FaultPlan, RetryPolicy, SeqTracker, ACK_BYTES, FIRST_INCARNATION};
 use caf_core::ids::Parity;
 use caf_core::rng::SplitMix64;
 use caf_core::termination::WaveDecision;
@@ -42,14 +42,9 @@ use caf_des::{ChaosWire, Engine, SimNet};
 
 use crate::finish_sim::FinishSim;
 
-/// Simulated size of a protocol acknowledgement (mirrors `caf-net`).
-const ACK_BYTES: usize = 16;
-/// Simulated size of a heartbeat or `Down` control message.
+/// Simulated size of a heartbeat or `Down` control message. The threaded
+/// fabric's heartbeats are 8 bytes: a known mirror gap (DESIGN.md §6).
 const CTRL_BYTES: usize = 16;
-/// Every simulated image runs at its first incarnation (restart is not
-/// modelled here; the number exists so posthumous filtering exercises
-/// the same `accepts` check as the threaded fabric).
-const FIRST_INCARNATION: u64 = 1;
 
 /// Parameters of one simulated chaos run.
 #[derive(Debug, Clone)]

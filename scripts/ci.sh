@@ -52,6 +52,11 @@ lint_golden_tier examples/plans
 echo "== caf-lint ⇄ caf-check differential (every diagnostic realizable) =="
 ./target/release/caf-check plan-diff tests/fixtures/lints/*.plan examples/plans/*.plan
 
+echo "== perfbench build + self-tests (against the workspace crates) =="
+# perfbench is its own cargo workspace with path deps on caf-runtime and
+# the kernels: a runtime API change that breaks the benchmark fails here.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -482,8 +482,8 @@ mod tests {
         let f: Arc<Fabric<u8>> = Fabric::new(2, NetworkModel::instant(), false);
         f.send(img(0), img(1), 100, 1);
         f.send(img(0), img(1), 20, 2);
-        assert_eq!(f.stats().messages(), 2);
-        assert_eq!(f.stats().bytes(), 120);
+        assert_eq!(f.stats().snapshot().messages, 2);
+        assert_eq!(f.stats().snapshot().bytes, 120);
     }
 
     #[test]
@@ -506,7 +506,7 @@ mod tests {
         assert!(!sender.is_finished(), "sender should be stalled");
         assert_eq!(f.try_recv(img(1)), Some(0));
         sender.join().unwrap();
-        assert!(f.stats().backpressure_stalls() > 0);
+        assert!(f.stats().snapshot().backpressure_stalls > 0);
         assert_eq!(f.try_recv(img(1)), Some(1));
         assert_eq!(f.try_recv(img(1)), Some(2));
     }
@@ -519,7 +519,7 @@ mod tests {
         assert_eq!(f.try_send(img(0), img(2), 0, 2), Err(2), "full inbox refuses");
         f.mark_crashed(img(1));
         assert_eq!(f.try_send(img(1), img(2), 0, 3), Ok(()), "a dead sender is never refused");
-        assert_eq!(f.stats().crash_drops(), 1, "its message dies on the wire");
+        assert_eq!(f.stats().snapshot().crash_drops, 1, "its message dies on the wire");
         f.halt();
         assert_eq!(f.try_send(img(0), img(2), 0, 4), Ok(()), "halted fabric admits, as send does");
         assert_eq!(f.inbox_depth(img(2)), 2);
@@ -602,9 +602,9 @@ mod tests {
         }
         got.sort_unstable();
         assert_eq!(got, (0..total).collect::<Vec<_>>(), "exactly-once violated");
-        assert!(f.stats().wire_drops() > 0, "plan should have dropped something");
-        assert!(f.stats().retries() > 0, "drops must have forced retries");
-        assert_eq!(f.stats().delivered(), total as u64);
+        assert!(f.stats().snapshot().wire_drops > 0, "plan should have dropped something");
+        assert!(f.stats().snapshot().retries > 0, "drops must have forced retries");
+        assert_eq!(f.stats().snapshot().delivered, total as u64);
         // The last acks may still be in flight; pump both sides until the
         // sender's outstanding queue converges to empty.
         while f.retry_backlog(img(0)) > 0 {
@@ -628,8 +628,8 @@ mod tests {
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         // Nothing further surfaces even though the wire carried ~2x.
         assert_eq!(f.try_recv(img(1)), None);
-        assert!(f.stats().dups_discarded() > 0);
-        assert_eq!(f.stats().delivered(), 50);
+        assert!(f.stats().snapshot().dups_discarded > 0);
+        assert_eq!(f.stats().snapshot().delivered, 50);
     }
 
     #[test]
@@ -646,12 +646,12 @@ mod tests {
         f.send(img(0), img(1), 0, 7);
         assert_eq!(f.retry_backlog(img(0)), 1);
         let deadline = Instant::now() + horizon * 4 + Duration::from_millis(50);
-        while f.stats().retries_exhausted() == 0 {
+        while f.stats().snapshot().retries_exhausted == 0 {
             assert!(Instant::now() < deadline, "budget never exhausted");
             f.wait_activity(img(0), Instant::now() + Duration::from_micros(100));
         }
         assert_eq!(f.retry_backlog(img(0)), 0, "abandoned message must leave the queue");
-        assert_eq!(f.stats().retries(), 3, "exactly max_retries retransmissions");
+        assert_eq!(f.stats().snapshot().retries, 3, "exactly max_retries retransmissions");
         assert_eq!(f.try_recv(img(1)), None, "nothing ever crossed the link");
     }
 
@@ -669,7 +669,7 @@ mod tests {
         f.send(img(0), img(1), 0, 11);
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut surfaced = Vec::new();
-        while f.stats().retries_exhausted() == 0 {
+        while f.stats().snapshot().retries_exhausted == 0 {
             assert!(Instant::now() < deadline, "sender never gave up");
             if let Some(m) = f.try_recv(img(1)) {
                 surfaced.push(m);
@@ -682,8 +682,8 @@ mod tests {
             surfaced.push(m);
         }
         assert_eq!(surfaced, vec![11], "dedup must absorb every retransmission");
-        assert!(f.stats().dups_discarded() > 0, "retransmits should have arrived");
-        assert_eq!(f.stats().delivered(), 1);
+        assert!(f.stats().snapshot().dups_discarded > 0, "retransmits should have arrived");
+        assert_eq!(f.stats().snapshot().delivered, 1);
     }
 
     #[test]
@@ -733,7 +733,7 @@ mod tests {
                 f.wait_activity(img(i), Instant::now() + Duration::from_micros(200));
             }
         }
-        assert!(f.stats().heartbeats() > 0, "idle links must heartbeat");
+        assert!(f.stats().snapshot().heartbeats > 0, "idle links must heartbeat");
         assert!(f.poll_failures(img(0)).is_empty(), "image 1 is alive");
         assert!(f.poll_failures(img(1)).is_empty(), "image 0 is alive");
     }
@@ -754,7 +754,7 @@ mod tests {
         assert!(downs[0].latency.is_some(), "fabric knows when the crash fired");
         assert!(f.is_crashed(img(1)));
         assert!(!f.is_crashed(img(0)), "only the victim crashed");
-        assert!(f.stats().crash_drops() > 0, "traffic to the dead image is destroyed");
+        assert!(f.stats().snapshot().crash_drops > 0, "traffic to the dead image is destroyed");
     }
 
     #[test]
@@ -774,8 +774,8 @@ mod tests {
         f.mark_peer_dead(img(0), 1, 1);
         let got = recv(&f, img(0), Instant::now() + Duration::from_millis(200));
         assert_eq!(got, None, "posthumous payload must not surface");
-        assert!(f.stats().posthumous_drops() > 0);
-        assert_eq!(f.stats().delivered(), 0);
+        assert!(f.stats().snapshot().posthumous_drops > 0);
+        assert_eq!(f.stats().snapshot().delivered, 0);
     }
 
     #[test]
@@ -794,7 +794,7 @@ mod tests {
         let t0 = Instant::now();
         f.send(img(0), img(1), 0, 2); // must admit-and-drop, not park
         assert!(t0.elapsed() < Duration::from_secs(1), "sender parked on a dead drainer");
-        assert!(f.stats().crash_drops() > 0);
+        assert!(f.stats().snapshot().crash_drops > 0);
         assert!(f.try_send(img(0), img(1), 0, 3).is_ok(), "try_send must admit-and-drop too");
     }
 
@@ -823,7 +823,7 @@ mod tests {
         f.mark_peer_dead(img(0), 1, 1);
         assert_eq!(f.try_recv(img(0)), None); // the next pump
         assert_eq!(f.retry_backlog(img(0)), 0, "dead letters must leave the queue");
-        assert_eq!(f.stats().crash_drops(), 3, "abandoned frames count as crash drops");
+        assert_eq!(f.stats().snapshot().crash_drops, 3, "abandoned frames count as crash drops");
 
         // Confirmed by image 0's own detector (image 1 falls silent).
         let f: Arc<Fabric<u32>> = pair(Some(FailureParams::aggressive()));
@@ -838,8 +838,8 @@ mod tests {
         assert_eq!(f.retry_backlog(img(0)), 3, "confirmation lands after this pump's retry walk");
         assert_eq!(f.try_recv(img(0)), None); // the next pump
         assert_eq!(f.retry_backlog(img(0)), 0);
-        assert_eq!(f.stats().crash_drops(), 3);
-        assert_eq!(f.stats().retries(), 0, "nothing was retransmitted into the void");
+        assert_eq!(f.stats().snapshot().crash_drops, 3);
+        assert_eq!(f.stats().snapshot().retries, 0, "nothing was retransmitted into the void");
     }
 
     #[test]
@@ -881,7 +881,7 @@ mod tests {
             f.wait_activity(img(0), Instant::now() + Duration::from_micros(200));
             downs = f.poll_failures(img(0));
         }
-        assert!(f.stats().retries_exhausted() > 0);
+        assert!(f.stats().snapshot().retries_exhausted > 0);
         assert_eq!(downs[0].peer, 1);
         assert_eq!(downs[0].latency, None, "no crash fault fired; origin unknown");
     }
@@ -904,7 +904,7 @@ mod tests {
             for i in 0..100 {
                 f.send(img(0), img(1), 0, i);
             }
-            (f.stats().wire_drops(), f.stats().wire_dups())
+            (f.stats().snapshot().wire_drops, f.stats().snapshot().wire_dups)
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6), "different seeds should differ somewhere");

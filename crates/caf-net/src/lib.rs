@@ -33,4 +33,4 @@ pub use fabric::Fabric;
 pub use failure::ConfirmedDown;
 pub use inbox::Inbox;
 pub use pump::{CommMode, CommPump};
-pub use stats::FabricStats;
+pub use stats::{FabricStats, FabricTotals};

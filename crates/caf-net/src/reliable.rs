@@ -282,7 +282,7 @@ mod tests {
         let (resend, _) =
             rel.pump(ImageId(0), Instant::now() + Duration::from_secs(60), |_| true, &stats);
         assert!(resend.is_empty());
-        assert_eq!((rel.backlog(ImageId(0)), stats.crash_drops()), (0, 1));
+        assert_eq!((rel.backlog(ImageId(0)), stats.snapshot().crash_drops), (0, 1));
         assert_eq!(seq_of(&rel.inject(ImageId(0), ImageId(1), 4, 10)), 5);
     }
 }

@@ -3,7 +3,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Aggregate counters for one fabric instance. All methods are safe to
-/// call concurrently; counts are monotone.
+/// call concurrently; counts are monotone. Read them as one
+/// [`FabricTotals`] via [`FabricStats::snapshot`].
 #[derive(Debug, Default)]
 pub struct FabricStats {
     messages: AtomicU64,
@@ -19,6 +20,42 @@ pub struct FabricStats {
     heartbeats: AtomicU64,
     crash_drops: AtomicU64,
     posthumous_drops: AtomicU64,
+}
+
+/// A point-in-time copy of every [`FabricStats`] counter. Each field is
+/// read with a relaxed load, so concurrent traffic may land between two
+/// fields; every field is monotone across snapshots.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FabricTotals {
+    /// Logical messages sent through the fabric (excludes protocol acks
+    /// and retransmissions).
+    pub messages: u64,
+    /// Payload bytes sent through the fabric.
+    pub bytes: u64,
+    /// Sender stalls caused by inbox backpressure.
+    pub backpressure_stalls: u64,
+    /// Logical messages surfaced to receivers (each exactly once).
+    pub delivered: u64,
+    /// Wire transmissions destroyed by fault injection.
+    pub wire_drops: u64,
+    /// Wire transmissions duplicated by fault injection.
+    pub wire_dups: u64,
+    /// Retransmissions performed by the reliable-delivery layer.
+    pub retries: u64,
+    /// Messages abandoned after the retry budget was exhausted.
+    pub retries_exhausted: u64,
+    /// Duplicate deliveries filtered out by receiver-side dedup.
+    pub dups_discarded: u64,
+    /// Acknowledgements sent by receivers.
+    pub acks: u64,
+    /// Heartbeat frames emitted by the failure-detection layer.
+    pub heartbeats: u64,
+    /// Wire transmissions destroyed because an endpoint had fail-stopped
+    /// (a dead image neither injects nor receives).
+    pub crash_drops: u64,
+    /// Frames discarded by the incarnation filter: traffic from a peer
+    /// already confirmed dead at that incarnation.
+    pub posthumous_drops: u64,
 }
 
 impl FabricStats {
@@ -71,73 +108,24 @@ impl FabricStats {
         self.posthumous_drops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total logical messages sent through the fabric (excludes protocol
-    /// acks and retransmissions).
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Total payload bytes sent through the fabric.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total sender stalls caused by inbox backpressure.
-    pub fn backpressure_stalls(&self) -> u64 {
-        self.backpressure_stalls.load(Ordering::Relaxed)
-    }
-
-    /// Logical messages surfaced to receivers (each exactly once). The
-    /// no-progress watchdog folds this into its progress fingerprint.
-    pub fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
-    }
-
-    /// Wire transmissions destroyed by fault injection.
-    pub fn wire_drops(&self) -> u64 {
-        self.wire_drops.load(Ordering::Relaxed)
-    }
-
-    /// Wire transmissions duplicated by fault injection.
-    pub fn wire_dups(&self) -> u64 {
-        self.wire_dups.load(Ordering::Relaxed)
-    }
-
-    /// Retransmissions performed by the reliable-delivery layer.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Messages abandoned after the retry budget was exhausted.
-    pub fn retries_exhausted(&self) -> u64 {
-        self.retries_exhausted.load(Ordering::Relaxed)
-    }
-
-    /// Duplicate deliveries filtered out by receiver-side dedup.
-    pub fn dups_discarded(&self) -> u64 {
-        self.dups_discarded.load(Ordering::Relaxed)
-    }
-
-    /// Acknowledgements sent by receivers.
-    pub fn acks(&self) -> u64 {
-        self.acks.load(Ordering::Relaxed)
-    }
-
-    /// Heartbeat frames emitted by the failure-detection layer.
-    pub fn heartbeats(&self) -> u64 {
-        self.heartbeats.load(Ordering::Relaxed)
-    }
-
-    /// Wire transmissions destroyed because an endpoint had fail-stopped
-    /// (a dead image neither injects nor receives).
-    pub fn crash_drops(&self) -> u64 {
-        self.crash_drops.load(Ordering::Relaxed)
-    }
-
-    /// Frames discarded by the incarnation filter: traffic from a peer
-    /// already confirmed dead at that incarnation.
-    pub fn posthumous_drops(&self) -> u64 {
-        self.posthumous_drops.load(Ordering::Relaxed)
+    /// Reads every counter once.
+    pub fn snapshot(&self) -> FabricTotals {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        FabricTotals {
+            messages: get(&self.messages),
+            bytes: get(&self.bytes),
+            backpressure_stalls: get(&self.backpressure_stalls),
+            delivered: get(&self.delivered),
+            wire_drops: get(&self.wire_drops),
+            wire_dups: get(&self.wire_dups),
+            retries: get(&self.retries),
+            retries_exhausted: get(&self.retries_exhausted),
+            dups_discarded: get(&self.dups_discarded),
+            acks: get(&self.acks),
+            heartbeats: get(&self.heartbeats),
+            crash_drops: get(&self.crash_drops),
+            posthumous_drops: get(&self.posthumous_drops),
+        }
     }
 }
 
@@ -151,8 +139,8 @@ mod tests {
         s.note_send(10);
         s.note_send(5);
         s.note_backpressure_stall();
-        assert_eq!(s.messages(), 2);
-        assert_eq!(s.bytes(), 15);
-        assert_eq!(s.backpressure_stalls(), 1);
+        assert_eq!(s.snapshot().messages, 2);
+        assert_eq!(s.snapshot().bytes, 15);
+        assert_eq!(s.snapshot().backpressure_stalls, 1);
     }
 }

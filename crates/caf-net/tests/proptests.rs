@@ -59,7 +59,7 @@ proptest! {
         let mut got = drain(&f, ImageId(4), sends.len());
         got.sort_unstable();
         prop_assert_eq!(got, (0..sends.len() as u64).collect::<Vec<_>>());
-        prop_assert_eq!(f.stats().messages(), sends.len() as u64);
+        prop_assert_eq!(f.stats().snapshot().messages, sends.len() as u64);
     }
 
     /// With reordering disabled and equal sizes, same-pair messages are
@@ -167,7 +167,7 @@ proptest! {
         }
         got.sort_unstable();
         prop_assert_eq!(got, (0..sends.len() as u64).collect::<Vec<_>>());
-        prop_assert_eq!(f.stats().delivered(), sends.len() as u64, "double count");
+        prop_assert_eq!(f.stats().snapshot().delivered, sends.len() as u64, "double count");
         // Nothing further may ever surface: late duplicates and
         // retransmits are filtered by sequence dedup, and a payload slot
         // is single-use even in principle.
@@ -186,9 +186,9 @@ proptest! {
             }
             f.wait_activity(ImageId(3), Instant::now() + Duration::from_micros(200));
         }
-        prop_assert_eq!(f.stats().delivered(), sends.len() as u64, "late surfacing");
+        prop_assert_eq!(f.stats().snapshot().delivered, sends.len() as u64, "late surfacing");
         // Drained by acks, not by giving up: the budget above makes a
         // legitimate exhaustion vanishingly unlikely.
-        prop_assert_eq!(f.stats().retries_exhausted(), 0, "frames retired by exhaustion");
+        prop_assert_eq!(f.stats().snapshot().retries_exhausted, 0, "frames retired by exhaustion");
     }
 }

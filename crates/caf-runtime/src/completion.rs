@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// The observable stages of one asynchronous operation, in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -30,22 +30,20 @@ pub enum Stage {
 #[derive(Debug)]
 pub struct Completion {
     stage: Mutex<Stage>,
-    advanced: Condvar,
 }
 
 impl Completion {
     /// A fresh cell at [`Stage::Initiated`].
     pub fn new() -> Arc<Self> {
-        Arc::new(Completion { stage: Mutex::new(Stage::Initiated), advanced: Condvar::new() })
+        Arc::new(Completion { stage: Mutex::new(Stage::Initiated) })
     }
 
     /// Advances to `to` if that is later than the current stage (stages
-    /// never regress), waking blocked waiters.
+    /// never regress).
     pub fn advance(&self, to: Stage) {
         let mut s = self.stage.lock();
         if to > *s {
             *s = to;
-            self.advanced.notify_all();
         }
     }
 
@@ -53,23 +51,11 @@ impl Completion {
     pub fn reached(&self, at: Stage) -> bool {
         *self.stage.lock() >= at
     }
-
-    /// Blocks the calling thread until `at` is reached. Only safe off the
-    /// image's main thread (e.g. in tests or comm tasks); the image itself
-    /// must keep making progress and therefore uses its polling wait loop
-    /// instead.
-    pub fn block_until(&self, at: Stage) {
-        let mut s = self.stage.lock();
-        while *s < at {
-            self.advanced.wait(&mut s);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn stages_are_ordered() {
@@ -87,15 +73,5 @@ mod tests {
         // Regression attempts are ignored.
         c.advance(Stage::LocalData);
         assert!(c.reached(Stage::LocalOp));
-    }
-
-    #[test]
-    fn block_until_wakes_on_advance() {
-        let c = Completion::new();
-        let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || c2.block_until(Stage::LocalData));
-        std::thread::sleep(Duration::from_millis(10));
-        c.advance(Stage::LocalData);
-        t.join().unwrap();
     }
 }

@@ -76,7 +76,7 @@ impl Image {
                 // the failure aborts this image inside the allreduce;
                 // this arm catches a poison that landed between waves.
                 WaveDecision::Poisoned => {
-                    self.check_failure("finish");
+                    self.check_abort("finish", None);
                     unreachable!("poisoned finish without a registered failure");
                 }
             }

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use caf_core::cofence::LocalAccess;
-use caf_core::fault::FIRST_INCARNATION;
 use caf_core::ids::{EventId, FinishId, ImageId, Parity};
 use caf_core::termination::{EpochDetector, WaveDetector};
 use caf_core::topology::Team;
@@ -23,11 +22,10 @@ use caf_net::CommPump;
 use crate::coarray::Coarray;
 use crate::completion::{Completion, Stage};
 use crate::event::{CoEvent, Event};
-use crate::failure::{CrashUnwind, FailUnwind, ImageFailureObservation};
 use crate::msg::{Am, AmFn, FinishTag, Msg};
 use crate::runtime::Shared;
 use crate::state::{FinishFrame, ImageState, PendingOp};
-use crate::watchdog::{FinishDiag, ImageStallReport, StallUnwind, Watchdog};
+use crate::watchdog::Watchdog;
 
 /// Nominal wire size of a shipped-function header (descriptor + closure
 /// environment lower bound) for the cost model.
@@ -120,188 +118,18 @@ impl Image {
     }
 
     /// Polls progress until `pred` holds, parking between polls.
-    /// `construct` names the blocking construct for failure diagnostics.
-    /// Under a configured watchdog each park iteration also files a
-    /// progress observation; a declared stall aborts the wait (and the
-    /// image), and a confirmed image failure does the same with a richer
-    /// verdict.
+    /// `construct` names the blocking construct for the abort report.
+    /// Each park iteration polls [`Image::check_abort`], so a confirmed
+    /// image failure or a declared stall aborts the wait (and the image).
     pub(crate) fn wait_until(&self, construct: &'static str, mut pred: impl FnMut() -> bool) {
-        let wd = self.shared.watchdog.as_ref();
-        let _blocked = wd.map(|w| w.enter_wait());
+        let waiting = self.shared.watchdog.as_ref().map(Watchdog::enter_wait);
         loop {
             self.progress();
             if pred() {
                 return;
             }
-            self.check_failure(construct);
-            if let Some(w) = wd {
-                self.check_watchdog(w);
-            }
+            self.check_abort(construct, waiting.as_ref());
             self.shared.fabric.wait_activity(self.me, Instant::now() + MAX_PARK);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Fail-stop failure handling
-    // ------------------------------------------------------------------
-
-    /// Polls the fabric's failure detector and reacts: a confirmed peer
-    /// death is posted to the hub (first observer owns the team-wide
-    /// `ImageDown` broadcast) and then aborts this image's blocking
-    /// construct; a crash fault aimed at *this* image fail-stops its
-    /// thread — silently, as fail-stop demands: survivors must detect the
-    /// death, the victim does not announce it.
-    pub(crate) fn check_failure(&self, construct: &'static str) {
-        let Some(hub) = &self.shared.failure else { return };
-        if self.shared.fabric.is_crashed(self.me) {
-            std::panic::resume_unwind(Box::new(CrashUnwind));
-        }
-        for down in self.shared.fabric.poll_failures(self.me) {
-            if hub.post(down.peer, down.incarnation, down.latency) {
-                self.broadcast_down(down.peer, down.incarnation);
-            }
-        }
-        if hub.poisoned() {
-            self.abort_for_failure(construct);
-        }
-    }
-
-    /// Tells every other survivor about a confirmed death, riding the
-    /// reliable ack/retry sublayer (the in-process hub already knows; the
-    /// wire broadcast keeps the protocol honest under message loss).
-    fn broadcast_down(&self, image: usize, incarnation: u64) {
-        for i in 0..self.shared.n {
-            if i == self.me.index() || i == image {
-                continue;
-            }
-            self.shared.fabric.send_unthrottled(
-                self.me,
-                ImageId(i),
-                CTRL_BYTES,
-                Msg::ImageDown { image, incarnation },
-            );
-        }
-    }
-
-    /// Aborts this image after a confirmed failure: poisons every open
-    /// finish epoch (their waves can never close with a dead member),
-    /// releases the whole team, files this image's parting observation,
-    /// and unwinds.
-    fn abort_for_failure(&self, construct: &'static str) -> ! {
-        let hub = self.shared.failure.as_ref().expect("failure abort without a hub");
-        if let Some(down) = hub.down() {
-            let mut st = self.st.borrow_mut();
-            for (fid, frame) in st.finish_frames.iter_mut() {
-                frame.detector.poison(down.peer);
-                self.trace(|| TraceEvent::Poison {
-                    image: self.me.index(),
-                    finish: Image::trace_fid(*fid),
-                    victim: down.peer,
-                });
-            }
-        }
-        // Halt first: flow control stops parking senders, so the comm
-        // thread (joined when `self.pump` drops during unwind) and peers
-        // blocked in sends all become runnable.
-        self.shared.fabric.halt();
-        for i in 0..self.shared.n {
-            self.shared.fabric.poke(ImageId(i));
-        }
-        hub.contribute(ImageFailureObservation {
-            image: self.me.index(),
-            construct,
-            finishes: self.finish_diags(),
-        });
-        std::panic::resume_unwind(Box::new(FailUnwind));
-    }
-
-    /// Fail-stop at the image boundary: the closure panicked. Records the
-    /// panic message, posts the death (the boundary *is* the detector
-    /// here — zero latency), broadcasts it before this image's traffic is
-    /// silenced, then silences it.
-    pub(crate) fn die_of_panic(&self, payload: &(dyn std::any::Any + Send)) {
-        let hub = self.shared.failure.as_ref().expect("panic boundary without a hub");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned());
-        if let Some(m) = msg {
-            hub.set_panic(m);
-        }
-        if hub.post(self.me.index(), FIRST_INCARNATION, Some(Duration::ZERO)) {
-            self.broadcast_down(self.me.index(), FIRST_INCARNATION);
-        }
-        self.shared.fabric.mark_crashed(self.me);
-        for i in 0..self.shared.n {
-            self.shared.fabric.poke(ImageId(i));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // No-progress watchdog
-    // ------------------------------------------------------------------
-
-    /// Global progress fingerprint: any logical send, exactly-once
-    /// delivery, retransmission, or retry-budget exhaustion moves it.
-    /// Retries count as progress, so the watchdog's window cannot elapse
-    /// while the reliable-delivery layer is still spending its budget.
-    fn progress_fingerprint(&self) -> u64 {
-        let s = self.shared.fabric.stats();
-        s.messages() + s.delivered() + s.retries() + s.retries_exhausted()
-    }
-
-    /// Files a progress observation; if the runtime is stalled (declared
-    /// by this image just now or by a peer), dumps this image's
-    /// diagnostics and unwinds its thread.
-    fn check_watchdog(&self, wd: &Watchdog) {
-        if !wd.observe(self.progress_fingerprint()) {
-            return;
-        }
-        // Halt first: flow control stops parking senders, so the comm
-        // thread (joined when `self.pump` drops during unwind) and peer
-        // images blocked in sends all become runnable.
-        self.shared.fabric.halt();
-        wd.contribute(self.stall_report());
-        for i in 0..self.shared.n {
-            self.shared.fabric.poke(ImageId(i));
-        }
-        std::panic::resume_unwind(Box::new(StallUnwind));
-    }
-
-    /// Last-known epoch counters of every finish block this image has
-    /// touched (shared by the stall and failure diagnostics).
-    fn finish_diags(&self) -> Vec<FinishDiag> {
-        let st = self.st.borrow();
-        let mut finishes: Vec<FinishDiag> = st
-            .finish_frames
-            .iter()
-            .map(|(fid, frame)| {
-                let even = frame.detector.epochs().counters(Parity::Even);
-                let odd = frame.detector.epochs().counters(Parity::Odd);
-                FinishDiag {
-                    finish: *fid,
-                    sent: even.sent + odd.sent,
-                    delivered: even.delivered + odd.delivered,
-                    received: even.received + odd.received,
-                    completed: even.completed + odd.completed,
-                    waves: frame.detector.waves(),
-                }
-            })
-            .collect();
-        finishes.sort_by_key(|d| d.finish);
-        finishes
-    }
-
-    /// Snapshot of this image's runtime state for the stall diagnostic.
-    fn stall_report(&self) -> ImageStallReport {
-        let finishes = self.finish_diags();
-        let st = self.st.borrow();
-        ImageStallReport {
-            image: self.me.index(),
-            inbox_depth: self.shared.fabric.inbox_depth(self.me),
-            retry_backlog: self.shared.fabric.retry_backlog(self.me),
-            pending_ops: st.pending_scopes.iter().map(Vec::len).sum(),
-            finishes,
         }
     }
 
@@ -327,15 +155,7 @@ impl Image {
                 if let Some(hub) = &self.shared.failure {
                     hub.post(image, incarnation, None);
                     self.shared.fabric.mark_peer_dead(self.me, image, incarnation);
-                    let mut st = self.st.borrow_mut();
-                    for (fid, frame) in st.finish_frames.iter_mut() {
-                        frame.detector.poison(image);
-                        self.trace(|| TraceEvent::Poison {
-                            image: self.me.index(),
-                            finish: Image::trace_fid(*fid),
-                            victim: image,
-                        });
-                    }
+                    self.poison_open_finishes(image);
                 }
             }
         }
@@ -460,21 +280,19 @@ impl Image {
         // Even a sender that never blocks must notice a confirmed failure
         // (or its own crash flag) — without this, a crashed image that
         // keeps injecting would never fail-stop.
-        self.check_failure("send");
+        self.check_abort("send", None);
         let tag = self.am_tag();
         let mut msg = Msg::Am(Am { func, sender: self.me, finish: tag, completion_event, user });
-        let wd = self.shared.watchdog.as_ref();
-        let mut blocked = None;
+        let mut waiting = None;
         loop {
             match self.shared.fabric.try_send(self.me, target, payload_bytes, msg) {
                 Ok(()) => return,
                 Err(back) => {
                     msg = back;
-                    self.check_failure("send");
-                    if let Some(w) = wd {
-                        blocked.get_or_insert_with(|| w.enter_wait());
-                        self.check_watchdog(w);
+                    if waiting.is_none() {
+                        waiting = self.shared.watchdog.as_ref().map(Watchdog::enter_wait);
                     }
+                    self.check_abort("send", waiting.as_ref());
                     if !self.progress() {
                         self.shared.fabric.wait_activity(self.me, Instant::now() + MAX_PARK);
                     }
@@ -637,8 +455,8 @@ impl Image {
     /// Snapshot of the fabric's traffic statistics
     /// `(messages, bytes, backpressure stalls)`.
     pub fn fabric_stats(&self) -> (u64, u64, u64) {
-        let s = self.shared.fabric.stats();
-        (s.messages(), s.bytes(), s.backpressure_stalls())
+        let t = self.shared.fabric.stats().snapshot();
+        (t.messages, t.bytes, t.backpressure_stalls)
     }
 
     /// Final synchronization before an image returns from the SPMD main:

@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+pub mod abort;
 pub mod async_coll;
 pub mod coarray;
 mod cofence;
@@ -41,14 +42,15 @@ mod collective;
 pub mod completion;
 pub mod copy;
 pub mod event;
-pub mod failure;
+mod failure;
 mod finish;
 pub mod image;
 pub mod msg;
 mod runtime;
 mod state;
-pub mod watchdog;
+mod watchdog;
 
+pub use abort::{FailureReport, FinishDiag, ImageReport, RuntimeError, StallReport};
 pub use async_coll::{AsyncCollEvents, AsyncScalar};
 pub use caf_core::cofence::{CofenceSpec, LocalAccess, Pass};
 pub use caf_core::config::{CommMode, NetworkModel, RuntimeConfig};
@@ -60,7 +62,5 @@ pub use coarray::{CoSlice, Coarray, LocalArray};
 pub use completion::Stage;
 pub use copy::{AsyncOp, CopyEvents};
 pub use event::{CoEvent, Event};
-pub use failure::{FailureReport, ImageFailureObservation};
 pub use image::Image;
 pub use runtime::Runtime;
-pub use watchdog::{FinishDiag, ImageStallReport, RuntimeError, StallReport};

@@ -11,11 +11,12 @@ use caf_core::ids::{ImageId, TeamId};
 use caf_net::Fabric;
 use parking_lot::Mutex;
 
+use crate::abort::{verdict, AbortUnwind, ImageReport, RuntimeError};
 use crate::event::EventTable;
-use crate::failure::{CrashUnwind, FailUnwind, FailureHub, FailureReport};
+use crate::failure::FailureHub;
 use crate::image::Image;
 use crate::msg::Msg;
-use crate::watchdog::{RuntimeError, StallReport, StallUnwind, Watchdog};
+use crate::watchdog::Watchdog;
 
 /// State shared by every image (and their communication threads).
 pub(crate) struct Shared {
@@ -43,6 +44,8 @@ pub(crate) struct Shared {
     pub watchdog: Option<Watchdog>,
     /// The failure hub, when `cfg.failure` engages fail-stop detection.
     pub failure: Option<FailureHub>,
+    /// Reports filed by images on the abort path.
+    pub reports: Mutex<Vec<ImageReport>>,
 }
 
 /// Entry point for the threaded CAF 2.0 runtime.
@@ -78,8 +81,9 @@ impl Runtime {
     /// (`cfg.failure`) — a fail-stopped image (crash fault or uncaught
     /// panic in the closure) comes back as [`RuntimeError::ImageFailed`]
     /// from *every* surviving image's perspective, instead of a panic or
-    /// a hang. Without a watchdog or failure detection this never returns
-    /// `Err` (a genuine hang stays a hang — there is nothing watching).
+    /// a hang. With both engaged, a confirmed death outranks a stall.
+    /// Without a watchdog or failure detection this never returns `Err`
+    /// (a genuine hang stays a hang — there is nothing watching).
     ///
     /// # Panics
     /// Panics if `n == 0` or any image panics for a reason other than a
@@ -127,6 +131,7 @@ impl Runtime {
             next_team: AtomicU64::new(1),
             watchdog: cfg.watchdog.map(|window| Watchdog::new(window, n)),
             failure: cfg.failure.as_ref().map(|_| FailureHub::new()),
+            reports: Mutex::new(Vec::new()),
             cfg,
         });
         let joined: Vec<Result<R, Box<dyn Any + Send>>> = std::thread::scope(|scope| {
@@ -139,33 +144,14 @@ impl Runtime {
                         .spawn_scoped(scope, move || {
                             let _live = shared.watchdog.as_ref().map(|w| w.live_guard());
                             let img = Image::new(Arc::clone(&shared), ImageId(i));
-                            if shared.failure.is_none() {
-                                let r = f(&img);
-                                img.shutdown();
-                                return r;
-                            }
-                            // Fail-stop boundary: an uncaught panic in the
-                            // closure kills this image, not the launch —
-                            // survivors drain and the caller gets a
-                            // FailureReport. Runtime unwind payloads pass
-                            // through untranslated.
-                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&img)))
-                            {
-                                Ok(r) => {
-                                    img.shutdown();
-                                    r
-                                }
-                                Err(payload) => {
-                                    if payload.is::<StallUnwind>()
-                                        || payload.is::<FailUnwind>()
-                                        || payload.is::<CrashUnwind>()
-                                    {
-                                        std::panic::resume_unwind(payload);
-                                    }
-                                    img.die_of_panic(&*payload);
-                                    std::panic::resume_unwind(Box::new(CrashUnwind));
-                                }
-                            }
+                            // Fail-stop boundary: under `cfg.failure` an
+                            // uncaught panic in the closure kills this
+                            // image, not the launch.
+                            let r =
+                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&img)))
+                                    .unwrap_or_else(|payload| img.die_of_panic(payload));
+                            img.shutdown();
+                            r
                         })
                         .expect("spawning image thread")
                 })
@@ -173,56 +159,19 @@ impl Runtime {
             handles.into_iter().map(|h| h.join()).collect()
         });
         let mut out = Vec::with_capacity(n);
-        let mut stalled = false;
-        let mut failed = false;
+        let mut aborted = false;
         for r in joined {
             match r {
                 Ok(v) => out.push(v),
-                Err(payload) if payload.is::<StallUnwind>() => stalled = true,
-                Err(payload) if payload.is::<FailUnwind>() || payload.is::<CrashUnwind>() => {
-                    failed = true;
-                }
-                // A genuine panic (assertion failure, user bug) outranks a
-                // stall: peers unwound via StallUnwind only because the
-                // panicking image stopped participating.
+                Err(payload) if payload.is::<AbortUnwind>() => aborted = true,
+                // A genuine panic (assertion failure, user bug) outranks an
+                // abort: peers aborted only because the panicking image
+                // stopped participating.
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-        if failed {
-            // An image failure outranks a stall: survivors that stalled out
-            // did so because the dead image stopped participating.
-            let hub = shared.failure.as_ref().expect("failure unwind without a failure hub");
-            let down = hub.down().expect("failure unwind without a registered death");
-            let stats = shared.fabric.stats();
-            // Team-wide drain: discard in-flight traffic addressed to
-            // threads that no longer exist, so teardown never blocks.
-            let drained = shared.fabric.drain_inboxes();
-            return Err(RuntimeError::ImageFailed(FailureReport {
-                image: down.peer,
-                incarnation: down.incarnation,
-                detection_latency: down.latency,
-                panic: hub.take_panic(),
-                observers: hub.take_observations(),
-                crash_drops: stats.crash_drops(),
-                posthumous_drops: stats.posthumous_drops(),
-                heartbeats: stats.heartbeats(),
-                drained,
-            }));
-        }
-        if stalled {
-            let wd = shared.watchdog.as_ref().expect("stall unwind without a watchdog");
-            let stats = shared.fabric.stats();
-            return Err(RuntimeError::Stalled(StallReport {
-                window: wd.window(),
-                images: wd.take_reports(),
-                messages: stats.messages(),
-                delivered: stats.delivered(),
-                retries: stats.retries(),
-                retries_exhausted: stats.retries_exhausted(),
-                wire_drops: stats.wire_drops(),
-                wire_dups: stats.wire_dups(),
-                dups_discarded: stats.dups_discarded(),
-            }));
+        if aborted {
+            return Err(verdict(&shared));
         }
         Ok(out)
     }

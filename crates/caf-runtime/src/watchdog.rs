@@ -8,10 +8,10 @@
 //! fingerprint* (messages injected + messages delivered + retransmissions
 //! attempted); when every image is simultaneously blocked in a runtime
 //! wait and the fingerprint has not moved for the configured window, the
-//! first image to notice declares a stall, every image contributes a
-//! structured per-image report (finish epoch counters, inbox depth, retry
-//! backlog, pending operations), and the launch returns
-//! [`RuntimeError::Stalled`] instead of hanging.
+//! first image to notice declares a stall. Every image then takes the
+//! one abort path (`crate::abort`), and the launch returns
+//! [`RuntimeError::Stalled`](crate::RuntimeError::Stalled) instead of
+//! hanging.
 //!
 //! Because retransmissions count as progress, the watchdog cannot fire
 //! while the reliable-delivery layer is still inside its retry budget —
@@ -22,135 +22,10 @@
 //!
 //! [`StallWindow`]: caf_core::fault::StallWindow
 
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use caf_core::ids::FinishId;
 use parking_lot::Mutex;
-
-/// Panic payload used to unwind image threads after a stall is declared.
-/// Delivered via `resume_unwind` so the global panic hook stays silent —
-/// the stall is reported once, as a [`RuntimeError`], not once per thread.
-pub(crate) struct StallUnwind;
-
-/// Snapshot of one `finish` block's termination detector at stall time.
-/// Counters are cumulative over both epoch parities.
-#[derive(Debug, Clone)]
-pub struct FinishDiag {
-    /// Which finish block.
-    pub finish: FinishId,
-    /// Messages this image sent under the block.
-    pub sent: u64,
-    /// Of those, acknowledged as delivered.
-    pub delivered: u64,
-    /// Messages this image received under the block.
-    pub received: u64,
-    /// Of those, completed executing locally.
-    pub completed: u64,
-    /// Reduction waves the detector has run.
-    pub waves: usize,
-}
-
-/// One image's contribution to a stall report.
-#[derive(Debug, Clone)]
-pub struct ImageStallReport {
-    /// Image rank.
-    pub image: usize,
-    /// Undelivered messages queued at this image's inbox.
-    pub inbox_depth: usize,
-    /// Unacknowledged reliable messages this image owns as a sender.
-    pub retry_backlog: usize,
-    /// Implicit asynchronous operations still tracked for `cofence`.
-    pub pending_ops: usize,
-    /// Per-finish detector snapshots (every block this image has touched).
-    pub finishes: Vec<FinishDiag>,
-}
-
-/// The structured diagnostic produced when the runtime stalls.
-#[derive(Debug, Clone)]
-pub struct StallReport {
-    /// The configured no-progress window that elapsed.
-    pub window: Duration,
-    /// Per-image diagnostics, sorted by rank. Images that had already
-    /// returned from the SPMD closure when the stall was declared are
-    /// absent.
-    pub images: Vec<ImageStallReport>,
-    /// Fabric totals: logical messages sent.
-    pub messages: u64,
-    /// Fabric totals: messages delivered exactly-once to receivers.
-    pub delivered: u64,
-    /// Fabric totals: retransmissions attempted.
-    pub retries: u64,
-    /// Fabric totals: messages abandoned past the retry budget.
-    pub retries_exhausted: u64,
-    /// Fabric totals: wire messages destroyed by fault injection.
-    pub wire_drops: u64,
-    /// Fabric totals: wire messages duplicated by fault injection.
-    pub wire_dups: u64,
-    /// Fabric totals: duplicate deliveries filtered by receiver dedup.
-    pub dups_discarded: u64,
-}
-
-impl fmt::Display for StallReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "no progress for {:?}: fabric sent {} / delivered {} (retries {}, \
-             exhausted {}, wire drops {}, dups {} injected / {} discarded)",
-            self.window,
-            self.messages,
-            self.delivered,
-            self.retries,
-            self.retries_exhausted,
-            self.wire_drops,
-            self.wire_dups,
-            self.dups_discarded
-        )?;
-        for img in &self.images {
-            writeln!(
-                f,
-                "  image {}: inbox {} deep, retry backlog {}, {} pending op(s)",
-                img.image, img.inbox_depth, img.retry_backlog, img.pending_ops
-            )?;
-            for d in &img.finishes {
-                writeln!(
-                    f,
-                    "    {}: sent {} delivered {} received {} completed {} ({} waves)",
-                    d.finish, d.sent, d.delivered, d.received, d.completed, d.waves
-                )?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Errors a launch can end in instead of a result.
-#[derive(Debug)]
-pub enum RuntimeError {
-    /// The no-progress watchdog fired: no image made progress for the
-    /// configured window. Carries the full diagnostic dump.
-    Stalled(StallReport),
-    /// An image fail-stopped (crash fault or uncaught panic) and the
-    /// failure detector confirmed it. Carries which image died, the
-    /// detection latency, and every survivor's parting observation.
-    ImageFailed(crate::failure::FailureReport),
-}
-
-impl fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RuntimeError::Stalled(report) => {
-                write!(f, "runtime stalled — {report}")
-            }
-            RuntimeError::ImageFailed(report) => {
-                write!(f, "image failure — {report}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
 
 struct Observation {
     fingerprint: u64,
@@ -170,7 +45,6 @@ pub(crate) struct Watchdog {
     /// Latched once a stall has been declared.
     stalled: AtomicBool,
     obs: Mutex<Observation>,
-    reports: Mutex<Vec<ImageStallReport>>,
 }
 
 impl Watchdog {
@@ -181,7 +55,6 @@ impl Watchdog {
             waiting: AtomicUsize::new(0),
             stalled: AtomicBool::new(false),
             obs: Mutex::new(Observation { fingerprint: 0, since: Instant::now() }),
-            reports: Mutex::new(Vec::new()),
         }
     }
 
@@ -224,22 +97,17 @@ impl Watchdog {
             false
         }
     }
-
-    /// Adds one image's diagnostics to the eventual report.
-    pub(crate) fn contribute(&self, report: ImageStallReport) {
-        self.reports.lock().push(report);
-    }
-
-    /// Collects the contributed per-image reports, sorted by rank.
-    pub(crate) fn take_reports(&self) -> Vec<ImageStallReport> {
-        let mut reports = std::mem::take(&mut *self.reports.lock());
-        reports.sort_by_key(|r| r.image);
-        reports
-    }
 }
 
 pub(crate) struct WaitGuard<'a> {
     wd: &'a Watchdog,
+}
+
+impl WaitGuard<'_> {
+    /// [`Watchdog::observe`] from an image counted as blocked.
+    pub(crate) fn observe(&self, fingerprint: u64) -> bool {
+        self.wd.observe(fingerprint)
+    }
 }
 
 impl Drop for WaitGuard<'_> {
@@ -302,46 +170,5 @@ mod tests {
         // Nobody waiting: no stall even after the window.
         std::thread::sleep(Duration::from_millis(10));
         assert!(!wd.observe(7));
-    }
-
-    #[test]
-    fn report_renders_every_layer() {
-        let report = StallReport {
-            window: Duration::from_millis(100),
-            images: vec![ImageStallReport {
-                image: 0,
-                inbox_depth: 3,
-                retry_backlog: 2,
-                pending_ops: 1,
-                finishes: vec![FinishDiag {
-                    finish: FinishId { team: caf_core::ids::TeamId(0), seq: 1 },
-                    sent: 5,
-                    delivered: 4,
-                    received: 2,
-                    completed: 2,
-                    waves: 7,
-                }],
-            }],
-            messages: 10,
-            delivered: 9,
-            retries: 12,
-            retries_exhausted: 1,
-            wire_drops: 6,
-            wire_dups: 4,
-            dups_discarded: 3,
-        };
-        let text = RuntimeError::Stalled(report).to_string();
-        for needle in [
-            "no progress",
-            "image 0",
-            "inbox 3",
-            "retry backlog 2",
-            "sent 5",
-            "7 waves",
-            "exhausted 1",
-            "dups 4 injected / 3 discarded",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
     }
 }

@@ -170,8 +170,13 @@ fn exhausted_retry_budget_stalls_cleanly_within_the_window() {
     // The diagnostic dump names the failure at every layer.
     assert_eq!(report.window, window);
     assert_eq!(report.images.len(), 2, "both images must contribute diagnostics");
-    assert!(report.retries_exhausted >= 1, "the abandoned spawn must be counted");
-    assert!(report.wire_drops > 0);
+    assert!(report.fabric.retries_exhausted >= 1, "the abandoned spawn must be counted");
+    assert!(report.fabric.wire_drops > 0);
+    // Image 0 waits in `end finish` for the ack that never comes; image 1
+    // has nothing outstanding and waits in the wave's allreduce for image
+    // 0's contribution.
+    let blocked: Vec<_> = report.images.iter().map(|r| (r.image, r.construct)).collect();
+    assert_eq!(blocked, vec![(0, "finish"), (1, "collective")], "blocking constructs: {report}");
     let sender = &report.images[0];
     assert_eq!(sender.image, 0);
     let diag = sender
@@ -273,6 +278,6 @@ fn chaos_soak_across_seeds() {
             Err(RuntimeError::Stalled(r)) => r,
             other => panic!("seed {seed}: black-hole link must stall, got {other:?}"),
         };
-        assert!(report.retries_exhausted >= 1, "seed {seed}: {report}");
+        assert!(report.fabric.retries_exhausted >= 1, "seed {seed}: {report}");
     }
 }

@@ -88,7 +88,7 @@ fn crash_during_finish_fails_every_survivor() {
         "failure detection took {elapsed:?} — this is supposed to beat a watchdog"
     );
     assert!(report.panic.is_none(), "a crash fault is not a panic");
-    assert!(report.crash_drops > 0, "the dead image's traffic must be destroyed: {report}");
+    assert!(report.fabric.crash_drops > 0, "the dead image's traffic must be destroyed: {report}");
     // Every survivor (not the victim) files an observation, each from a
     // real blocking construct.
     let who: Vec<usize> = report.observers.iter().map(|o| o.image).collect();
@@ -110,6 +110,38 @@ fn crash_during_finish_fails_every_survivor() {
             obs.construct
         );
     }
+}
+
+/// With the no-progress watchdog armed too, a crash still ends in
+/// `ImageFailed`: both detectors feed one abort path, and a registered
+/// death outranks a stall.
+#[test]
+fn crash_with_watchdog_armed_is_image_failed_not_stalled() {
+    let _serial = serialize();
+    let mut cfg = failure_cfg(0xFA14);
+    cfg.watchdog = Some(Duration::from_secs(1));
+    cfg.faults = Some(FaultPlan::none(cfg.seed).with_crash(2, 30));
+    let out: Result<Vec<()>, RuntimeError> = Runtime::try_launch(4, cfg, |img| {
+        let w = img.world();
+        let counters = img.coarray(&w, 1, 0i64);
+        img.finish(&w, |img| {
+            for round in 0..200 {
+                let target = img.image((img.id().index() + 1 + round % 3) % img.num_images());
+                let c = counters.clone();
+                img.spawn(target, move |peer| {
+                    c.with_local(peer.id(), |seg| seg[0] += 1);
+                });
+            }
+        });
+        unreachable!("finish with a crashed member must never complete");
+    });
+    let report = match out {
+        Err(RuntimeError::ImageFailed(r)) => r,
+        other => panic!("a crash under both detectors must fail the launch, got {other:?}"),
+    };
+    assert_eq!(report.image, 2, "the scheduled victim must be named: {report}");
+    let who: Vec<usize> = report.observers.iter().map(|o| o.image).collect();
+    assert_eq!(who, vec![0, 1, 3], "all survivors and only survivors: {report}");
 }
 
 /// An uncaught panic in the image closure is caught at the image

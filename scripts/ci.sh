@@ -10,7 +10,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== build =="
-cargo build --workspace --all-targets
+# --locked: a dependency edit that would rewrite Cargo.lock fails here
+# instead of silently changing the lockfile.
+cargo build --locked --workspace --all-targets
 
 echo "== test =="
 cargo test --workspace --quiet
@@ -55,7 +57,9 @@ echo "== caf-lint ⇄ caf-check differential (every diagnostic realizable) =="
 echo "== perfbench build + self-tests (against the workspace crates) =="
 # perfbench is its own cargo workspace with path deps on caf-runtime and
 # the kernels: a runtime API change that breaks the benchmark fails here.
-CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# --locked: a workspace dependency edit that would rewrite
+# perfbench/Cargo.lock fails here instead of editing the benchmark.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for the runtime's hot primitives and the
 //! UTS generator (including the SHA-1 vs. SplitMix hash ablation).
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
+use caf_check::mutation::Family;
+use caf_check::scenario::{chain, Scenario};
+use caf_check::timed::{self, Timing};
 use caf_core::rng::splitmix64_hash;
-use caf_core::termination::harness::{chain, Harness, SpawnPlan};
-use caf_core::termination::EpochDetector;
 use caf_runtime::{CopyEvents, Runtime, RuntimeConfig};
 use uts::{count_tree, TreeSpec, UtsRng};
 
@@ -42,22 +43,13 @@ fn bench_uts_expand(c: &mut Criterion) {
     g.finish();
 }
 
-/// The epoch detector's pure state-machine cost: a full protocol run
-/// (sends, receives, acks, waves) on the abstract harness.
+/// A full epoch-detector protocol run (sends, receives, acks, waves) on
+/// `caf-check`'s world under the timed scheduler, oracles included.
 fn bench_detector(c: &mut Criterion) {
+    let scenario = Scenario { images: 8, roots: vec![(0, chain(&[1, 2, 3, 4, 5]))], crash: None };
+    let timing = Timing::default();
     c.bench_function("epoch_detector_chain5_8imgs", |b| {
-        b.iter_batched(
-            || {
-                let mut plan = SpawnPlan::default();
-                plan.spawn(0, chain(&[1, 2, 3, 4, 5]));
-                plan
-            },
-            |plan| {
-                let mut h = Harness::new(8, || Box::new(EpochDetector::new(true)));
-                std::hint::black_box(h.run(plan))
-            },
-            BatchSize::SmallInput,
-        )
+        b.iter(|| std::hint::black_box(timed::run(&scenario, Family::EpochStrict, &timing).waves()))
     });
 }
 

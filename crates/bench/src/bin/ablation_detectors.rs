@@ -10,23 +10,23 @@
 //!   a scaling bottleneck.
 
 use bench::print_table;
+use caf_check::mutation::Family;
+use caf_check::scenario::{node, Scenario, SpawnTree};
+use caf_check::timed::{self, Timing};
 use caf_core::ids::ImageId;
 use caf_core::rng::SplitMix64;
-use caf_core::termination::harness::{node, Harness, SpawnPlan, SpawnTree};
-use caf_core::termination::{
-    CentralizedDetector, CentralizedHome, EpochDetector, FourCounterDetector,
-};
+use caf_core::termination::{CentralizedDetector, CentralizedHome};
 
 /// A random spawn forest over `images` images.
-fn random_plan(images: usize, roots: usize, seed: u64) -> SpawnPlan {
+fn random_forest(images: usize, roots: usize, seed: u64) -> Scenario {
     let mut rng = SplitMix64::new(seed);
-    let mut plan = SpawnPlan { exec_delay: 3, ..SpawnPlan::default() };
+    let mut forest = Scenario::empty(images);
     for _ in 0..roots {
         let initiator = rng.next_below(images as u64) as usize;
         let tree = random_tree(images, 3, &mut rng);
-        plan.spawn(initiator, tree);
+        forest.roots.push((initiator, tree));
     }
-    plan
+    forest
 }
 
 fn random_tree(images: usize, depth_left: usize, rng: &mut SplitMix64) -> SpawnTree {
@@ -42,15 +42,13 @@ fn main() {
         let mut home_msgs = 0usize;
         let mut home_bytes = 0usize;
         let trials = 20;
+        let timing = Timing { exec_delay: 3, ..Timing::default() };
         for seed in 0..trials {
-            let plan = random_plan(images, 6, seed);
-
-            let mut h = Harness::new(images, || Box::new(EpochDetector::new(true)));
-            waves[0] += h.run(plan.clone());
-            let mut h = Harness::new(images, || Box::new(EpochDetector::new(false)));
-            waves[1] += h.run(plan.clone());
-            let mut h = Harness::new(images, || Box::new(FourCounterDetector::new()));
-            waves[2] += h.run(plan.clone());
+            let forest = random_forest(images, 6, seed);
+            let families = [Family::EpochStrict, Family::EpochLoose, Family::FourCounter];
+            for (w, family) in waves.iter_mut().zip(families) {
+                *w += timed::run(&forest, family, &timing).waves();
+            }
 
             // Centralized scheme: replay the same forest as spawn/complete
             // ledger traffic to the home (message-count model).
@@ -58,7 +56,7 @@ fn main() {
             let mut workers: Vec<_> =
                 (0..images).map(|i| CentralizedDetector::new(ImageId(i), images)).collect();
             let mut frontier: Vec<(usize, &SpawnTree)> =
-                plan.roots.iter().map(|(i, t)| (*i, t)).collect();
+                forest.roots.iter().map(|(i, t)| (*i, t)).collect();
             // Breadth-first replay: spawn, execute, report when quiet.
             while let Some((from, tree)) = frontier.pop() {
                 workers[from].on_spawn(ImageId(tree.target));

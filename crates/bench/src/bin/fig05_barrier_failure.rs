@@ -3,33 +3,38 @@
 //! Paper: image p ships f1 to q; f1 ships f2 to r; p enters the barrier
 //! once f1 completes, and r may exit the barrier before f2 arrives — so
 //! a barrier-based scheme declares termination with work in flight. This
-//! harness runs the exact schedule against the barrier strawman (which
-//! fails) and against the epoch `finish` detector (which is sound), over
-//! a sweep of network delays and transitive-chain depths.
+//! binary plays the exact schedule on `caf-check`'s world with the timed
+//! scheduler, against the barrier strawman (whose early exit trips the
+//! world's safety oracle) and against the epoch `finish` detector (which
+//! is sound), over a sweep of execution delays and transitive-chain
+//! depths.
 
 use bench::print_table;
-use caf_core::termination::harness::{chain, Harness, SpawnPlan};
-use caf_core::termination::EpochDetector;
+use caf_check::mutation::Family;
+use caf_check::scenario::{chain, Scenario};
+use caf_check::timed::{self, Timing};
+use caf_check::ViolationKind;
 
 fn main() {
     let mut rows = Vec::new();
     for depth in [2usize, 3, 5] {
         for exec_delay in [2u64, 5, 20] {
-            let mut plan =
-                SpawnPlan { net_delay: 1, ack_delay: 1, exec_delay, ..SpawnPlan::default() };
+            let timing = Timing { net_delay: 1, ack_delay: 1, exec_delay, ..Timing::default() };
             let targets: Vec<usize> = (1..=depth).collect();
-            plan.spawn(0, chain(&targets));
-            let images = depth + 1;
+            let scenario =
+                Scenario { images: depth + 1, roots: vec![(0, chain(&targets))], crash: None };
 
-            let barrier = Harness::run_barrier(images, plan.clone());
-            let mut h = Harness::new(images, || Box::new(EpochDetector::new(true)));
-            let waves = h.run(plan); // panics if finish were unsound
+            let barrier = timed::run(&scenario, Family::Barrier, &timing);
+            let wrong = barrier.violation.as_ref().map(|v| v.kind);
+            assert!(wrong.is_none_or(|k| k == ViolationKind::Safety), "{wrong:?}");
+            // waves() panics if finish were unsound.
+            let waves = timed::run(&scenario, Family::EpochStrict, &timing).waves();
 
             rows.push(vec![
                 depth.to_string(),
                 exec_delay.to_string(),
-                barrier.outstanding_at_declaration.to_string(),
-                if barrier.outstanding_at_declaration > 0 { "WRONG" } else { "ok" }.to_string(),
+                barrier.world.outstanding().to_string(),
+                if wrong.is_some() { "WRONG" } else { "ok" }.to_string(),
                 waves.to_string(),
                 format!("≤ {}", depth + 1),
             ]);

@@ -273,6 +273,20 @@ mod tests {
         assert!(stats.terminated > 0, "some schedule must finish before the crash bites");
     }
 
+    /// Paper Fig. 5 over every schedule: p(=0) ships f1 to q(=1), f1
+    /// ships f2 to r(=2). Some schedule lets the barrier strawman exit
+    /// with f2 in flight; no schedule does that to `finish`.
+    #[test]
+    fn fig5_barrier_fails_and_finish_holds_on_every_schedule() {
+        let s = one(3, &[(0, "1(2)")]);
+        let (_, ce) = explore(&s, Family::Barrier, None, &ExploreConfig::default());
+        let ce = ce.expect("the barrier must miss f2 on some schedule");
+        assert_eq!(ce.violation.kind, ViolationKind::Safety, "{}", ce.violation.detail);
+        let (stats, ce) = explore(&s, Family::EpochStrict, None, &ExploreConfig::default());
+        assert!(ce.is_none(), "{ce:?}");
+        assert!(!stats.truncated && stats.terminated > 0);
+    }
+
     #[test]
     fn merge_epochs_mutation_is_caught() {
         // The hand-derived adversarial shape: a fan-out whose siblings

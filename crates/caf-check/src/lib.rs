@@ -3,12 +3,14 @@
 //! Coarray Fortran 2.0*.
 //!
 //! The checker drives the **pure protocol models** from `caf-core` — the
-//! epoch, four-counter, centralized, and barrier termination detectors
-//! and the cofence pass algebra — through *every* interleaving of bounded
+//! strict and loose epoch and four-counter termination detectors, and the
+//! cofence pass algebra — through *every* interleaving of bounded
 //! scenarios: `p` images, a bounded tree of spawned functions, optionally
 //! one fail-stop crash. A sleep-set partial-order reduction over a
 //! vector-clock happens-before layer keeps `p ≤ 5`, depth `≤ 4`
-//! tractable.
+//! tractable. The unsound barrier strawman of Fig. 5 is one more world
+//! family, explored on demand but kept out of `suite`; the centralized
+//! (X10-style) detector runs only in the differential replay.
 //!
 //! Three oracle classes run during exploration:
 //!
@@ -32,6 +34,9 @@
 //! second loop, with the static analyzer: every `caf-lint` race or
 //! deadlock diagnostic is checked for realizability by exhaustive
 //! exploration of the plan's dynamic semantics (`caf-check plan-diff`).
+//! [`timed`] plays the same world on one seeded timed schedule instead of
+//! all of them: the Fig. 5 and detector-ablation figures and the
+//! termination proptests run on it.
 
 pub mod capture;
 pub mod cofence_check;
@@ -42,6 +47,7 @@ pub mod plan_bridge;
 pub mod replay;
 pub mod scenario;
 pub mod shrink;
+pub mod timed;
 pub mod vc;
 pub mod world;
 

@@ -24,7 +24,7 @@
 
 use caf_core::ids::Parity;
 use caf_core::termination::{
-    Contribution, EpochDetector, FourCounterDetector, WaveDecision, WaveDetector,
+    BarrierDetector, Contribution, EpochDetector, FourCounterDetector, WaveDecision, WaveDetector,
 };
 
 /// Which wave-detector family the explorer drives.
@@ -36,10 +36,14 @@ pub enum Family {
     EpochLoose,
     /// Mattern's four-counter algorithm (AM++).
     FourCounter,
+    /// The unsound barrier strawman of Fig. 5: its one wave is a barrier
+    /// entered once locally done. Kept out of [`Family::ALL`] (and so out
+    /// of `suite`): it is unsound by design.
+    Barrier,
 }
 
 impl Family {
-    /// All explorable families.
+    /// All sound families (the ones `suite` explores).
     pub const ALL: [Family; 3] = [Family::EpochStrict, Family::EpochLoose, Family::FourCounter];
 
     /// Stable name used in replay files and reports.
@@ -48,6 +52,7 @@ impl Family {
             Family::EpochStrict => "epoch-strict",
             Family::EpochLoose => "epoch-loose",
             Family::FourCounter => "four-counter",
+            Family::Barrier => "barrier",
         }
     }
 
@@ -70,6 +75,7 @@ impl Family {
 enum Det {
     Epoch(EpochDetector),
     Four(FourCounterDetector),
+    Barrier(BarrierDetector),
 }
 
 impl Det {
@@ -78,6 +84,7 @@ impl Det {
             Family::EpochStrict => Det::Epoch(EpochDetector::new(true)),
             Family::EpochLoose => Det::Epoch(EpochDetector::new(false)),
             Family::FourCounter => Det::Four(FourCounterDetector::new()),
+            Family::Barrier => Det::Barrier(BarrierDetector::new()),
         }
     }
 
@@ -85,6 +92,7 @@ impl Det {
         match self {
             Det::Epoch(d) => d,
             Det::Four(d) => d,
+            Det::Barrier(d) => d,
         }
     }
 
@@ -92,6 +100,7 @@ impl Det {
         match self {
             Det::Epoch(d) => d,
             Det::Four(d) => d,
+            Det::Barrier(d) => d,
         }
     }
 }
@@ -296,7 +305,7 @@ impl CheckedDetector {
                     e.completed + o.completed,
                 ])
             }
-            Det::Four(_) => None,
+            Det::Four(_) | Det::Barrier(_) => None,
         }
     }
 }

@@ -4,9 +4,8 @@
 //! spawns whose shipped functions transitively spawn a bounded tree of
 //! further functions, and optionally one fail-stop crash — while the
 //! explorer enumerates every *order* in which the induced protocol events
-//! can happen. Spawn structure reuses [`SpawnTree`] from the `caf-core`
-//! harness so the checker, the proptests, and the deterministic harness
-//! all speak the same scenario language.
+//! can happen. The same [`SpawnTree`] language drives the exhaustive
+//! explorer and the seeded timed scheduler in [`crate::timed`].
 //!
 //! The generator below produces a curated, deterministic family of
 //! scenarios per `(images, depth)` bound: every rooted tree shape up to
@@ -15,7 +14,39 @@
 //! which creates the sibling races termination bugs hide in), plus
 //! two-root combinations and per-victim crash variants.
 
-use caf_core::termination::harness::{node, SpawnTree};
+/// A spawn with its transitive children: delivering this message to
+/// `target` executes a function there which spawns each child in turn.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpawnTree {
+    /// Image (by index) on which the shipped function executes.
+    pub target: usize,
+    /// Functions the shipped function itself ships while executing.
+    pub children: Vec<SpawnTree>,
+}
+
+/// Convenience constructor for [`SpawnTree`] literals.
+pub fn node(target: usize, children: Vec<SpawnTree>) -> SpawnTree {
+    SpawnTree { target, children }
+}
+
+/// A linear spawn chain visiting `targets` in order (length = `targets.len()`).
+pub fn chain(targets: &[usize]) -> SpawnTree {
+    let (&last, rest) = targets.split_last().expect("a chain needs at least one target");
+    rest.iter().rev().fold(node(last, Vec::new()), |tree, &t| node(t, vec![tree]))
+}
+
+impl SpawnTree {
+    /// Chain length of this tree as defined in §III-A3: a leaf spawn has
+    /// length 1; otherwise 1 + the maximum child length.
+    pub fn chain_len(&self) -> usize {
+        1 + self.children.iter().map(SpawnTree::chain_len).max().unwrap_or(0)
+    }
+
+    /// Total number of spawned functions in the tree.
+    pub fn total_spawns(&self) -> usize {
+        1 + self.children.iter().map(SpawnTree::total_spawns).sum::<usize>()
+    }
+}
 
 /// One bounded scenario: the static input the explorer closes over.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,6 +269,16 @@ pub fn scenarios(images: usize, depth: usize, with_crash: bool) -> Vec<Scenario>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chain_helper_builds_linear_trees() {
+        let t = chain(&[1, 2, 3]);
+        assert_eq!(t.chain_len(), 3);
+        assert_eq!(t.total_spawns(), 3);
+        assert_eq!(t.target, 1);
+        assert_eq!(t.children[0].target, 2);
+        assert_eq!(t.children[0].children[0].target, 3);
+    }
 
     #[test]
     fn tree_text_round_trips() {

@@ -17,7 +17,7 @@
 //! DFS orders that find the same bug shrink to the same replay file.
 
 use crate::explore::{explore, Counterexample, ExploreConfig};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, SpawnTree};
 use crate::world::{TKey, Violation, ViolationKind, World};
 
 /// Completion-phase step cap for guided replays.
@@ -163,12 +163,8 @@ fn scenario_cuts(s: &Scenario) -> Vec<Scenario> {
 }
 
 /// Paths (child-index sequences) to every non-root node of `tree`.
-fn node_paths(tree: &caf_core::termination::harness::SpawnTree) -> Vec<Vec<usize>> {
-    fn walk(
-        t: &caf_core::termination::harness::SpawnTree,
-        prefix: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-    ) {
+fn node_paths(tree: &SpawnTree) -> Vec<Vec<usize>> {
+    fn walk(t: &SpawnTree, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
         for (j, c) in t.children.iter().enumerate() {
             prefix.push(j);
             out.push(prefix.clone());
@@ -181,7 +177,7 @@ fn node_paths(tree: &caf_core::termination::harness::SpawnTree) -> Vec<Vec<usize
     out
 }
 
-fn remove_at(tree: &mut caf_core::termination::harness::SpawnTree, path: &[usize]) {
+fn remove_at(tree: &mut SpawnTree, path: &[usize]) {
     match path {
         [] => unreachable!("cannot remove the root"),
         [j] => {

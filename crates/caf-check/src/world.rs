@@ -25,11 +25,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use caf_core::ids::Parity;
-use caf_core::termination::harness::SpawnTree;
 use caf_core::termination::{Contribution, WaveDecision, WaveDetector};
 
 use crate::mutation::{CheckedDetector, Family, Mutation};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, SpawnTree};
 use crate::vc::VectorClock;
 
 /// Stable identity of one schedulable transition.
@@ -241,7 +240,9 @@ pub struct World {
     crashed: bool,
     poison_pending: Vec<bool>,
     waves: usize,
-    wave_budget: usize,
+    /// Waves after which an undecided run is pruned as unfair. The timed
+    /// scheduler lifts it: its clock keeps messages progressing.
+    pub(crate) wave_budget: usize,
     theorem_bound: usize,
     quiet_continue_streak: usize,
     /// Set when the wave budget was exhausted: the branch is an unfair
@@ -333,6 +334,18 @@ impl World {
         self.crashed
     }
 
+    /// Number of children message `id` spawns when it executes (0 once
+    /// it is gone).
+    pub(crate) fn children(&self, id: &str) -> usize {
+        self.msgs.get(id).map_or(0, |m| m.children.len())
+    }
+
+    /// Messages sent but not yet executed (ground truth, independent of
+    /// the detector under test).
+    pub fn outstanding(&self) -> usize {
+        self.msgs.values().filter(|m| !m.execed).count()
+    }
+
     fn send(&mut self, id: String, from: usize, tree: SpawnTree, depth: usize) {
         let tag = self.dets[from].on_send();
         self.clocks[from].tick(from);
@@ -366,42 +379,39 @@ impl World {
 
     /// Every transition currently enabled, in deterministic order.
     pub fn enabled(&self) -> Vec<TKey> {
-        let mut out = Vec::new();
+        let mut candidates = Vec::new();
+        for id in self.msgs.keys() {
+            candidates.push(TKey::Deliver(id.clone()));
+            candidates.push(TKey::Ack(id.clone()));
+            candidates.push(TKey::Exec(id.clone()));
+        }
+        candidates.extend((0..self.n).map(TKey::Enter));
+        candidates.push(TKey::Close);
+        candidates.extend(self.crash_victim.map(TKey::Crash));
+        candidates.extend((0..self.n).map(TKey::Poison));
+        candidates.retain(|k| self.is_enabled(k));
+        candidates
+    }
+
+    /// Whether `key` is enabled right now.
+    pub(crate) fn is_enabled(&self, key: &TKey) -> bool {
         if self.done.is_some() || self.pruned {
-            return out;
+            return false;
         }
-        for (id, m) in &self.msgs {
-            if !m.delivered {
-                out.push(TKey::Deliver(id.clone()));
+        let msg = |id: &String| self.msgs.get(id).filter(|m| m.delivered);
+        match key {
+            TKey::Deliver(id) => self.msgs.get(id).is_some_and(|m| !m.delivered),
+            TKey::Ack(id) => msg(id).is_some_and(|m| !m.acked && self.alive[m.from]),
+            TKey::Exec(id) => msg(id).is_some_and(|m| !m.execed),
+            TKey::Enter(i) => {
+                *i < self.n && self.alive[*i] && !self.entered[*i] && self.dets[*i].ready()
             }
-            if m.delivered && !m.acked && self.alive[m.from] {
-                out.push(TKey::Ack(id.clone()));
+            TKey::Close => {
+                self.alive.contains(&true) && (0..self.n).all(|i| !self.alive[i] || self.entered[i])
             }
-            if m.delivered && !m.execed {
-                out.push(TKey::Exec(id.clone()));
-            }
+            TKey::Crash(v) => self.crash_victim == Some(*v) && !self.crashed,
+            TKey::Poison(i) => *i < self.n && self.poison_pending[*i] && self.alive[*i],
         }
-        for i in 0..self.n {
-            if self.alive[i] && !self.entered[i] && self.dets[i].ready() {
-                out.push(TKey::Enter(i));
-            }
-        }
-        if (0..self.n).filter(|&i| self.alive[i]).count() > 0
-            && (0..self.n).all(|i| !self.alive[i] || self.entered[i])
-        {
-            out.push(TKey::Close);
-        }
-        if let Some(v) = self.crash_victim {
-            if !self.crashed {
-                out.push(TKey::Crash(v));
-            }
-        }
-        for i in 0..self.n {
-            if self.poison_pending[i] && self.alive[i] {
-                out.push(TKey::Poison(i));
-            }
-        }
-        out
     }
 
     /// Images this transition touches; `None` means it is global (and
@@ -429,7 +439,7 @@ impl World {
     /// exposed one. Panics if the key is not enabled (use
     /// [`World::step_if_enabled`] for guided replay).
     pub fn step(&mut self, key: &TKey) -> Result<(), Violation> {
-        assert!(self.try_step(key), "transition {key} is not enabled");
+        assert!(self.is_enabled(key), "transition {key} is not enabled");
         self.schedule.push(key.clone());
         self.apply(key)
     }
@@ -437,15 +447,11 @@ impl World {
     /// Guided-replay step: applies the key if enabled, otherwise reports
     /// `Ok(false)` without changing anything.
     pub fn step_if_enabled(&mut self, key: &TKey) -> Result<bool, Violation> {
-        if !self.try_step(key) {
+        if !self.is_enabled(key) {
             return Ok(false);
         }
         self.schedule.push(key.clone());
         self.apply(key).map(|()| true)
-    }
-
-    fn try_step(&self, key: &TKey) -> bool {
-        self.enabled().contains(key)
     }
 
     fn apply(&mut self, key: &TKey) -> Result<(), Violation> {
@@ -567,7 +573,7 @@ impl World {
         }
 
         // --- Oracles, against the world's own ground truth. ---
-        let outstanding = self.msgs.values().filter(|m| !m.execed).count();
+        let outstanding = self.outstanding();
         let clean: Vec<&(usize, WaveDecision)> =
             decisions.iter().filter(|(_, d)| *d != WaveDecision::Poisoned).collect();
 
@@ -683,14 +689,10 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caf_core::termination::harness::node;
+    use crate::scenario::{chain, node};
 
     fn chain_scenario(images: usize, targets: &[usize]) -> Scenario {
-        Scenario {
-            images,
-            roots: vec![(0, caf_core::termination::harness::chain(targets))],
-            crash: None,
-        }
+        Scenario { images, roots: vec![(0, chain(targets))], crash: None }
     }
 
     /// Run first-enabled transitions to a terminal state.

@@ -17,14 +17,14 @@
 //! * [`epoch`] — the even/odd epoch counters of the `finish` termination
 //!   detector;
 //! * [`termination`] — the paper's detection algorithm plus the baselines
-//!   it is compared against, and a deterministic harness for exercising
-//!   them;
+//!   it is compared against (`caf-check` exercises them, exhaustively and
+//!   on seeded timed schedules);
 //! * [`cofence`] — the directional fence algebra;
 //! * [`model`] — a checkable rendering of the relaxed memory model;
 //! * [`trace`] — protocol trace capture, bridging real executions and the
 //!   schedule-exploration model checker (`caf-check`);
-//! * [`rng`] — a tiny deterministic PRNG shared by harnesses and
-//!   workloads.
+//! * [`rng`] — a tiny deterministic PRNG shared by the timed scheduler,
+//!   the DES, and workloads.
 //!
 //! Both execution substrates — the threaded PGAS runtime (`caf-runtime`)
 //! and the discrete-event simulator (`caf-sim`) — drive exactly this code,

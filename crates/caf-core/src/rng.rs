@@ -1,7 +1,7 @@
 //! A minimal deterministic PRNG (SplitMix64).
 //!
 //! `caf-core` must stay dependency-free so both substrates can share it,
-//! and the termination harness, the DES, and workload generators all need
+//! and `caf-check`'s timed scheduler, the DES, and workload generators need
 //! cheap reproducible randomness. SplitMix64 (Steele, Lea & Flood 2014) is
 //! the standard seeding generator: one 64-bit state word, full period,
 //! passes BigCrush when used as intended here (schedules and jitter, not

@@ -5,11 +5,13 @@
 //! operations that it initiated …, and then perform a barrier." The flaw:
 //! a transitively shipped function `f2` can land on image `r` *after* `r`
 //! has observed every barrier arrival, so `r` exits the barrier while `f2`
-//! is still in flight. This module implements the strawman faithfully so
-//! the harness can exhibit the failure deterministically (see
-//! `harness::tests::barrier_detector_misses_transitive_spawn` and the
-//! `fig05_barrier_failure` bench binary).
+//! is still in flight. This module implements the strawman faithfully, as
+//! a [`WaveDetector`] whose one "wave" is the barrier, so `caf-check`
+//! can exhibit the failure both on every schedule of the Fig. 5 scenario
+//! and on the seeded timed schedules of the `fig05_barrier_failure` bench
+//! binary.
 
+use super::{Contribution, WaveDecision, WaveDetector};
 use crate::ids::Parity;
 
 /// Per-image state of the barrier-based detector.
@@ -24,34 +26,13 @@ pub struct BarrierDetector {
     /// Received messages currently executing locally.
     executing: u64,
     poisoned: Option<usize>,
+    waves: usize,
 }
 
 impl BarrierDetector {
     /// Fresh state.
     pub fn new() -> Self {
         BarrierDetector::default()
-    }
-
-    /// Records an outgoing message.
-    pub fn on_send(&mut self) -> Parity {
-        self.sent += 1;
-        Parity::Even
-    }
-
-    /// Records a delivery acknowledgement for an outgoing message.
-    pub fn on_delivered(&mut self, _tag: Parity) {
-        self.delivered += 1;
-    }
-
-    /// Records arrival of a shipped function (it begins executing).
-    pub fn on_receive(&mut self, _tag: Parity) {
-        self.executing += 1;
-    }
-
-    /// Records local completion of a received function.
-    pub fn on_complete(&mut self, _tag: Parity) {
-        assert!(self.executing > 0);
-        self.executing -= 1;
     }
 
     /// The (unsound) local-done predicate: everything *I* initiated has
@@ -63,15 +44,60 @@ impl BarrierDetector {
     pub fn locally_done(&self) -> bool {
         self.poisoned.is_some() || (self.sent == self.delivered && self.executing == 0)
     }
+}
+
+impl WaveDetector for BarrierDetector {
+    fn on_send(&mut self) -> Parity {
+        self.sent += 1;
+        Parity::Even
+    }
+
+    fn on_delivered(&mut self, _tag: Parity) {
+        self.delivered += 1;
+    }
+
+    /// Arrival of a shipped function (it begins executing).
+    fn on_receive(&mut self, _tag: Parity) {
+        self.executing += 1;
+    }
+
+    fn on_complete(&mut self, _tag: Parity) {
+        assert!(self.executing > 0);
+        self.executing -= 1;
+    }
+
+    /// Entering the barrier: allowed once [`locally_done`](Self::locally_done).
+    fn ready(&self) -> bool {
+        self.locally_done()
+    }
+
+    /// A barrier carries no counts.
+    fn enter_wave(&mut self) -> Contribution {
+        [0, 0]
+    }
+
+    /// Leaving the barrier declares termination, whatever is still in
+    /// flight — the flaw. A poisoned barrier wait aborts instead.
+    fn exit_wave(&mut self, _reduced: Contribution) -> WaveDecision {
+        self.waves += 1;
+        if self.poisoned.is_some() {
+            WaveDecision::Poisoned
+        } else {
+            WaveDecision::Terminated
+        }
+    }
+
+    fn waves(&self) -> usize {
+        self.waves
+    }
 
     /// Marks `image` as fail-stopped: the barrier wait aborts (the
     /// runtime surfaces the failure instead of completing the barrier).
-    pub fn poison(&mut self, image: usize) {
+    fn poison(&mut self, image: usize) {
         self.poisoned.get_or_insert(image);
     }
 
-    /// The first fail-stopped image this detector was told about, if any.
-    pub fn poisoned_by(&self) -> Option<usize> {
+    fn poisoned_by(&self) -> Option<usize> {
         self.poisoned
     }
 }
@@ -111,6 +137,16 @@ mod tests {
         d.poison(4);
         assert!(d.locally_done(), "poison must abort the wait");
         assert_eq!(d.poisoned_by(), Some(4));
+    }
+
+    #[test]
+    fn barrier_exit_terminates_unless_poisoned() {
+        let mut d = BarrierDetector::new();
+        assert_eq!(d.enter_wave(), [0, 0]);
+        assert_eq!(d.exit_wave([0, 0]), WaveDecision::Terminated);
+        d.poison(1);
+        assert_eq!(d.exit_wave([0, 0]), WaveDecision::Poisoned);
+        assert_eq!(d.waves(), 2);
     }
 
     /// The blind spot in miniature: after my own spawn is delivered I am

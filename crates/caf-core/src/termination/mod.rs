@@ -14,18 +14,18 @@
 //!   quiesce; the home detects a zero sum. Scales as `O(p²)` state at one
 //!   place — the bottleneck §V describes.
 //! * [`BarrierDetector`] — the *incorrect* strawman of Fig. 5: wait for
-//!   locally initiated work, then barrier. The harness demonstrates it
-//!   declaring termination while a transitively shipped function is still
-//!   in flight.
+//!   locally initiated work, then barrier. `caf-check` drives it as one
+//!   more wave family and catches it declaring termination while a
+//!   transitively shipped function is still in flight.
 //!
-//! All detectors are pure state machines; the threaded runtime and the
-//! discrete-event simulator drive the same code.
+//! All detectors are pure state machines; the threaded runtime, the
+//! discrete-event simulator, and `caf-check`'s world model (exhaustive
+//! and timed) drive the same code.
 
 mod barrier;
 mod centralized;
 mod epoch_detector;
 mod four_counter;
-pub mod harness;
 
 pub use barrier::BarrierDetector;
 pub use centralized::{CentralizedDetector, CentralizedHome, VectorReport};
@@ -84,72 +84,4 @@ pub trait WaveDetector {
     fn poison(&mut self, image: usize);
     /// The first fail-stopped image this detector was told about, if any.
     fn poisoned_by(&self) -> Option<usize>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::harness::{chain, node, Harness, SpawnPlan};
-    use super::*;
-
-    fn run_epoch(plan: SpawnPlan, images: usize) -> usize {
-        let mut h = Harness::new(images, || Box::new(EpochDetector::new(true)));
-        h.run(plan)
-    }
-
-    #[test]
-    fn empty_finish_takes_one_wave() {
-        // Base case of Theorem 1: L = 0 → 1 wave.
-        assert_eq!(run_epoch(SpawnPlan::default(), 4), 1);
-    }
-
-    #[test]
-    fn single_spawn_takes_at_most_two_waves() {
-        let mut plan = SpawnPlan::default();
-        plan.spawn(0, node(1, vec![])); // image 0 ships one fn to image 1
-        let waves = run_epoch(plan, 4);
-        assert!(waves <= 2, "L=1 must need ≤ 2 waves, got {waves}");
-    }
-
-    #[test]
-    fn chain_of_three_respects_theorem_bound() {
-        // f1 on q spawns f2 on r spawns f3 on s: L = 3 → ≤ 4 waves.
-        let mut plan = SpawnPlan::default();
-        plan.spawn(0, chain(&[1, 2, 3]));
-        let waves = run_epoch(plan, 4);
-        assert!(waves <= 4, "L=3 must need ≤ 4 waves, got {waves}");
-        assert!(waves >= 2, "a chain cannot finish in a single wave");
-    }
-
-    #[test]
-    fn four_counter_uses_extra_wave_on_empty_finish() {
-        // Four-counter must confirm with a second identical wave even when
-        // nothing was sent.
-        let mut h = Harness::new(4, || Box::new(FourCounterDetector::new()));
-        let waves = h.run(SpawnPlan::default());
-        assert_eq!(waves, 2);
-    }
-
-    #[test]
-    fn four_counter_terminates_on_fan_out() {
-        let mut plan = SpawnPlan::default();
-        plan.spawn(0, node(1, vec![node(2, vec![]), node(3, vec![])]));
-        let mut h = Harness::new(4, || Box::new(FourCounterDetector::new()));
-        let waves = h.run(plan);
-        assert!(waves >= 2);
-    }
-
-    #[test]
-    fn no_upper_bound_variant_never_uses_fewer_waves() {
-        for (len, imgs) in [(1usize, 4usize), (2, 4), (3, 8), (5, 8)] {
-            let targets: Vec<usize> = (1..=len).map(|i| i % imgs).collect();
-            let mut plan = SpawnPlan { exec_delay: 4, ..SpawnPlan::default() };
-            plan.spawn(0, chain(&targets));
-            let mut with = Harness::new(imgs, || Box::new(EpochDetector::new(true)));
-            let waves_with = with.run(plan.clone());
-            assert!(waves_with <= len + 1, "Theorem 1 violated: L={len} took {waves_with} waves");
-            let mut without = Harness::new(imgs, || Box::new(EpochDetector::new(false)));
-            let waves_without = without.run(plan);
-            assert!(waves_without >= waves_with, "chain={len}: {waves_without} < {waves_with}");
-        }
-    }
 }

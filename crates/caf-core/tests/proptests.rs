@@ -1,11 +1,9 @@
-//! Property-based tests on caf-core invariants.
-//!
-//! The heart of the suite: the paper's termination-detection algorithm
-//! must be *sound* (never declare termination with work outstanding —
-//! checked by the harness itself), *live* (always terminate), and respect
-//! the Theorem 1 wave bound `waves ≤ L + 1`, across randomized spawn
-//! forests, delays, and message reorderings. Plus algebraic properties of
-//! the cofence/memory-model layer and the topology schedules.
+//! Property-based tests on caf-core invariants: algebraic properties of
+//! the cofence/memory-model layer and the topology schedules, fault and
+//! dedup determinism, and detector-level properties on random traces.
+//! (Soundness, liveness and the Theorem 1 wave bound over randomized
+//! spawn forests and schedules run on `caf-check`'s world, in that
+//! crate's proptests.)
 
 use std::time::Duration;
 
@@ -14,78 +12,12 @@ use caf_core::fault::{FaultDecision, FaultPlan, RetryPolicy, SeqTracker};
 use caf_core::ids::{Parity, TeamRank};
 use caf_core::model::{validate_execution, Execution, Stmt};
 use caf_core::rng::SplitMix64;
-use caf_core::termination::harness::{node, Harness, SpawnPlan, SpawnTree};
 use caf_core::termination::{EpochDetector, FourCounterDetector, WaveDetector};
 use caf_core::topology::{dissemination_peers, hypercube_neighbors, BinomialTree, Team};
 use proptest::prelude::*;
 
-/// Strategy for a spawn tree over `images` images with bounded size.
-fn spawn_tree(images: usize) -> impl Strategy<Value = SpawnTree> {
-    let leaf = (0..images).prop_map(|t| node(t, vec![]));
-    leaf.prop_recursive(4, 24, 3, move |inner| {
-        ((0..images), prop::collection::vec(inner, 0..3))
-            .prop_map(|(t, children)| node(t, children))
-    })
-}
-
-fn spawn_plan(images: usize) -> impl Strategy<Value = SpawnPlan> {
-    (
-        prop::collection::vec(((0..images), spawn_tree(images)), 0..4),
-        1u64..5,      // net_delay
-        1u64..5,      // ack_delay
-        1u64..8,      // exec_delay
-        0u64..20,     // jitter_max
-        any::<u64>(), // jitter_seed
-        1u64..6,      // wave_delay
-    )
-        .prop_map(
-            |(roots, net_delay, ack_delay, exec_delay, jitter_max, jitter_seed, wave_delay)| {
-                SpawnPlan {
-                    roots,
-                    net_delay,
-                    ack_delay,
-                    exec_delay,
-                    jitter_max,
-                    jitter_seed,
-                    wave_delay,
-                }
-            },
-        )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The strict epoch detector is sound and live on arbitrary forests
-    /// and schedules, and respects Theorem 1: waves ≤ L + 1.
-    #[test]
-    fn epoch_detector_sound_live_and_bounded(plan in spawn_plan(6)) {
-        let l = plan.longest_chain();
-        let mut h = Harness::new(6, || Box::new(EpochDetector::new(true)));
-        let waves = h.run(plan); // panics internally if unsound/not live
-        prop_assert!(waves <= l + 1, "L={l} but used {waves} waves");
-        prop_assert!(waves >= 1);
-    }
-
-    /// The no-upper-bound variant stays sound and live, and never beats
-    /// the strict variant on wave count.
-    #[test]
-    fn no_wait_variant_sound_and_never_cheaper(plan in spawn_plan(5)) {
-        let mut strict = Harness::new(5, || Box::new(EpochDetector::new(true)));
-        let waves_strict = strict.run(plan.clone());
-        let mut loose = Harness::new(5, || Box::new(EpochDetector::new(false)));
-        let waves_loose = loose.run(plan);
-        prop_assert!(waves_loose >= waves_strict);
-    }
-
-    /// Mattern's four-counter algorithm is sound and live too, and needs
-    /// at least two waves (its structural extra reduction).
-    #[test]
-    fn four_counter_sound_live_needs_two_waves(plan in spawn_plan(5)) {
-        let mut h = Harness::new(5, || Box::new(FourCounterDetector::new()));
-        let waves = h.run(plan);
-        prop_assert!(waves >= 2);
-    }
 
     /// Cofence permissiveness is monotone: anything admitted by a fence is
     /// admitted by any at-least-as-permissive fence, in both directions.
@@ -644,67 +576,13 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
 }
 
 // ---------------------------------------------------------------------------
-// Fail-stop crashes: no finish deadlock under any single-image crash at any
-// point in the spawn tree, for all four detector families.
+// Fail-stop crashes: the centralized home never terminates without a dead
+// worker's report. (The wave families' crash sweeps run on caf-check's
+// world.)
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The strict epoch detector either terminates cleanly (crash point
-    /// never reached) or every survivor agrees on `Poisoned` — it never
-    /// deadlocks, whatever event the victim dies at. Soundness of a clean
-    /// termination is asserted inside the harness.
-    #[test]
-    fn epoch_detector_survives_any_single_crash(
-        plan in spawn_plan(5),
-        victim in 0usize..5,
-        crash_at in 0usize..200,
-        detect_delay in 1u64..30,
-    ) {
-        let mut h = Harness::new(5, || Box::new(EpochDetector::new(true)));
-        h.run_with_crash(plan, victim, crash_at, detect_delay);
-    }
-
-    /// Same property for the no-upper-bound epoch variant, which keeps
-    /// reducing speculatively while poison is in flight.
-    #[test]
-    fn loose_epoch_detector_survives_any_single_crash(
-        plan in spawn_plan(4),
-        victim in 0usize..4,
-        crash_at in 0usize..150,
-        detect_delay in 1u64..30,
-    ) {
-        let mut h = Harness::new(4, || Box::new(EpochDetector::new(false)));
-        h.run_with_crash(plan, victim, crash_at, detect_delay);
-    }
-
-    /// Mattern's four-counter detector under the same crash sweep.
-    #[test]
-    fn four_counter_detector_survives_any_single_crash(
-        plan in spawn_plan(5),
-        victim in 0usize..5,
-        crash_at in 0usize..200,
-        detect_delay in 1u64..30,
-    ) {
-        let mut h = Harness::new(5, || Box::new(FourCounterDetector::new()));
-        h.run_with_crash(plan, victim, crash_at, detect_delay);
-    }
-
-    /// The barrier strawman: poison must always unblock the survivors'
-    /// barrier wait (the crash must never add a *new* way to hang).
-    #[test]
-    fn barrier_detector_crash_always_unblocks(
-        plan in spawn_plan(4),
-        victim in 0usize..4,
-        crash_at in 0usize..150,
-        detect_delay in 1u64..30,
-    ) {
-        let run = Harness::run_barrier_with_crash(4, plan, victim, crash_at, detect_delay);
-        // Either the barrier completed before the crash point was reached,
-        // or the survivors aborted with poison; both end the wait.
-        prop_assert!(run.declared_at < u64::MAX);
-    }
 
     /// Centralized (X10-style) detection: a dead worker's missing vector
     /// report must keep the home from declaring termination, and poison

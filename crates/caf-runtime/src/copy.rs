@@ -142,6 +142,8 @@ impl Image {
     }
 
     /// `copy_async` from a local (non-coarray) array into a coarray slice.
+    /// Panics at initiation if `src_range` does not fit in `src` or its
+    /// length differs from `dst`'s.
     pub fn copy_async_from<T: Clone + Send + 'static>(
         &self,
         dst: CoSlice<T>,
@@ -150,6 +152,11 @@ impl Image {
         ev: CopyEvents,
     ) -> AsyncOp {
         assert_eq!(dst.len(), src_range.len(), "copy endpoints must have equal length");
+        let len = src.len();
+        assert!(
+            src_range.start <= src_range.end && src_range.end <= len,
+            "copy source range {src_range:?} exceeds the source array of length {len}"
+        );
         let sink = Sink::Co(dst.coarray, dst.range.start, dst.image);
         let src = src.clone();
         let nbytes = src_range.len() * std::mem::size_of::<T>();
@@ -157,6 +164,7 @@ impl Image {
     }
 
     /// `copy_async` from a coarray slice into a local (non-coarray) array.
+    /// Panics at initiation if `src` does not fit in `dst` at `dst_offset`.
     pub fn copy_async_to<T: Clone + Send + 'static>(
         &self,
         dst: &LocalArray<T>,
@@ -164,6 +172,12 @@ impl Image {
         src: CoSlice<T>,
         ev: CopyEvents,
     ) -> AsyncOp {
+        let len = dst.len();
+        assert!(
+            dst_offset + src.len() <= len,
+            "copy destination {dst_offset}..{} exceeds the destination array of length {len}",
+            dst_offset + src.len()
+        );
         let sink = Sink::Arr(dst.clone(), dst_offset);
         if src.image == self.id() {
             let co = src.coarray;

@@ -126,6 +126,35 @@ fn copy_remote_get_into_local_array() {
     });
 }
 
+/// A source range past the local array's end is rejected where the copy
+/// is initiated. Checked later, on the communication thread, the panic
+/// would leave the initiator's `cofence` waiting for a copy that never
+/// completes.
+#[test]
+#[should_panic(expected = "exceeds the source array")]
+fn copy_from_local_array_rejects_a_source_range_past_its_end() {
+    let cfg = RuntimeConfig { watchdog: Some(Duration::from_millis(200)), ..cfg_threaded() };
+    Runtime::launch(1, cfg, |img| {
+        let a = img.coarray(&img.world(), 4, 0u32);
+        let src = caf_runtime::LocalArray::new(vec![1u32; 4]);
+        img.copy_async_from(a.slice(img.id(), 0..4), &src, 2..6, CopyEvents::none());
+        img.cofence();
+    });
+}
+
+/// Likewise for a destination window past the local array's end.
+#[test]
+#[should_panic(expected = "exceeds the destination array")]
+fn copy_to_local_array_rejects_a_window_past_its_end() {
+    let cfg = RuntimeConfig { watchdog: Some(Duration::from_millis(200)), ..cfg_threaded() };
+    Runtime::launch(1, cfg, |img| {
+        let a = img.coarray(&img.world(), 4, 0u32);
+        let dst = caf_runtime::LocalArray::new(vec![0u32; 4]);
+        img.copy_async_to(&dst, 2, a.slice(img.id(), 0..4), CopyEvents::none());
+        img.cofence();
+    });
+}
+
 #[test]
 fn copy_third_party_transfers_between_remotes() {
     Runtime::launch(3, cfg_threaded(), |img| {

@@ -51,6 +51,17 @@ lint_golden_tier() {
 lint_golden_tier tests/fixtures/lints
 lint_golden_tier examples/plans
 
+echo "== figure goldens (seeded figure binaries reproduce exactly) =="
+cargo build --release -p bench --quiet --bin fig05_barrier_failure --bin ablation_detectors
+for golden in tests/fixtures/figures/*.golden; do
+    bin="$(basename "$golden" .golden)"
+    if ! diff <("./target/release/$bin") "$golden" >/dev/null; then
+        echo "$bin: output drifted from $golden:"
+        diff <("./target/release/$bin") "$golden" || true
+        exit 1
+    fi
+done
+
 echo "== caf-lint ⇄ caf-check differential (every diagnostic realizable) =="
 ./target/release/caf-check plan-diff tests/fixtures/lints/*.plan examples/plans/*.plan
 

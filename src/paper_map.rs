@@ -55,8 +55,9 @@
 //! The block construct is [`caf_runtime::Image::finish`]; its engine —
 //! Fig. 7's epoch algorithm — is
 //! [`caf_core::termination::EpochDetector`] over
-//! [`caf_core::epoch::EpochState`], with Theorem 1's `L+1` bound
-//! property-tested in `caf-core`. The §V baselines are
+//! [`caf_core::epoch::EpochState`], with Theorem 1's `L+1` bound checked
+//! by `caf-check` over every bounded schedule and property-tested on its
+//! seeded timed schedules. The §V baselines are
 //! [`caf_core::termination::FourCounterDetector`],
 //! [`caf_core::termination::CentralizedDetector`], and the deliberately
 //! broken [`caf_core::termination::BarrierDetector`] (Fig. 5).

@@ -1,29 +1,33 @@
 //! Paper Fig. 5 across the whole stack: barrier-based termination
 //! detection misses transitively shipped functions; `finish` does not.
 //!
-//! Exercised three ways — on the abstract detector harness, on the
-//! discrete-event simulator, and on the real threaded runtime under
+//! Exercised on two substrates: on `caf-check`'s protocol world under
+//! the seeded timed scheduler, and on the real threaded runtime under
 //! latency and message reordering.
 
-use caf2::core::termination::harness::{node, Harness, SpawnPlan};
-use caf2::core::termination::EpochDetector;
 use caf2::{CommMode, NetworkModel, Runtime, RuntimeConfig};
+use caf_check::mutation::Family;
+use caf_check::scenario::{node, Scenario};
+use caf_check::timed::{self, Timing};
+use caf_check::ViolationKind;
 use std::time::Duration;
 
 /// Abstract machine: the exact p → q → r schedule of Fig. 5.
 #[test]
 fn barrier_misses_f2_on_the_abstract_machine() {
-    let mut plan = SpawnPlan { net_delay: 1, ack_delay: 1, exec_delay: 5, ..SpawnPlan::default() };
-    plan.spawn(0, node(1, vec![node(2, vec![])]));
-    let run = Harness::run_barrier(3, plan.clone());
-    assert!(
-        run.outstanding_at_declaration > 0,
+    let scenario =
+        Scenario { images: 3, roots: vec![(0, node(1, vec![node(2, vec![])]))], crash: None };
+    let timing = Timing { net_delay: 1, ack_delay: 1, exec_delay: 5, ..Timing::default() };
+    let run = timed::run(&scenario, Family::Barrier, &timing);
+    assert_eq!(
+        run.violation.map(|v| v.kind),
+        Some(ViolationKind::Safety),
         "the barrier strawman should declare termination early"
     );
-    // finish on the identical schedule is sound (run() panics otherwise)
+    assert!(run.world.outstanding() > 0);
+    // finish on the identical schedule is sound (waves() panics otherwise)
     // and fast: L = 2 → at most 3 waves.
-    let mut h = Harness::new(3, || Box::new(EpochDetector::new(true)));
-    let waves = h.run(plan);
+    let waves = timed::run(&scenario, Family::EpochStrict, &timing).waves();
     assert!(waves <= 3);
 }
 

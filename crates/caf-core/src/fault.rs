@@ -304,6 +304,46 @@ impl SeqTracker {
             self.ahead.insert(s)
         }
     }
+
+    /// The cumulative acknowledgement of everything recorded so far: the
+    /// watermark plus a bitmap of the out-of-order arrivals just above it.
+    pub fn cum_ack(&self) -> CumAck {
+        let upto = self.next;
+        let bits = self
+            .ahead
+            .range(upto + 1..=upto + CumAck::WINDOW)
+            .fold(0u64, |bits, &s| bits | 1 << (s - upto - 1));
+        CumAck { upto, bits }
+    }
+}
+
+/// A cumulative acknowledgement of one (sender → receiver) link, as the
+/// receiver's [`SeqTracker`] saw it: every sequence below `upto` has
+/// arrived, `upto` itself has not, and bit `i` of `bits` says whether
+/// `upto + 1 + i` has. Sixteen bytes on the wire ([`ACK_BYTES`]).
+/// Arrivals more than [`CumAck::WINDOW`] above the watermark are covered
+/// once the watermark passes them. Both substrates retire frames through
+/// [`CumAck::covers`] alone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CumAck {
+    /// The watermark: the lowest sequence not yet received.
+    pub upto: u64,
+    /// Selective bitmap of the sequences `upto + 1 ..= upto + 64`.
+    pub bits: u64,
+}
+
+impl CumAck {
+    /// How far above the watermark the bitmap reaches.
+    pub const WINDOW: u64 = 64;
+
+    /// Whether this ack proves sequence `seq` arrived.
+    #[inline]
+    pub fn covers(&self, seq: u64) -> bool {
+        seq < self.upto
+            || (seq > self.upto
+                && seq - self.upto <= Self::WINDOW
+                && self.bits >> (seq - self.upto - 1) & 1 == 1)
+    }
 }
 
 #[cfg(test)]
@@ -318,6 +358,28 @@ mod tests {
         }
         assert!(t.ahead.is_empty(), "contiguous range must collapse");
         assert_eq!(t.next, 1000);
+    }
+
+    #[test]
+    fn cum_ack_covers_exactly_what_arrived() {
+        let mut t = SeqTracker::default();
+        assert_eq!(t.cum_ack(), CumAck { upto: 0, bits: 0 });
+        assert!(!t.cum_ack().covers(0), "nothing arrived yet");
+        for s in [0, 1, 3, 5, 64, 65, 66, 200] {
+            t.note(s);
+        }
+        let ack = t.cum_ack();
+        assert_eq!(ack.upto, 2, "the watermark is the first gap");
+        let covered: Vec<u64> = (0..300).filter(|&s| ack.covers(s)).collect();
+        // 66 is the last seq inside the 64-wide bitmap above upto = 2;
+        // 200 lies beyond it and waits for the watermark.
+        assert_eq!(covered, vec![0, 1, 3, 5, 64, 65, 66]);
+        t.note(2);
+        t.note(4);
+        let ack = t.cum_ack();
+        assert_eq!(ack.upto, 6);
+        assert!((0..6).all(|s| ack.covers(s)) && !ack.covers(6) && !ack.covers(200));
+        assert!(ack.covers(64) && ack.covers(66) && !ack.covers(67));
     }
 
     #[test]

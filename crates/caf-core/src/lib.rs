@@ -49,7 +49,9 @@ pub use cofence::{CofenceSpec, LocalAccess, Pass};
 pub use config::{CommMode, NetworkModel, RuntimeConfig};
 pub use epoch::{EpochCounters, EpochState};
 pub use failure::{FailureDetectorState, FailureEvent, FailureParams, PeerHealth};
-pub use fault::{CrashFault, FaultDecision, FaultPlan, RetryPolicy, SeqTracker, StallWindow};
+pub use fault::{
+    CrashFault, CumAck, FaultDecision, FaultPlan, RetryPolicy, SeqTracker, StallWindow,
+};
 pub use ids::{EventId, FinishId, ImageId, Parity, TeamId, TeamRank};
 pub use topology::{BinomialTree, Team};
 pub use trace::{TraceEvent, TraceRecorder};

@@ -21,6 +21,16 @@
 //! heartbeat failure detection ([`crate::failure`]) beside it. A crashed
 //! image ([`CrashFault`](caf_core::fault::CrashFault) or
 //! [`Fabric::mark_crashed`]) has every transmission touching it destroyed.
+//!
+//! The reliable sublayer's timers and acks run from the image's own
+//! receive calls. [`Fabric::try_recv`] drains first and scans for due
+//! retransmissions only when the drain is over, so acks already queued
+//! retire their frames before the scan sees them. It flushes the owed
+//! cumulative acks (one frame per owing link) when it surfaces a message
+//! with nothing further due, and when it comes back empty;
+//! [`Fabric::wait_activity`] flushes before parking. A drain of `k`
+//! messages therefore costs one ack frame per link, sent before the
+//! drain's last message is handled.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -364,6 +374,16 @@ impl<M: Send> Fabric<M> {
         }
     }
 
+    /// Puts every cumulative ack `image` owes on the wire, one frame per
+    /// owing link. Acks ride the faulty wire too.
+    fn flush_acks(&self, image: ImageId) {
+        let Some(chaos) = &self.chaos else { return };
+        for (to, ack) in chaos.reliable.owed_acks(image) {
+            self.stats.note_ack();
+            self.transmit(image, to, ACK_BYTES, Wire::Ack { from: image, ack });
+        }
+    }
+
     /// Opens one popped wire envelope at `image`. Returns the payload if
     /// this envelope surfaces a fresh message.
     fn open(&self, image: ImageId, wire: Wire<M>) -> Option<M> {
@@ -384,25 +404,25 @@ impl<M: Send> Fabric<M> {
             }
         }
         let chaos = self.chaos.as_ref().expect("protocol frames only exist under chaos");
-        let (ack, msg) = chaos.reliable.open(image, wire, &self.stats);
-        if let Some((to, ack)) = ack {
-            // Acks ride the faulty wire too.
-            self.stats.note_ack();
-            self.transmit(image, to, ACK_BYTES, ack);
-        }
-        msg
+        chaos.reliable.open(image, wire, &self.stats)
     }
 
     /// Non-blocking receive for `image`: the earliest due message, if any.
     /// Protocol frames (acks, heartbeats, filtered duplicates) are
-    /// consumed without surfacing. Also pumps `image`'s protocol timers.
+    /// consumed without surfacing. Flushes `image`'s owed acks when no
+    /// further frame is due, and pumps its protocol timers when nothing
+    /// surfaces.
     pub fn try_recv(&self, image: ImageId) -> Option<M> {
-        self.pump(image);
-        while let Some(wire) = self.inboxes[image.index()].try_pop_due() {
+        while let Some((wire, more_due)) = self.inboxes[image.index()].try_pop_due() {
             if let Some(msg) = self.open(image, wire) {
+                if !more_due {
+                    self.flush_acks(image);
+                }
                 return Some(msg);
             }
         }
+        self.flush_acks(image);
+        self.pump(image);
         None
     }
 
@@ -417,10 +437,11 @@ impl<M: Send> Fabric<M> {
         self.inboxes[image.index()].poke();
     }
 
-    /// Parks `image` until a message arrives / becomes due, a poke lands,
-    /// a retransmission falls due, or `deadline` passes. See
-    /// [`Inbox::wait_activity`].
+    /// Flushes `image`'s owed acks, then parks it until a message
+    /// arrives / becomes due, a poke lands, a retransmission falls due,
+    /// or `deadline` passes. See [`Inbox::wait_activity`].
     pub fn wait_activity(&self, image: ImageId, deadline: Instant) {
+        self.flush_acks(image);
         self.pump(image);
         // A parked sender must wake in time to retransmit.
         let retry = self.chaos.as_ref().and_then(|c| c.reliable.next_retry_at(image));
@@ -684,6 +705,65 @@ mod tests {
         assert_eq!(surfaced, vec![11], "dedup must absorb every retransmission");
         assert!(f.stats().snapshot().dups_discarded > 0, "retransmits should have arrived");
         assert_eq!(f.stats().snapshot().delivered, 1);
+    }
+
+    #[test]
+    fn queued_acks_retire_before_the_retransmit_scan() {
+        let retry = RetryPolicy::default();
+        let f = faulty(2, FaultPlan::none(21), retry.clone());
+        let k = 8;
+        for i in 0..k {
+            f.send(img(0), img(1), 4, i);
+        }
+        assert_eq!(
+            drain_reliable(&f, img(1), k as usize, Duration::from_secs(5)).len(),
+            k as usize
+        );
+        // The ack is queued at image 0, but every ack timer has expired.
+        std::thread::sleep(retry.ack_timeout * 2);
+        assert_eq!(f.try_recv(img(0)), None);
+        assert_eq!(f.stats().snapshot().retries, 0, "a queued ack must beat the retry scan");
+        assert_eq!(f.retry_backlog(img(0)), 0);
+    }
+
+    #[test]
+    fn one_drain_costs_one_ack_frame_per_link() {
+        let f = faulty(3, FaultPlan::none(22), RetryPolicy::default());
+        let k = 16;
+        for i in 0..k {
+            f.send(img(0), img(1), 4, i);
+        }
+        assert_eq!(
+            drain_reliable(&f, img(1), k as usize, Duration::from_secs(5)).len(),
+            k as usize
+        );
+        assert_eq!(f.stats().snapshot().acks, 1, "one cumulative ack for the whole drain");
+        assert_eq!(f.try_recv(img(0)), None);
+        assert_eq!(f.retry_backlog(img(0)), 0, "the one ack retires all {k} frames");
+        // Two inbound links: one ack each, however the drain interleaves.
+        for i in 0..k {
+            f.send(img(0), img(1), 4, i);
+            f.send(img(2), img(1), 4, i);
+        }
+        assert_eq!(drain_reliable(&f, img(1), 2 * k as usize, Duration::from_secs(5)).len(), 32);
+        assert_eq!(f.stats().snapshot().acks, 3);
+        pump_sender(&f, img(0));
+        pump_sender(&f, img(2));
+        assert_eq!((f.retry_backlog(img(0)), f.retry_backlog(img(2))), (0, 0));
+    }
+
+    #[test]
+    fn reverse_traffic_piggybacks_the_owed_ack() {
+        let f = faulty(3, FaultPlan::none(23), RetryPolicy::default());
+        f.send(img(0), img(1), 4, 10);
+        f.send(img(2), img(1), 4, 20); // keeps image 1's drain going
+        assert_eq!(f.try_recv(img(1)), Some(10));
+        // Image 1 answers before its drain ends, so its ack is still owed.
+        f.send(img(1), img(0), 4, 11);
+        f.send(img(1), img(0), 4, 12);
+        assert_eq!(f.try_recv(img(0)), Some(11));
+        assert_eq!(f.retry_backlog(img(0)), 0, "the reply carried the ack");
+        assert_eq!(f.stats().snapshot().acks, 0, "no standalone ack frame was sent");
     }
 
     #[test]

@@ -82,16 +82,18 @@ impl<M> Inbox<M> {
         self.arrived.notify_all();
     }
 
-    /// Pops the earliest message whose deadline has passed, if any.
-    pub fn try_pop_due(&self) -> Option<M> {
+    /// Pops the earliest message whose deadline has passed, if any, and
+    /// reports under the same lock whether another one is already due.
+    pub fn try_pop_due(&self) -> Option<(M, bool)> {
         let now = Instant::now();
         let mut inner = self.inner.lock();
         if inner.heap.peek().is_some_and(|t| t.deliver_at <= now) {
             let msg = inner.heap.pop().expect("peeked").msg;
+            let more_due = inner.heap.peek().is_some_and(|t| t.deliver_at <= now);
             self.len.store(inner.heap.len(), Ordering::Release);
             drop(inner);
             self.space.notify_all();
-            Some(msg)
+            Some((msg, more_due))
         } else {
             None
         }
@@ -178,7 +180,7 @@ mod tests {
     /// [`Inbox::wait_activity`] until something happens or `deadline`.
     fn pop_until<M>(inbox: &Inbox<M>, deadline: Instant) -> Option<M> {
         loop {
-            if let Some(msg) = inbox.try_pop_due() {
+            if let Some((msg, _)) = inbox.try_pop_due() {
                 return Some(msg);
             }
             if Instant::now() >= deadline {
@@ -194,8 +196,8 @@ mod tests {
         let now = Instant::now();
         inbox.push(now, "b");
         inbox.push(now - Duration::from_millis(1), "a");
-        assert_eq!(inbox.try_pop_due(), Some("a"));
-        assert_eq!(inbox.try_pop_due(), Some("b"));
+        assert_eq!(inbox.try_pop_due(), Some(("a", true)), "b is due too");
+        assert_eq!(inbox.try_pop_due(), Some(("b", false)));
         assert_eq!(inbox.try_pop_due(), None);
     }
 
@@ -203,7 +205,7 @@ mod tests {
     fn future_messages_are_withheld() {
         let inbox = Inbox::new();
         inbox.push(Instant::now() + Duration::from_millis(50), 42u32);
-        assert_eq!(inbox.try_pop_due(), None);
+        assert!(inbox.try_pop_due().is_none());
         assert_eq!(inbox.len(), 1);
         let got = pop_until(&inbox, Instant::now() + Duration::from_millis(500));
         assert_eq!(got, Some(42));
@@ -226,7 +228,7 @@ mod tests {
             inbox.push(t, i);
         }
         for i in 0..10 {
-            assert_eq!(inbox.try_pop_due(), Some(i));
+            assert_eq!(inbox.try_pop_due(), Some((i, i < 9)));
         }
     }
 
@@ -238,7 +240,7 @@ mod tests {
         inbox.push(t, 1u8);
         inbox.push(t + Duration::from_secs(60), 2u8);
         assert_eq!(inbox.len(), 2);
-        assert_eq!(inbox.try_pop_due(), Some(1));
+        assert_eq!(inbox.try_pop_due(), Some((1, false)), "the undue message is not more due");
         assert_eq!(inbox.len(), 1, "undue message still counted");
     }
 
@@ -257,7 +259,7 @@ mod tests {
             })
         };
         std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(inbox.try_pop_due(), Some(0));
+        assert_eq!(inbox.try_pop_due(), Some((0, true)));
         let drained_at = Instant::now();
         let (ok, woke_at) = waiter.join().unwrap();
         assert!(ok, "space must be observed");

@@ -12,7 +12,8 @@
 //!   protocol state; [`Fabric::with_chaos`] adds the two layers below;
 //! * [`reliable`] — the ack/retry/dedup sublayer every remote message
 //!   rides under fault injection: per-link sequence windows, receiver
-//!   dedup, backoff timers;
+//!   dedup, cumulative per-link acks (flushed or piggybacked), backoff
+//!   timers;
 //! * [`failure`] — opt-in heartbeat failure detection: per-image
 //!   detectors fed by life signs and retry exhaustion, and the posthumous
 //!   filter (see [`ConfirmedDown`]);

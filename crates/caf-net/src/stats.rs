@@ -46,7 +46,9 @@ pub struct FabricTotals {
     pub retries_exhausted: u64,
     /// Duplicate deliveries filtered out by receiver-side dedup.
     pub dups_discarded: u64,
-    /// Acknowledgements sent by receivers.
+    /// Standalone cumulative ack frames sent by receivers (one per
+    /// owing link per flush). Acks piggybacked on reverse `Data` frames
+    /// are not counted.
     pub acks: u64,
     /// Heartbeat frames emitted by the failure-detection layer.
     pub heartbeats: u64,

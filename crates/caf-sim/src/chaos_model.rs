@@ -2,7 +2,9 @@
 //!
 //! The threaded runtime can only chaos-test a handful of images; this
 //! model replays the *same* protocol stack — [`FaultPlan`] fault rolls,
-//! ack/retry reliable delivery with [`SeqTracker`] dedup, the strict
+//! ack/retry reliable delivery with [`SeqTracker`] dedup and per-link
+//! cumulative [`CumAck`]s (flushed once per link per virtual instant;
+//! unlike the fabric, the model never piggybacks them), the strict
 //! epoch termination detector via [`FinishSim`], and (when engaged) the
 //! fail-stop [`FailureDetectorState`] — as discrete events, so the
 //! exactly-once, never-terminate-early, and every-survivor-observes
@@ -30,11 +32,11 @@
 //! `RuntimeError::ImageFailed` — naming the victim, the detection
 //! latency, and exactly which images observed the failure.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Duration;
 
 use caf_core::failure::{FailureDetectorState, FailureEvent, FailureParams};
-use caf_core::fault::{FaultPlan, RetryPolicy, SeqTracker, ACK_BYTES, FIRST_INCARNATION};
+use caf_core::fault::{CumAck, FaultPlan, RetryPolicy, SeqTracker, ACK_BYTES, FIRST_INCARNATION};
 use caf_core::ids::Parity;
 use caf_core::rng::SplitMix64;
 use caf_core::termination::WaveDecision;
@@ -170,8 +172,11 @@ enum Ev {
     Xmit { from: usize, to: usize, link_seq: u64 },
     /// A copy arrives at `to`.
     Data { from: usize, to: usize, link_seq: u64, payload: Payload },
-    /// An acknowledgement arrives back at `to` (the original sender).
-    Ack { from: usize, to: usize, link_seq: u64 },
+    /// `receiver` puts the cumulative ack it owes `sender` on the wire.
+    AckFlush { receiver: usize, sender: usize },
+    /// A cumulative acknowledgement arrives back at `to` (the original
+    /// sender of the `to → from` link).
+    Ack { from: usize, to: usize, ack: CumAck },
     /// A delivered spawn's handler finishes at `img`.
     HandlerDone { img: usize, tag: Parity },
     /// The sender's ack timer for `link_seq` expires.
@@ -210,7 +215,11 @@ struct ChaosSim {
     fsim: FinishSim,
     /// `trackers[receiver][sender]` — exactly-once filter per link.
     trackers: Vec<Vec<SeqTracker>>,
-    outstanding: HashMap<(usize, usize, u64), Pending>,
+    /// `(receiver, sender)` links owing a cumulative ack, each with one
+    /// flush event pending.
+    owed: HashSet<(usize, usize)>,
+    /// Unacknowledged frames per `(sender, receiver)` link, by sequence.
+    outstanding: HashMap<(usize, usize), BTreeMap<u64, Pending>>,
     /// Next per-link sequence number (spawns and Down notices share the
     /// space, exactly like the fabric's per-sender counters).
     next_link_seq: Vec<Vec<u64>>,
@@ -272,6 +281,7 @@ impl ChaosSim {
             engine: Engine::new(),
             fsim: FinishSim::new(p, true),
             trackers: (0..p).map(|_| vec![SeqTracker::default(); p]).collect(),
+            owed: HashSet::new(),
             outstanding: HashMap::new(),
             next_link_seq: vec![vec![0u64; p]; p],
             wire_seq: 0,
@@ -351,7 +361,7 @@ impl ChaosSim {
     /// Puts one copy of an outstanding message on the wire: rolls its
     /// fault decision, schedules the arrival(s), and arms the ack timer.
     fn transmit(&mut self, from: usize, to: usize, link_seq: u64) {
-        let Some(p) = self.outstanding.get(&(from, to, link_seq)) else { return };
+        let Some(p) = self.link(from, to).get(&link_seq) else { return };
         let (payload, attempts) = (p.payload, p.attempts);
         let seq = self.wire_seq;
         self.wire_seq += 1;
@@ -388,8 +398,35 @@ impl ChaosSim {
         self.schedule_live(self.wire.timeout_ns(attempts), Ev::RetryTimeout { from, to, link_seq });
     }
 
-    /// Sends an acknowledgement, itself subject to the fault plan.
-    fn send_ack(&mut self, receiver: usize, sender: usize, link_seq: u64) {
+    /// The unacknowledged frames of the `from → to` link.
+    fn link(&mut self, from: usize, to: usize) -> &mut BTreeMap<u64, Pending> {
+        self.outstanding.entry((from, to)).or_default()
+    }
+
+    /// Queues a new frame on the `from → to` link and returns its sequence.
+    fn enqueue(&mut self, from: usize, to: usize, payload: Payload) -> u64 {
+        let link_seq = self.next_link_seq[from][to];
+        self.next_link_seq[from][to] += 1;
+        self.link(from, to).insert(link_seq, Pending { payload, attempts: 1 });
+        link_seq
+    }
+
+    /// Retires every frame on `sender → receiver` that `ack` covers,
+    /// returning their payloads in sequence order.
+    fn retire(&mut self, sender: usize, receiver: usize, ack: CumAck) -> Vec<Payload> {
+        let link = self.link(sender, receiver);
+        let covered: Vec<u64> = link
+            .range(..=ack.upto.saturating_add(CumAck::WINDOW))
+            .map(|(&s, _)| s)
+            .filter(|&s| ack.covers(s))
+            .collect();
+        covered.iter().filter_map(|s| link.remove(s)).map(|p| p.payload).collect()
+    }
+
+    /// Sends the cumulative ack `receiver` owes `sender`, itself subject
+    /// to the fault plan.
+    fn send_ack(&mut self, receiver: usize, sender: usize) {
+        self.owed.remove(&(receiver, sender));
         let seq = self.wire_seq;
         self.wire_seq += 1;
         self.arm_crashes(seq);
@@ -405,7 +442,8 @@ impl ChaosSim {
         let extra =
             self.wire.spike_ns(d) + self.wire.stall_extra_ns(receiver, sender, self.engine.now());
         let delay = self.cfg.net.delivery_delay(ACK_BYTES, &mut self.rng) + extra;
-        self.schedule_live(delay, Ev::Ack { from: receiver, to: sender, link_seq });
+        let ack = self.trackers[receiver][sender].cum_ack();
+        self.schedule_live(delay, Ev::Ack { from: receiver, to: sender, ack });
     }
 
     /// One heartbeat from `img` to its ring monitor; reschedules itself
@@ -459,12 +497,8 @@ impl ChaosSim {
                 if other == observer || other == peer {
                     continue;
                 }
-                let link_seq = self.next_link_seq[observer][other];
-                self.next_link_seq[observer][other] += 1;
-                self.outstanding.insert(
-                    (observer, other, link_seq),
-                    Pending { payload: Payload::Down { victim: peer, incarnation }, attempts: 1 },
-                );
+                let down = Payload::Down { victim: peer, incarnation };
+                let link_seq = self.enqueue(observer, other, down);
                 self.schedule_live(
                     self.cfg.net.injection_ns,
                     Ev::Xmit { from: observer, to: other, link_seq },
@@ -515,13 +549,8 @@ impl ChaosSim {
                     break;
                 }
                 let to = (img + 1 + k % (p - 1)) % p;
-                let link_seq = self.next_link_seq[img][to];
-                self.next_link_seq[img][to] += 1;
                 let tag = self.fsim.on_send(img);
-                self.outstanding.insert(
-                    (img, to, link_seq),
-                    Pending { payload: Payload::Spawn { tag }, attempts: 1 },
-                );
+                let link_seq = self.enqueue(img, to, Payload::Spawn { tag });
                 self.report.sent += 1;
                 self.schedule_live_at(
                     k as u64 * self.cfg.net.injection_ns,
@@ -571,9 +600,13 @@ impl ChaosSim {
                         // Any application message is a life sign.
                         self.detectors[to].on_life_sign(from, FIRST_INCARNATION, now_d);
                     }
-                    // Always re-ack: the previous ack may have been lost,
-                    // and only an ack stops the sender's timer.
-                    self.send_ack(to, from, link_seq);
+                    // Fresh or not, the link owes an ack: the previous
+                    // one may have been lost, and only an ack stops the
+                    // sender's timer. One flush per link batches every
+                    // arrival of this virtual instant.
+                    if self.owed.insert((to, from)) {
+                        self.schedule_live(0, Ev::AckFlush { receiver: to, sender: from });
+                    }
                     if self.trackers[to][from].note(link_seq) {
                         match payload {
                             Payload::Spawn { tag } => {
@@ -592,7 +625,8 @@ impl ChaosSim {
                         self.report.dups_suppressed += 1;
                     }
                 }
-                Ev::Ack { from, to, link_seq } => {
+                Ev::AckFlush { receiver, sender } => self.send_ack(receiver, sender),
+                Ev::Ack { from, to, ack } => {
                     if self.crashed[to] {
                         self.report.crash_drops += 1;
                         continue;
@@ -605,13 +639,16 @@ impl ChaosSim {
                         }
                         self.detectors[to].on_life_sign(from, FIRST_INCARNATION, now_d);
                     }
-                    // First ack wins; re-acks of a suppressed duplicate
-                    // find the slot already empty.
-                    if let Some(pend) = self.outstanding.remove(&(to, from, link_seq)) {
-                        if matches!(pend.payload, Payload::Spawn { .. }) {
+                    // Frames an earlier ack already retired are gone;
+                    // a stale or repeated ack retires nothing.
+                    let retired = self.retire(to, from, ack);
+                    for payload in &retired {
+                        if matches!(payload, Payload::Spawn { .. }) {
                             self.acked += 1;
                             self.fsim.on_delivered(to);
                         }
+                    }
+                    if !retired.is_empty() {
                         self.try_wave(to);
                     }
                 }
@@ -625,14 +662,17 @@ impl ChaosSim {
                     self.try_wave(img);
                 }
                 Ev::RetryTimeout { from, to, link_seq } => {
-                    let Some(pend) = self.outstanding.get_mut(&(from, to, link_seq)) else {
+                    let max_retries = self.wire.max_retries();
+                    let Some(pend) =
+                        self.outstanding.get_mut(&(from, to)).and_then(|l| l.get_mut(&link_seq))
+                    else {
                         continue; // already acknowledged
                     };
                     if self.crashed[from] {
                         continue; // the dead retransmit nothing
                     }
-                    if pend.attempts > self.wire.max_retries() {
-                        self.outstanding.remove(&(from, to, link_seq));
+                    if pend.attempts > max_retries {
+                        self.link(from, to).remove(&link_seq);
                         self.report.retries_exhausted += 1;
                         if self.failure_on() && from != to {
                             // Budget exhaustion is a strong death hint:

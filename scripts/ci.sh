@@ -52,7 +52,8 @@ lint_golden_tier tests/fixtures/lints
 lint_golden_tier examples/plans
 
 echo "== figure goldens (seeded figure binaries reproduce exactly) =="
-cargo build --release -p bench --quiet --bin fig05_barrier_failure --bin ablation_detectors
+cargo build --release -p bench --quiet --bin fig05_barrier_failure --bin ablation_detectors \
+    --bin ablation_failure_detection
 for golden in tests/fixtures/figures/*.golden; do
     bin="$(basename "$golden" .golden)"
     if ! diff <("./target/release/$bin") "$golden" >/dev/null; then

@@ -3,8 +3,9 @@
 //!
 //! The runtime records the same protocol events the model checker
 //! explores — sends, delivery acks, receptions, completions, wave entries
-//! and exits, poison — with parities and contributions attached. This
-//! module replays a captured trace through fresh [`EpochDetector`]s and
+//! and exits, poison — with parities, ack counts and contributions
+//! attached. This module replays a captured trace through fresh
+//! [`EpochDetector`]s (a counted ack applies all of its deliveries) and
 //! cross-checks every recorded value against the replica:
 //!
 //! * each `Send`'s recorded parity must equal what the replica's epoch
@@ -88,7 +89,9 @@ fn validate_finish(
                     )));
                 }
             }
-            TraceEvent::Delivered { .. } => det.on_delivered(Parity::Even),
+            TraceEvent::Delivered { count, .. } => {
+                (0..*count).for_each(|_| det.on_delivered(Parity::Even));
+            }
             TraceEvent::Receive { parity, .. } => det.on_receive(*parity),
             TraceEvent::Complete { parity, .. } => det.on_complete(*parity),
             TraceEvent::EnterWave { contribution, .. } => {
@@ -170,7 +173,7 @@ mod tests {
         vec![
             TraceEvent::Send { image: 0, finish: f, parity: Parity::Even },
             TraceEvent::Receive { image: 1, finish: f, parity: Parity::Even },
-            TraceEvent::Delivered { image: 0, finish: f },
+            TraceEvent::Delivered { image: 0, finish: f, count: 1 },
             TraceEvent::Complete { image: 1, finish: f, parity: Parity::Even },
             TraceEvent::EnterWave { image: 0, finish: f, contribution: [1, 0] },
             TraceEvent::EnterWave { image: 1, finish: f, contribution: [-1, 0] },

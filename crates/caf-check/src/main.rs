@@ -43,7 +43,8 @@ USAGE:
 FAMILIES:  epoch-strict  epoch-loose  four-counter
 MUTATIONS: drop-quiescence-wait merge-epochs skip-poison local-verdict
            single-wave-four-counter ack-complete-confusion
-           stale-contribution cofence-swap-read-write cofence-ignore-upward
+           stale-contribution ack-miscount cofence-swap-read-write
+           cofence-ignore-upward
 ";
 
 fn main() -> ExitCode {

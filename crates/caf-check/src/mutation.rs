@@ -21,6 +21,9 @@
 //!   completion callback: the sender never quiesces.
 //! * [`Mutation::StaleContribution`] — contribute the first wave's value
 //!   forever (a forgotten counter fold): the sum can never reach zero.
+//! * [`Mutation::AckMiscount`] — a counted delivery ack of `k` messages
+//!   reports `k − 1`: the sender never quiesces. This one perturbs the
+//!   world's ack step, not the detector wrapper.
 
 use caf_core::ids::Parity;
 use caf_core::termination::{
@@ -122,12 +125,14 @@ pub enum Mutation {
     AckCompleteConfusion,
     /// Every wave re-contributes the first wave's value.
     StaleContribution,
+    /// A counted ack of `k` deliveries is applied as `k − 1`.
+    AckMiscount,
 }
 
 impl Mutation {
-    /// All detector-level mutations (the cofence mutations live in
+    /// All finish-protocol mutations (the cofence mutations live in
     /// `cofence_check`).
-    pub const ALL: [Mutation; 7] = [
+    pub const ALL: [Mutation; 8] = [
         Mutation::DropQuiescenceWait,
         Mutation::MergeEpochs,
         Mutation::SkipPoison,
@@ -135,6 +140,7 @@ impl Mutation {
         Mutation::SingleWaveFourCounter,
         Mutation::AckCompleteConfusion,
         Mutation::StaleContribution,
+        Mutation::AckMiscount,
     ];
 
     /// Stable name used by the CLI, replay files, and `mutate_check.sh`.
@@ -147,6 +153,7 @@ impl Mutation {
             Mutation::SingleWaveFourCounter => "single-wave-four-counter",
             Mutation::AckCompleteConfusion => "ack-complete-confusion",
             Mutation::StaleContribution => "stale-contribution",
+            Mutation::AckMiscount => "ack-miscount",
         }
     }
 

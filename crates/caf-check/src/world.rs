@@ -4,7 +4,10 @@
 //! The world is a small-step operational model of exactly the protocol
 //! the threaded runtime executes: root spawns are sent before the finish
 //! starts closing; every message is delivered, acknowledged, and executed
-//! as three separately schedulable transitions; executing a message
+//! as three separately schedulable transitions; an acknowledgement is
+//! *counted*, covering every message the receiver owes an ack on that
+//! link up to the named one (the runtime's `Ack { finish, count }`, with
+//! the per-message ack as its `k = 1` case); executing a message
 //! spawns its children; each image asynchronously enters a reduction wave
 //! when its detector is ready, and the wave closes (the allreduce) once
 //! every live image has entered. Images keep receiving and executing
@@ -36,7 +39,10 @@ use crate::vc::VectorClock;
 pub enum TKey {
     /// Deliver message `id` at its target (counts the reception).
     Deliver(String),
-    /// Deliver the acknowledgement of message `id` back to its sender.
+    /// The receiver of message `id` flushes a counted ack back to `id`'s
+    /// sender. It covers the `k` messages on that link the receiver owes
+    /// an ack for and received no later than `id`, in delivery order;
+    /// `k = 1` when `id` is the oldest one owed (the per-message ack).
     Ack(String),
     /// Execute message `id` at its target: spawn its children, then
     /// count local completion.
@@ -95,6 +101,9 @@ struct Msg {
     tag: Parity,
     children: Vec<SpawnTree>,
     delivered: bool,
+    /// Position in the world's delivery order, once delivered: a counted
+    /// ack covers the owed messages of its link up to this stamp.
+    delivery: u64,
     execed: bool,
     acked: bool,
     /// Sender's vector clock at send time.
@@ -130,7 +139,8 @@ pub enum MsgStep {
         /// Target.
         to: usize,
     },
-    /// `id`'s delivery ack arrived back at `from`.
+    /// `id`'s delivery ack arrived back at `from` (a counted ack of `k`
+    /// messages records `k` of these, in delivery order).
     Ack {
         /// Message id.
         id: String,
@@ -231,8 +241,10 @@ pub struct Violation {
 pub struct World {
     n: usize,
     family: Family,
+    mutation: Option<Mutation>,
     dets: Vec<CheckedDetector>,
     msgs: BTreeMap<String, Msg>,
+    deliveries: u64,
     entered: Vec<bool>,
     contributions: Vec<Contribution>,
     alive: Vec<bool>,
@@ -267,8 +279,10 @@ impl World {
         let mut w = World {
             n,
             family,
+            mutation,
             dets: (0..n).map(|_| CheckedDetector::new(family, mutation)).collect(),
             msgs: BTreeMap::new(),
+            deliveries: 0,
             entered: vec![false; n],
             contributions: vec![[0, 0]; n],
             alive: vec![true; n],
@@ -362,6 +376,7 @@ impl World {
             tag,
             children: tree.children,
             delivered: false,
+            delivery: 0,
             execed: false,
             acked: false,
             clock: self.clocks[from].clone(),
@@ -465,21 +480,45 @@ impl World {
                 self.clocks[to].join(&clock);
                 self.clocks[to].tick(to);
                 debug_assert!(clock.le(&self.clocks[to]), "delivery clock must dominate send");
-                self.msgs.get_mut(id).unwrap().delivered = true;
+                self.deliveries += 1;
+                let m = self.msgs.get_mut(id).unwrap();
+                m.delivered = true;
+                m.delivery = self.deliveries;
                 self.msg_trace.push(MsgStep::Deliver { id: id.clone(), to });
                 self.snapshot(to);
                 Ok(())
             }
             TKey::Ack(id) => {
-                let (from, tag) = {
+                let (from, to, upto) = {
                     let m = &self.msgs[id];
-                    (m.from, m.tag)
+                    (m.from, m.to, m.delivery)
                 };
-                self.dets[from].on_delivered(tag);
-                self.msgs.get_mut(id).unwrap().acked = true;
-                self.msg_trace.push(MsgStep::Ack { id: id.clone(), from });
-                self.snapshot(from);
-                self.retire(id);
+                let mut batch: Vec<(u64, String)> = self
+                    .msgs
+                    .iter()
+                    .filter(|(_, m)| {
+                        m.from == from
+                            && m.to == to
+                            && m.delivered
+                            && !m.acked
+                            && m.delivery <= upto
+                    })
+                    .map(|(mid, m)| (m.delivery, mid.clone()))
+                    .collect();
+                batch.sort_unstable();
+                let k = batch.len();
+                let counted = if self.mutation == Some(Mutation::AckMiscount) { k - 1 } else { k };
+                for (j, (_, mid)) in batch.iter().enumerate() {
+                    let m = self.msgs.get_mut(mid).unwrap();
+                    m.acked = true;
+                    let tag = m.tag;
+                    if j < counted {
+                        self.dets[from].on_delivered(tag);
+                    }
+                    self.msg_trace.push(MsgStep::Ack { id: mid.clone(), from });
+                    self.snapshot(from);
+                    self.retire(mid);
+                }
                 Ok(())
             }
             TKey::Exec(id) => {
@@ -772,6 +811,62 @@ mod tests {
         assert!(!w.independent(&d0, &TKey::Enter(1)), "same-image transitions conflict");
         assert!(w.independent(&d0, &TKey::Enter(2)));
         assert!(!w.independent(&d0, &TKey::Close), "close is global");
+    }
+
+    /// Image 0 ships two messages to image 1 and a third to image 2.
+    fn two_on_one_link() -> Scenario {
+        Scenario {
+            images: 3,
+            roots: vec![(0, node(1, vec![])), (0, node(1, vec![])), (0, node(2, vec![]))],
+            crash: None,
+        }
+    }
+
+    fn acked_count(w: &World, image: usize) -> u64 {
+        w.dets[image].epoch_counters().expect("epoch family")[1]
+    }
+
+    #[test]
+    fn counted_ack_covers_the_link_up_to_the_named_message() {
+        let s = two_on_one_link();
+        let mut w = World::new(&s, Family::EpochStrict, None);
+        for k in ["deliver r2", "deliver r1", "deliver r0"] {
+            w.step(&TKey::parse(k).unwrap()).unwrap();
+        }
+        // r0 was delivered last on the 0 → 1 link, so its ack covers r1
+        // too (k = 2), but not r2, which travelled another link.
+        w.step(&TKey::Ack("r0".into())).unwrap();
+        assert_eq!(acked_count(&w, 0), 2);
+        assert!(!w.is_enabled(&TKey::Ack("r1".into())), "r1 rode r0's counted ack");
+        assert!(w.is_enabled(&TKey::Ack("r2".into())));
+        let acks: Vec<&MsgStep> =
+            w.msg_trace().iter().filter(|s| matches!(s, MsgStep::Ack { .. })).collect();
+        assert_eq!(acks.len(), 2, "one ack step per covered message");
+        assert!(run_first_enabled(&mut w).is_none());
+        assert_eq!(w.done, Some(Outcome::Terminated));
+    }
+
+    #[test]
+    fn acking_the_oldest_owed_message_is_the_per_message_ack() {
+        let mut w = World::new(&two_on_one_link(), Family::EpochStrict, None);
+        for k in ["deliver r1", "deliver r0", "ack r1"] {
+            w.step(&TKey::parse(k).unwrap()).unwrap();
+        }
+        assert_eq!(acked_count(&w, 0), 1, "k = 1: only r1 was owed up to r1");
+        assert!(w.is_enabled(&TKey::Ack("r0".into())));
+    }
+
+    #[test]
+    fn ack_miscount_strands_the_sender() {
+        let mut w =
+            World::new(&two_on_one_link(), Family::EpochStrict, Some(Mutation::AckMiscount));
+        for k in ["deliver r0", "deliver r1", "ack r1"] {
+            w.step(&TKey::parse(k).unwrap()).unwrap();
+        }
+        assert_eq!(acked_count(&w, 0), 1, "the mutated ack reports k - 1 = 1 of 2");
+        assert!(run_first_enabled(&mut w).is_none());
+        assert_eq!(w.done, None, "the sender can never become ready: a deadlock");
+        assert!(!w.dets[0].ready());
     }
 
     #[test]

@@ -38,12 +38,15 @@ pub enum TraceEvent {
         /// Epoch parity the message carries.
         parity: Parity,
     },
-    /// A delivery acknowledgement arrived back at sender `image`.
+    /// A counted delivery acknowledgement arrived back at sender `image`:
+    /// `count` of its messages were delivered.
     Delivered {
         /// Original sender (global rank).
         image: usize,
         /// Dynamic finish block.
         finish: (u64, u64),
+        /// Deliveries the acknowledgement covers.
+        count: u64,
     },
     /// `image` received a `parity`-tagged message.
     Receive {
@@ -187,7 +190,7 @@ mod tests {
         let f = (3, 7);
         let evs = [
             TraceEvent::Send { image: 1, finish: f, parity: Parity::Odd },
-            TraceEvent::Delivered { image: 2, finish: f },
+            TraceEvent::Delivered { image: 2, finish: f, count: 3 },
             TraceEvent::Receive { image: 3, finish: f, parity: Parity::Even },
             TraceEvent::Complete { image: 4, finish: f, parity: Parity::Even },
             TraceEvent::EnterWave { image: 5, finish: f, contribution: [1, 0] },

@@ -30,7 +30,10 @@
 //! with nothing further due, and when it comes back empty;
 //! [`Fabric::wait_activity`] flushes before parking. A drain of `k`
 //! messages therefore costs one ack frame per link, sent before the
-//! drain's last message is handled.
+//! drain's last message is handled. A receiver that replies at the end of
+//! its drain (the runtime's counted finish acks) receives through
+//! [`Fabric::try_recv_deferred`] and calls [`Fabric::flush_acks`] after
+//! queueing its replies, so those replies carry the wire acks.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -375,8 +378,9 @@ impl<M: Send> Fabric<M> {
     }
 
     /// Puts every cumulative ack `image` owes on the wire, one frame per
-    /// owing link. Acks ride the faulty wire too.
-    fn flush_acks(&self, image: ImageId) {
+    /// owing link. Acks ride the faulty wire too. A no-op on a lossless
+    /// wire.
+    pub fn flush_acks(&self, image: ImageId) {
         let Some(chaos) = &self.chaos else { return };
         for (to, ack) in chaos.reliable.owed_acks(image) {
             self.stats.note_ack();
@@ -413,15 +417,26 @@ impl<M: Send> Fabric<M> {
     /// further frame is due, and pumps its protocol timers when nothing
     /// surfaces.
     pub fn try_recv(&self, image: ImageId) -> Option<M> {
+        let got = self.try_recv_deferred(image);
+        if got.as_ref().is_none_or(|&(_, more_due)| !more_due) {
+            self.flush_acks(image);
+        }
+        got.map(|(msg, _)| msg)
+    }
+
+    /// [`Fabric::try_recv`] for a receiver with replies of its own to
+    /// flush when its drain ends. Also returns whether another frame is
+    /// already due behind the message. When none is (or nothing
+    /// surfaces), the drain is over, but the owed wire acks are *not*
+    /// flushed: the caller queues its replies first, so a reply to a
+    /// link's sender carries that link's ack as a piggyback, and then
+    /// calls [`Fabric::flush_acks`] for the rest.
+    pub fn try_recv_deferred(&self, image: ImageId) -> Option<(M, bool)> {
         while let Some((wire, more_due)) = self.inboxes[image.index()].try_pop_due() {
             if let Some(msg) = self.open(image, wire) {
-                if !more_due {
-                    self.flush_acks(image);
-                }
-                return Some(msg);
+                return Some((msg, more_due));
             }
         }
-        self.flush_acks(image);
         self.pump(image);
         None
     }

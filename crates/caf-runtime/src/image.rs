@@ -20,7 +20,7 @@ use caf_core::trace::TraceEvent;
 use caf_net::CommPump;
 
 use crate::coarray::Coarray;
-use crate::completion::{Completion, Stage};
+use crate::completion::Completion;
 use crate::event::{CoEvent, Event};
 use crate::msg::{Am, AmFn, FinishTag, Msg};
 use crate::runtime::Shared;
@@ -108,13 +108,34 @@ impl Image {
     /// any message was handled. Applications with long compute phases
     /// should call this periodically so they can serve shipped functions
     /// (exactly the attentiveness question in the paper's UTS discussion).
+    ///
+    /// Delivery acks are counted, not sent per message: each AM received
+    /// under a finish adds one to what this image owes its sender, and
+    /// the owed counts leave as one [`Msg::Ack`] per (sender, finish)
+    /// when the drain ends — before the handler of its last message runs,
+    /// and again when the drain comes back empty. Every park, wave entry
+    /// and backpressure loop polls here first, so no image waits while it
+    /// owes an ack.
     pub fn progress(&self) -> bool {
         let mut any = false;
-        while let Some(m) = self.shared.fabric.try_recv(self.me) {
-            self.handle(m);
+        while let Some((m, more_due)) = self.shared.fabric.try_recv_deferred(self.me) {
+            self.handle(m, more_due);
             any = true;
         }
+        self.flush_acks();
         any
+    }
+
+    /// Puts this image's owed delivery acks on the wire, one counted
+    /// [`Msg::Ack`] per (sender, finish), then the fabric's owed wire
+    /// acks. That order lets each counted ack carry its link's wire ack
+    /// as a piggyback on the reliable wire.
+    fn flush_acks(&self) {
+        for (sender, finish, count) in self.st.borrow_mut().owed_acks.drain(..) {
+            let ack = Msg::Ack { finish, count };
+            self.shared.fabric.send_unthrottled(self.me, sender, CTRL_BYTES, ack);
+        }
+        self.shared.fabric.flush_acks(self.me);
     }
 
     /// Polls progress until `pred` holds, parking between polls.
@@ -133,14 +154,15 @@ impl Image {
         }
     }
 
-    fn handle(&self, msg: Msg) {
+    fn handle(&self, msg: Msg, more_due: bool) {
         match msg {
-            Msg::Am(am) => self.handle_am(am),
-            Msg::Ack { finish } => {
-                self.with_frame(finish, |f| f.on_delivered(Parity::Even));
+            Msg::Am(am) => self.handle_am(am, more_due),
+            Msg::Ack { finish, count } => {
+                self.with_frame(finish, |f| (0..count).for_each(|_| f.on_delivered(Parity::Even)));
                 self.trace(|| TraceEvent::Delivered {
                     image: self.me.index(),
                     finish: Image::trace_fid(finish),
+                    count,
                 });
             }
             Msg::EventNotify { slot } => {
@@ -161,8 +183,11 @@ impl Image {
         }
     }
 
-    fn handle_am(&self, am: Am) {
-        // Count reception and acknowledge delivery (drives the sender's
+    /// Runs one AM. `more_due` says whether another message is due behind
+    /// it; if not, the drain ends here and the owed acks, this one's
+    /// included, are flushed before its handler runs.
+    fn handle_am(&self, am: Am, more_due: bool) {
+        // Count reception and owe the sender a delivery ack (drives its
         // `delivered` counter in the finish detector).
         if let Some(tag) = am.finish {
             self.with_frame(tag.id, |f| f.on_receive(tag.parity));
@@ -171,12 +196,14 @@ impl Image {
                 finish: Image::trace_fid(tag.id),
                 parity: tag.parity,
             });
-            self.shared.fabric.send_unthrottled(
-                self.me,
-                am.sender,
-                CTRL_BYTES,
-                Msg::Ack { finish: tag.id },
-            );
+            let owed = &mut self.st.borrow_mut().owed_acks;
+            match owed.iter_mut().find(|(s, f, _)| *s == am.sender && *f == tag.id) {
+                Some((_, _, count)) => *count += 1,
+                None => owed.push((am.sender, tag.id, 1)),
+            }
+        }
+        if !more_due {
+            self.flush_acks();
         }
         {
             let mut st = self.st.borrow_mut();
@@ -326,12 +353,10 @@ impl Image {
         payload_bytes: usize,
         f: impl FnOnce(&Image) + Send + 'static,
     ) {
-        // Argument marshalling (the closure capture) happened just now, so
-        // the spawn is already local-data complete (paper §III-B3: a
-        // cofence after a spawn only captures argument evaluation).
-        let comp = Completion::new();
-        comp.advance(Stage::LocalData);
-        self.register_pending(comp, LocalAccess::READ);
+        // Argument marshalling (the closure capture) happens right here,
+        // so the spawn is local-data complete at initiation (paper
+        // §III-B3: a cofence after a spawn only captures argument
+        // evaluation) and never needs a cofence pending entry.
         self.send_am(target, payload_bytes.max(SPAWN_NOMINAL_BYTES), true, None, Box::new(f));
     }
 

@@ -9,7 +9,7 @@
 //!   and asynchronous collective stages are all active messages — which is
 //!   exactly why the paper's footnote 1 can treat "message" uniformly in
 //!   the termination-detection algorithm.
-//! * [`Msg::Ack`] — delivery acknowledgement back to an AM's sender
+//! * [`Msg::Ack`] — counted delivery acknowledgement back to AM senders
 //!   (drives the `delivered` counter of the finish detector).
 //! * [`Msg::EventNotify`] — a remote `event_notify`.
 //! * [`Msg::Coll`] — synchronous-collective plumbing: one tagged hop of a
@@ -79,10 +79,16 @@ pub struct CollMsg {
 pub enum Msg {
     /// Active message.
     Am(Am),
-    /// Delivery acknowledgement for an AM sent under `finish`.
+    /// Counted delivery acknowledgement: `count` AMs this image sent
+    /// under `finish` were delivered at the acknowledging image. A
+    /// receiver owes one count per (sender, finish) and flushes it when
+    /// its drain ends, so one `Ack` covers every such AM of a drain.
+    /// Reply-class: it bypasses flow control.
     Ack {
-        /// The finish block the acknowledged message was counted under.
+        /// The finish block the acknowledged messages were counted under.
         finish: FinishId,
+        /// Deliveries acknowledged (at least 1).
+        count: u64,
     },
     /// Remote event notification for a slot owned by the receiver.
     EventNotify {
@@ -121,7 +127,9 @@ impl std::fmt::Debug for Msg {
                 .field("finish", &am.finish)
                 .field("user", &am.user)
                 .finish_non_exhaustive(),
-            Msg::Ack { finish } => f.debug_struct("Ack").field("finish", finish).finish(),
+            Msg::Ack { finish, count } => {
+                f.debug_struct("Ack").field("finish", finish).field("count", count).finish()
+            }
             Msg::EventNotify { slot } => f.debug_struct("EventNotify").field("slot", slot).finish(),
             Msg::Coll(c) => f.debug_struct("Coll").field("key", &c.key).finish_non_exhaustive(),
             Msg::Complete { stage, .. } => {

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use caf_core::cofence::LocalAccess;
-use caf_core::ids::{FinishId, TeamId};
+use caf_core::ids::{FinishId, ImageId, TeamId};
 use caf_core::rng::SplitMix64;
 use caf_core::termination::EpochDetector;
 
@@ -54,6 +54,10 @@ pub(crate) struct AsyncReg {
 pub(crate) struct ImageState {
     /// Per-finish detector frames (lazily created).
     pub finish_frames: HashMap<FinishId, FinishFrame>,
+    /// Delivery acks owed per (sender, finish), not yet flushed as a
+    /// counted [`crate::msg::Msg::Ack`]. Short: one entry per sender and
+    /// finish seen since the last flush.
+    pub owed_acks: Vec<(ImageId, FinishId, u64)>,
     /// Next finish sequence number per team.
     pub finish_seq: HashMap<TeamId, u64>,
     /// Dynamic attribution context: what finish (if any) newly initiated
@@ -98,6 +102,7 @@ impl ImageState {
     pub(crate) fn new(seed: u64) -> Self {
         ImageState {
             finish_frames: HashMap::new(),
+            owed_acks: Vec::new(),
             finish_seq: HashMap::new(),
             ctx_stack: Vec::new(),
             coll_buf: HashMap::new(),

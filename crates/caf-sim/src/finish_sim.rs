@@ -70,6 +70,8 @@ impl FinishSim {
     }
 
     /// Records a delivery acknowledgement arriving back at sender `img`.
+    /// One per message: the DES keeps the paper's per-message ack cost
+    /// model, where the threaded runtime counts acks per drain.
     pub fn on_delivered(&mut self, img: usize) {
         self.detectors[img].on_delivered(Parity::Even);
     }

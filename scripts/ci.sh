@@ -25,6 +25,9 @@ cargo build --release -p caf-check --quiet
 ./target/release/caf-check suite --images 3 --depth 2 --crash-scenarios \
     --max-states 200000 --quiet
 
+echo "== seeded protocol mutations (every one must be caught) =="
+./target/release/caf-check mutate
+
 echo "== caf-lint corpus (fixtures caught, goldens exact, examples clean) =="
 cargo build --release -p caf-lint --quiet
 lint_golden_tier() {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Mutation adequacy of the model checker: seed each hand-written protocol
-# bug (seven detector mutations + two cofence mutations) and confirm the
-# checker's oracles catch every one — then run the unmutated protocol
+# bug (eight finish-protocol mutations + two cofence mutations) and confirm
+# the checker's oracles catch every one — then run the unmutated protocol
 # through the same suite and confirm it comes back clean. A mutation that
 # escapes, or a clean-protocol counterexample, fails the script.
 #

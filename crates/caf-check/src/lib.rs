@@ -36,12 +36,15 @@
 //! exploration of the plan's dynamic semantics (`caf-check plan-diff`).
 //! [`timed`] plays the same world on one seeded timed schedule instead of
 //! all of them: the Fig. 5 and detector-ablation figures and the
-//! termination proptests run on it.
+//! termination proptests run on it. [`link_check`] explores the reliable
+//! link machine both substrates share, over a wire that drops,
+//! duplicates and reorders.
 
 pub mod capture;
 pub mod cofence_check;
 pub mod diff;
 pub mod explore;
+pub mod link_check;
 pub mod mutation;
 pub mod plan_bridge;
 pub mod replay;

@@ -5,6 +5,7 @@ use std::time::Instant;
 
 use caf_check::cofence_check::{self, CofenceMutation};
 use caf_check::explore::{explore, Counterexample, ExploreConfig};
+use caf_check::link_check::{self, LinkMutation};
 use caf_check::mutation::{Family, Mutation};
 use caf_check::replay::Replay;
 use caf_check::scenario::{parse_tree, scenarios, Scenario};
@@ -24,7 +25,8 @@ USAGE:
   caf-check suite [--images N] [--depth D] [--crash-scenarios]
                   [--max-states N] [--por-ratio] [--quiet]
       Explore the curated scenario family for every detector family plus
-      the cofence matrix. Exit 1 if any counterexample is found.
+      the cofence matrix and the lossy-link machine. Exit 1 if any
+      counterexample is found.
 
   caf-check mutate [--out DIR] [NAME...]
       Run every seeded mutation (or just NAME...) and confirm the checker
@@ -44,7 +46,7 @@ FAMILIES:  epoch-strict  epoch-loose  four-counter
 MUTATIONS: drop-quiescence-wait merge-epochs skip-poison local-verdict
            single-wave-four-counter ack-complete-confusion
            stale-contribution ack-miscount cofence-swap-read-write
-           cofence-ignore-upward
+           cofence-ignore-upward link-covers-upto link-bitmap-shift
 ";
 
 fn main() -> ExitCode {
@@ -258,11 +260,29 @@ fn cmd_suite(args: &[String]) -> Result<bool, String> {
         failures += 1;
         println!("cofence matrix violation: {}", v.detail);
     }
+    // The reliable-link machine over a lossy wire, every scenario.
+    let t0 = Instant::now();
+    let (link, link_violation) = link_check::check_all(None);
+    if !o.quiet {
+        println!(
+            "  {:<28} {:<13} {:>9} states {:>9} finals    {:>8.2?}",
+            "lossy-link",
+            "link-machine",
+            link.states,
+            link.finals,
+            t0.elapsed(),
+        );
+    }
+    if let Some(v) = &link_violation {
+        failures += 1;
+        println!("lossy-link {} violation: {}", v.kind.name(), v.detail);
+    }
     println!(
-        "suite: {} scenario×family runs + {programs} cofence programs, \
+        "suite: {} scenario×family runs + {programs} cofence programs + {} lossy-link states, \
          {total_states} states, {total_schedules} schedules, {truncated} truncated, \
          {failures} counterexamples, {:.2?}",
         runs,
+        link.states,
         start.elapsed()
     );
     if o.por_ratio {
@@ -303,6 +323,7 @@ fn cmd_mutate(args: &[String]) -> Result<bool, String> {
             .iter()
             .map(|m| m.name().to_string())
             .chain(CofenceMutation::ALL.iter().map(|m| m.name().to_string()))
+            .chain(LinkMutation::ALL.iter().map(|m| m.name().to_string()))
             .collect()
     } else {
         o.names.clone()
@@ -317,6 +338,16 @@ fn cmd_mutate(args: &[String]) -> Result<bool, String> {
                 }
                 None => {
                     println!("{name}: ESCAPED the cofence matrix");
+                    all_caught = false;
+                }
+            }
+            continue;
+        }
+        if let Ok(m) = LinkMutation::parse(name) {
+            match link_check::check_all(Some(m)) {
+                (_, Some(v)) => println!("{name}: CAUGHT ({}) — {}", v.kind.name(), v.detail),
+                (_, None) => {
+                    println!("{name}: ESCAPED the lossy-link scenarios");
                     all_caught = false;
                 }
             }

@@ -12,7 +12,12 @@
 //! budget. Exceeding the budget is surfaced to the runtime, whose
 //! no-progress watchdog converts the silent hang into a structured
 //! `RuntimeError::Stalled` diagnostic instead.
+//!
+//! A [`LinkMachine`] is the transport itself: the sans-IO ack/retry/dedup
+//! state of one image's link with one peer, driven by the threaded fabric,
+//! the discrete-event simulator, and the `caf-check` lossy-link explorer.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use crate::rng::{splitmix64_hash, SplitMix64};
@@ -167,20 +172,12 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan can perturb anything at all.
-    pub fn is_active(&self) -> bool {
-        self.drop_p > 0.0
-            || self.dup_p > 0.0
-            || self.spike_p > 0.0
-            || self.links.iter().any(|l| l.drop_p > 0.0)
-            || !self.stalls.is_empty()
-            || !self.crashes.is_empty()
-    }
-
-    /// The wire sequence at which `image` fail-stops, if it is scheduled
-    /// to crash (earliest point wins when listed more than once).
-    pub fn crash_point(&self, image: usize) -> Option<u64> {
-        self.crashes.iter().filter(|c| c.image == image).map(|c| c.at_seq).min()
+    /// The images whose crash point wire transmission `wire_seq` has
+    /// reached. A crash fires on the first transmission at or past its
+    /// `at_seq`, so an image listed twice fires at the earlier point. Both
+    /// substrates arm their crashes through this one rule.
+    pub fn crashes_due(&self, wire_seq: u64) -> impl Iterator<Item = usize> + '_ {
+        self.crashes.iter().filter(move |c| wire_seq >= c.at_seq).map(|c| c.image)
     }
 
     /// Effective drop probability for one ordered link.
@@ -218,13 +215,28 @@ impl FaultPlan {
     /// Extra delivery delay imposed because `image` is inside a straggler
     /// window at `elapsed` (time since fabric creation). Zero when the
     /// image is live.
-    pub fn stall_extra(&self, image: usize, elapsed: Duration) -> Duration {
+    fn stall_extra(&self, image: usize, elapsed: Duration) -> Duration {
         self.stalls
             .iter()
             .filter(|w| w.image == image)
             .filter_map(|w| w.remaining_at(elapsed))
             .max()
             .unwrap_or(Duration::ZERO)
+    }
+
+    /// Extra delivery delay of one transmission on `from → to` at
+    /// `elapsed` since the plan's epoch: the spike `d` rolled, plus the
+    /// straggler windows covering either endpoint (a descheduled sender
+    /// cannot inject, a descheduled receiver cannot run handlers).
+    pub fn extra_delay(
+        &self,
+        from: usize,
+        to: usize,
+        d: FaultDecision,
+        elapsed: Duration,
+    ) -> Duration {
+        let spike = if d.delay_spike { self.spike_delay } else { Duration::ZERO };
+        spike + self.stall_extra(from, elapsed) + self.stall_extra(to, elapsed)
     }
 }
 
@@ -260,6 +272,12 @@ impl RetryPolicy {
         (self.ack_timeout * factor).min(self.max_timeout)
     }
 
+    /// [`RetryPolicy::timeout_after`] in integer nanoseconds, the unit of
+    /// [`LinkMachine`] deadlines.
+    fn timeout_ns(&self, attempts: u32) -> u64 {
+        self.timeout_after(attempts).as_nanos() as u64
+    }
+
     /// A tight policy for tests: fast retries, small budget, so both the
     /// recovery path and the exhaustion path complete quickly.
     pub fn aggressive() -> Self {
@@ -279,10 +297,9 @@ impl RetryPolicy {
 
 /// Receiver-side exactly-once filter for one (receiver, sender) link:
 /// a contiguous watermark plus the set of out-of-order arrivals ahead of
-/// it (delivery need not be FIFO, so gaps are normal, not loss). Shared
-/// between the threaded fabric's reliable-delivery layer and the
-/// discrete-event simulator's mirror of it.
-#[derive(Debug, Default, Clone)]
+/// it (delivery need not be FIFO, so gaps are normal, not loss). The
+/// receiving half of [`LinkMachine`].
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 pub struct SeqTracker {
     next: u64,
     ahead: std::collections::BTreeSet<u64>,
@@ -322,9 +339,9 @@ impl SeqTracker {
 /// arrived, `upto` itself has not, and bit `i` of `bits` says whether
 /// `upto + 1 + i` has. Sixteen bytes on the wire ([`ACK_BYTES`]).
 /// Arrivals more than [`CumAck::WINDOW`] above the watermark are covered
-/// once the watermark passes them. Both substrates retire frames through
+/// once the watermark passes them. [`LinkMachine`] retires frames through
 /// [`CumAck::covers`] alone.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct CumAck {
     /// The watermark: the lowest sequence not yet received.
     pub upto: u64,
@@ -343,6 +360,195 @@ impl CumAck {
             || (seq > self.upto
                 && seq - self.upto <= Self::WINDOW
                 && self.bits >> (seq - self.upto - 1) & 1 == 1)
+    }
+}
+
+/// One image's end of its reliable link with one peer: the sans-IO
+/// ack/retry/dedup machine that restores exactly-once delivery over a
+/// lossy, duplicating, non-FIFO wire. Both substrates drive it — the
+/// threaded fabric under a per-image mutex with deadlines in nanoseconds
+/// since its epoch, the DES from engine events in virtual nanoseconds —
+/// and the model checker explores it. It never reads a clock, takes a
+/// lock, or rolls the fault dice: callers pass `now` in and put the
+/// [`Frame`]s it returns on the wire themselves.
+///
+/// * **Sending.** [`LinkMachine::send`] allocates the next sequence,
+///   keeps the frame in a seq-indexed window until an ack covers it, and
+///   piggybacks the ack owed to the peer, if any. [`LinkMachine::pump`]
+///   retransmits due frames with exponential backoff (retransmits carry
+///   no piggyback) and gives up on a frame once its budget of
+///   `max_retries` resends is spent. [`LinkMachine::abandon`] drops the
+///   whole window toward a peer the caller holds dead.
+/// * **Receiving.** [`LinkMachine::on_data`] dedups by sequence and marks
+///   the peer owed a cumulative ack — duplicates too, since the previous
+///   ack may have been lost. [`LinkMachine::take_ack`] hands that ack
+///   out once, for a standalone ack frame.
+/// * **Acks.** [`LinkMachine::on_ack`] retires exactly the frames a
+///   [`CumAck`] covers, however acks are reordered or lost.
+///
+/// `P` is the caller's payload handle, cloned once per transmission.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct LinkMachine<P> {
+    /// Sequence of `frames[0]`; the next one to allocate is
+    /// `base + frames.len()`.
+    base: u64,
+    /// The send window: `frames[i]` is frame `base + i`, `None` once
+    /// retired or given up.
+    frames: VecDeque<Option<Outstanding<P>>>,
+    /// Frames still outstanding (the `Some` slots).
+    live: usize,
+    /// Lower bound on the live frames' deadlines, meaningful while
+    /// `live > 0`. It may only be stale-early: `send` lowers it, an ack
+    /// leaves it alone, and `pump` recomputes it.
+    next_due: u64,
+    /// Dedup of the peer's frames.
+    seen: SeqTracker,
+    /// Whether the peer is owed a cumulative ack.
+    owed: bool,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Outstanding<P> {
+    payload: P,
+    /// Transmissions so far (1 = the original send).
+    attempts: u32,
+    /// When the frame is next retransmitted, in caller nanoseconds.
+    due: u64,
+}
+
+/// One `Data` transmission for the caller to put on the wire.
+#[derive(Debug, Clone)]
+pub struct Frame<P> {
+    /// The frame's sequence on its link.
+    pub seq: u64,
+    /// The cumulative ack of the reverse link, piggybacked.
+    pub ack: Option<CumAck>,
+    /// The payload handle.
+    pub payload: P,
+}
+
+/// What [`LinkMachine::pump`] asks of its caller.
+#[derive(Debug, Clone)]
+pub enum LinkAction<P> {
+    /// Retransmit this frame.
+    Transmit(Frame<P>),
+    /// This frame spent its retry budget and left the window.
+    GiveUp(P),
+}
+
+impl<P> Default for LinkMachine<P> {
+    fn default() -> Self {
+        LinkMachine {
+            base: 0,
+            frames: VecDeque::new(),
+            live: 0,
+            next_due: 0,
+            seen: SeqTracker::default(),
+            owed: false,
+        }
+    }
+}
+
+impl<P: Clone> LinkMachine<P> {
+    /// Queues `payload` as the next frame, due for its first retry one ack
+    /// timeout after `now`, and returns its first transmission, carrying
+    /// the owed ack (which is then no longer owed).
+    pub fn send(&mut self, payload: P, now: u64, retry: &RetryPolicy) -> Frame<P> {
+        let due = now.saturating_add(retry.timeout_ns(1));
+        self.next_due = if self.live == 0 { due } else { self.next_due.min(due) };
+        self.live += 1;
+        let seq = self.next_seq();
+        self.frames
+            .push_back(Some(Outstanding { payload: payload.clone(), attempts: 1, due }));
+        Frame { seq, ack: self.take_ack(), payload }
+    }
+
+    /// Records the arrival of the peer's frame `seq` and marks the peer
+    /// owed an ack; returns whether `seq` is fresh (first sight).
+    pub fn on_data(&mut self, seq: u64) -> bool {
+        self.owed = true;
+        self.seen.note(seq)
+    }
+
+    /// Takes the cumulative ack owed to the peer, if any.
+    pub fn take_ack(&mut self) -> Option<CumAck> {
+        std::mem::take(&mut self.owed).then(|| self.seen.cum_ack())
+    }
+
+    /// Retires every frame `ack` covers, handing each payload to
+    /// `retired` in sequence order. A stale or repeated ack retires
+    /// nothing.
+    pub fn on_ack(&mut self, ack: CumAck, mut retired: impl FnMut(P)) {
+        let end = self.next_seq().min(ack.upto.saturating_add(CumAck::WINDOW + 1));
+        for (seq, slot) in (self.base..end).zip(self.frames.iter_mut()) {
+            if let Some(o) = slot.take_if(|_| ack.covers(seq)) {
+                self.live -= 1;
+                retired(o.payload);
+            }
+        }
+        self.trim();
+    }
+
+    /// Retransmits every frame due at `now`, backing its deadline off, or
+    /// gives it up once it has been sent `1 + max_retries` times. Does
+    /// nothing before [`LinkMachine::next_due`].
+    pub fn pump(&mut self, now: u64, retry: &RetryPolicy, mut act: impl FnMut(LinkAction<P>)) {
+        if self.live == 0 || self.next_due > now {
+            return;
+        }
+        let mut next_due = u64::MAX;
+        for (seq, slot) in (self.base..).zip(self.frames.iter_mut()) {
+            let Some(o) = slot else { continue };
+            if o.due > now {
+                next_due = next_due.min(o.due);
+                continue;
+            }
+            if o.attempts > retry.max_retries {
+                self.live -= 1;
+                act(LinkAction::GiveUp(slot.take().expect("live frame").payload));
+                continue;
+            }
+            o.attempts += 1;
+            o.due = now.saturating_add(retry.timeout_ns(o.attempts));
+            next_due = next_due.min(o.due);
+            act(LinkAction::Transmit(Frame { seq, ack: None, payload: o.payload.clone() }));
+        }
+        self.next_due = next_due;
+        self.trim();
+    }
+}
+
+impl<P> LinkMachine<P> {
+    /// Drops the whole send window (the peer is dead: its frames are dead
+    /// letters) without reusing its sequences; returns how many frames
+    /// were outstanding.
+    pub fn abandon(&mut self) -> usize {
+        self.base = self.next_seq();
+        self.frames.clear();
+        std::mem::take(&mut self.live)
+    }
+
+    /// When [`LinkMachine::pump`] next has work, if any frame is
+    /// outstanding. It may be early (a harmless extra wake-up), never late.
+    pub fn next_due(&self) -> Option<u64> {
+        (self.live > 0).then_some(self.next_due)
+    }
+
+    /// Frames sent and not yet acknowledged or given up.
+    pub fn backlog(&self) -> usize {
+        self.live
+    }
+
+    fn next_seq(&self) -> u64 {
+        self.base + self.frames.len() as u64
+    }
+
+    /// Slides the window past retired frames.
+    fn trim(&mut self) {
+        while let Some(None) = self.frames.front() {
+            self.frames.pop_front();
+            self.base += 1;
+        }
     }
 }
 
@@ -429,7 +635,6 @@ mod tests {
         assert_eq!(plan.stall_extra(2, Duration::from_millis(12)), Duration::from_millis(3));
         assert_eq!(plan.stall_extra(2, Duration::from_millis(15)), Duration::ZERO);
         assert_eq!(plan.stall_extra(1, Duration::from_millis(12)), Duration::ZERO);
-        assert!(plan.is_active());
     }
 
     #[test]
@@ -448,22 +653,224 @@ mod tests {
     }
 
     #[test]
-    fn inactive_plan_reports_inactive() {
-        assert!(!FaultPlan::none(3).is_active());
-        assert!(FaultPlan::uniform_drop(3, 0.01).is_active());
+    fn an_image_listed_twice_fires_at_the_earlier_seq() {
+        let plan = FaultPlan::none(9).with_crash(3, 500).with_crash(1, 300).with_crash(3, 120);
+        let due = |seq| plan.crashes_due(seq).collect::<Vec<_>>();
+        assert!(due(119).is_empty(), "nothing fires before the earliest point");
+        assert_eq!(due(120), vec![3], "image 3 fires at its earlier point");
+        assert_eq!(due(300), vec![1, 3], "plan order");
+        assert_eq!(due(500), vec![3, 1, 3], "callers skip an image already crashed");
     }
 
     #[test]
-    fn crash_schedule_activates_the_plan() {
-        let plan = FaultPlan::none(9).with_crash(2, 100);
-        assert!(plan.is_active(), "a crash-only plan must route through chaos");
-        assert_eq!(plan.crash_point(2), Some(100));
-        assert_eq!(plan.crash_point(1), None);
+    fn timeout_schedule_in_nanoseconds() {
+        let p = RetryPolicy {
+            ack_timeout: Duration::from_micros(10),
+            backoff: 2,
+            max_timeout: Duration::from_micros(50),
+            max_retries: 3,
+        };
+        assert_eq!(p.timeout_ns(1), 10_000);
+        assert_eq!(p.timeout_ns(2), 20_000);
+        assert_eq!(p.timeout_ns(3), 40_000);
+        assert_eq!(p.timeout_ns(4), 50_000, "capped at max_timeout");
+        assert_eq!(p.exhaustion_horizon(), Duration::from_nanos(10_000 + 20_000 + 40_000 + 50_000));
     }
 
     #[test]
-    fn earliest_crash_point_wins() {
-        let plan = FaultPlan::none(9).with_crash(3, 500).with_crash(3, 120);
-        assert_eq!(plan.crash_point(3), Some(120));
+    fn stall_windows_project_into_sim_time() {
+        let plan =
+            FaultPlan::none(1).with_stall(4, Duration::from_micros(100), Duration::from_micros(40));
+        let at = |from, to, ns| {
+            plan.extra_delay(from, to, FaultDecision::CLEAN, Duration::from_nanos(ns))
+                .as_nanos()
+        };
+        assert_eq!(at(4, 0, 50_000), 0, "before the window");
+        assert_eq!(at(4, 0, 100_000), 40_000, "window start");
+        assert_eq!(at(0, 4, 120_000), 20_000, "either endpoint");
+        assert_eq!(at(0, 4, 140_000), 0, "window closed");
+        assert_eq!(at(0, 1, 110_000), 0, "uninvolved link");
+        let spiked = FaultPlan { spike_delay: Duration::from_micros(7), ..plan.clone() };
+        let spike = FaultDecision { delay_spike: true, ..FaultDecision::CLEAN };
+        assert_eq!(spiked.extra_delay(0, 4, spike, Duration::from_micros(130)).as_nanos(), 17_000);
+    }
+
+    #[test]
+    fn tracker_accepts_each_seq_once() {
+        let mut t = SeqTracker::default();
+        assert!(t.note(0));
+        assert!(!t.note(0));
+        assert!(t.note(1));
+        assert!(!t.note(1));
+        assert!(!t.note(0));
+    }
+
+    #[test]
+    fn tracker_handles_out_of_order_and_gaps() {
+        let mut t = SeqTracker::default();
+        assert!(t.note(3));
+        assert!(t.note(1));
+        assert!(!t.note(3), "re-delivery ahead of watermark");
+        assert!(t.note(0));
+        assert!(!t.note(1), "absorbed into watermark by now");
+        assert!(t.note(2));
+        assert!(!t.note(3), "watermark passed it");
+        assert!(t.note(4));
+    }
+
+    /// Both ends of one link: `a` sends to `b`.
+    fn pair() -> (LinkMachine<u32>, LinkMachine<u32>, RetryPolicy) {
+        (LinkMachine::default(), LinkMachine::default(), RetryPolicy::default())
+    }
+
+    /// Everything `pump` asks for at `now`.
+    fn pumped(m: &mut LinkMachine<u32>, now: u64, retry: &RetryPolicy) -> Vec<LinkAction<u32>> {
+        let mut acts = Vec::new();
+        m.pump(now, retry, |a| acts.push(a));
+        acts
+    }
+
+    #[test]
+    fn reordered_acks_retire_by_seq_and_keep_seqs_monotone() {
+        let (mut a, _, retry) = pair();
+        let seqs: Vec<u64> = (0..4).map(|i| a.send(i, 0, &retry).seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3]);
+        // The receiver sees 2, 0, 3 and acks after each; the acks arrive
+        // newest first, then a stale repeat of the oldest.
+        let mut seen = SeqTracker::default();
+        let acks: Vec<CumAck> = [2, 0, 3]
+            .into_iter()
+            .map(|s| {
+                seen.note(s);
+                seen.cum_ack()
+            })
+            .collect();
+        for &ack in acks.iter().rev().chain(&acks[..1]) {
+            a.on_ack(ack, drop);
+        }
+        assert_eq!(a.backlog(), 1, "only seq 1 is still unacked");
+        seen.note(1);
+        a.on_ack(seen.cum_ack(), drop);
+        assert_eq!(a.backlog(), 0);
+        assert_eq!(a.next_due(), None);
+        assert_eq!(a.send(9, 0, &retry).seq, 4);
+        // A dead destination abandons the window without reusing seqs.
+        assert_eq!(a.abandon(), 1, "one frame abandoned");
+        assert!(pumped(&mut a, 60_000_000_000, &retry).is_empty());
+        assert_eq!(a.backlog(), 0);
+        assert_eq!(a.send(10, 0, &retry).seq, 5);
+    }
+
+    #[test]
+    fn frames_beyond_the_bitmap_retire_once_the_watermark_passes_them() {
+        let (mut a, mut b, retry) = pair();
+        let frames: Vec<Frame<u32>> = (0..=70).map(|i| a.send(i, 0, &retry)).collect();
+        let mut delivered = 0;
+        let mut deliver = |b: &mut LinkMachine<u32>, f: &Frame<u32>| {
+            let fresh = b.on_data(f.seq).then_some(f.payload);
+            delivered += fresh.is_some() as u64;
+            fresh
+        };
+        let ack_back = |a: &mut LinkMachine<u32>, b: &mut LinkMachine<u32>| {
+            a.on_ack(b.take_ack().expect("arrivals owe an ack"), drop);
+        };
+        // Seq 70 lands 70 above the watermark (0): outside the bitmap.
+        assert_eq!(deliver(&mut b, &frames[70]), Some(70));
+        ack_back(&mut a, &mut b);
+        assert_eq!(a.backlog(), 71, "nothing is covered yet");
+        (1..70).for_each(|s| assert_eq!(deliver(&mut b, &frames[s]), Some(s as u32)));
+        ack_back(&mut a, &mut b);
+        assert_eq!(a.backlog(), 7, "the bitmap covers 1..=64 only");
+        assert_eq!(deliver(&mut b, &frames[0]), Some(0));
+        ack_back(&mut a, &mut b);
+        assert_eq!(a.backlog(), 0, "the watermark passed 70");
+        // A late copy of every frame surfaces nothing: delivered once.
+        for copy in &frames {
+            assert_eq!(deliver(&mut b, copy), None);
+        }
+        assert_eq!(delivered, 71);
+    }
+
+    #[test]
+    fn a_lost_cumulative_ack_is_repaired_by_the_next() {
+        let (mut a, mut b, retry) = pair();
+        let frames: Vec<Frame<u32>> = (0..5).map(|i| a.send(i, 0, &retry)).collect();
+        for f in &frames[..3] {
+            assert!(b.on_data(f.seq));
+        }
+        let lost = b.take_ack();
+        assert!(lost.is_some(), "one ack for the link, not one per frame");
+        assert!(b.take_ack().is_none(), "flushing clears the debt");
+        for f in &frames[3..] {
+            assert!(b.on_data(f.seq));
+        }
+        assert_eq!(a.backlog(), 5, "the first ack was lost on the wire");
+        a.on_ack(b.take_ack().expect("the later arrivals owe one"), drop);
+        assert_eq!(a.backlog(), 0, "the next ack covers the lost one's frames");
+    }
+
+    #[test]
+    fn piggybacks_ride_first_transmissions_only() {
+        let (mut a, mut b, retry) = pair();
+        let f = a.send(1, 0, &retry);
+        assert_eq!(f.ack, None, "nothing owed yet");
+        b.on_data(f.seq);
+        let reply = b.send(2, 0, &retry);
+        assert!(reply.ack.is_some());
+        assert!(b.take_ack().is_none(), "the piggyback settled the debt");
+        let later = 60_000_000_000;
+        assert!(matches!(
+            pumped(&mut b, later, &retry)[..],
+            [LinkAction::Transmit(Frame { ack: None, .. })]
+        ));
+    }
+
+    /// The exact minimum over live frames, by a full scan.
+    fn true_min(links: &[LinkMachine<u32>]) -> Option<u64> {
+        links.iter().flat_map(|l| l.frames.iter().flatten().map(|o| o.due)).min()
+    }
+
+    #[test]
+    fn next_retry_at_is_never_later_than_the_true_minimum() {
+        const MS: u64 = 1_000_000;
+        let retry = RetryPolicy {
+            ack_timeout: Duration::from_millis(1),
+            backoff: 2,
+            max_timeout: Duration::from_millis(8),
+            max_retries: 3,
+        };
+        // One sender's links toward two peers; its next retry is the
+        // earliest over both.
+        let mut links = [LinkMachine::default(), LinkMachine::default()];
+        let check = |links: &[LinkMachine<u32>], what: &str| {
+            let bound = links.iter().filter_map(LinkMachine::next_due).min();
+            let exact = true_min(links);
+            assert_eq!(bound.is_some(), exact.is_some(), "{what}: pending mismatch");
+            assert!(bound <= exact, "{what}: bound {bound:?} later than {exact:?}");
+        };
+        let mut seen = [SeqTracker::default(), SeqTracker::default()];
+        for round in 0..6u32 {
+            let now = round as u64 * 3 * MS;
+            for k in 0..2 {
+                let f = links[k].send(round, now, &retry);
+                check(&links, "inject");
+                // Acks land for every other frame, out of order.
+                if round % 2 == k as u32 {
+                    seen[k].note(f.seq);
+                    links[k].on_ack(seen[k].cum_ack(), drop);
+                    check(&links, "ack");
+                }
+            }
+            let resent: usize = links.iter_mut().map(|l| pumped(l, now, &retry).len()).sum();
+            check(&links, "pump");
+            assert!(round > 0 || resent == 0, "nothing is due at the start");
+        }
+        // Exhaust everything: the bound must track down to none.
+        for ms in (20..200).step_by(10) {
+            links.iter_mut().for_each(|l| drop(pumped(l, ms * MS, &retry)));
+            check(&links, "drain");
+        }
+        assert_eq!(links.iter().map(LinkMachine::backlog).sum::<usize>(), 0);
+        assert_eq!(links.iter().filter_map(LinkMachine::next_due).min(), None);
     }
 }

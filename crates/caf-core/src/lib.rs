@@ -7,8 +7,8 @@
 //! * [`ids`] — image/team/finish/event identifiers and epoch [`ids::Parity`];
 //! * [`config`] — the interconnect cost model and runtime configuration;
 //! * [`fault`] — seeded deterministic fault injection (drops, duplicates,
-//!   delay spikes, stragglers, fail-stop crashes) and the retry policy
-//!   that answers it;
+//!   delay spikes, stragglers, fail-stop crashes), the retry policy that
+//!   answers it, and the reliable-link machine that applies that policy;
 //! * [`failure`] — heartbeat-based fail-stop failure detection:
 //!   suspect/confirm transitions, incarnation numbers, posthumous-message
 //!   filtering;

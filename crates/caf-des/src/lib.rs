@@ -10,17 +10,16 @@
 //! * [`engine`] — the time-ordered event queue (deterministic tie-breaks,
 //!   no wall-clock or ambient randomness);
 //! * [`net`] — the interconnect cost model in integer nanoseconds,
-//!   convertible from the shared [`caf_core::config::NetworkModel`];
-//! * [`chaos`] — the fault-injection plan and retry policy projected into
-//!   simulated time, sharing [`caf_core::fault::FaultPlan`]'s decision
-//!   stream with the threaded fabric.
+//!   convertible from the shared [`caf_core::config::NetworkModel`].
+//!
+//! Models that inject faults roll [`caf_core::fault::FaultPlan`]'s dice
+//! and drive `caf_core::fault`'s reliable-link machine directly, in the
+//! engine's integer nanoseconds.
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod engine;
 pub mod net;
 
-pub use chaos::ChaosWire;
 pub use engine::{Engine, SimTime};
 pub use net::SimNet;

@@ -54,9 +54,17 @@ use crate::stats::FabricStats;
 /// The fault schedule plus the reliable layer answering it.
 struct Chaos<M> {
     plan: FaultPlan,
-    /// Fabric creation time — stall windows are relative to this.
+    /// Fabric creation time — stall windows and retry deadlines are
+    /// relative to this.
     epoch: Instant,
     reliable: Reliable<M>,
+}
+
+impl<M> Chaos<M> {
+    /// `at` in the reliable layer's clock: nanoseconds since the epoch.
+    fn ns(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
 }
 
 /// The interconnect between `n` images, carrying messages of type `M`.
@@ -284,7 +292,9 @@ impl<M: Send> Fabric<M> {
         let wire = match &self.chaos {
             // Self-sends bypass the wire — and therefore the fault layer —
             // in both modes.
-            Some(chaos) if from != to => chaos.reliable.inject(from, to, payload_bytes, msg),
+            Some(chaos) if from != to => {
+                chaos.reliable.inject(from, to, payload_bytes, msg, chaos.ns(Instant::now()))
+            }
             _ => Wire::Raw(msg),
         };
         self.transmit(from, to, payload_bytes, wire);
@@ -301,10 +311,10 @@ impl<M: Send> Fabric<M> {
         // their trigger sequence — the same wire-seq keying both
         // substrates use, so a crash point reproduces across runs.
         if let Some(chaos) = &self.chaos {
-            for c in &chaos.plan.crashes {
-                if seq >= c.at_seq && !self.crashed[c.image].load(Ordering::Acquire) {
-                    self.crashed[c.image].store(true, Ordering::Release);
-                    self.crashed_at[c.image].lock().get_or_insert_with(Instant::now);
+            for image in chaos.plan.crashes_due(seq) {
+                if !self.crashed[image].load(Ordering::Acquire) {
+                    self.crashed[image].store(true, Ordering::Release);
+                    self.crashed_at[image].lock().get_or_insert_with(Instant::now);
                 }
             }
         }
@@ -325,16 +335,9 @@ impl<M: Send> Fabric<M> {
             }
         }
         if let Some(chaos) = self.chaos.as_ref().filter(|_| from != to) {
-            let elapsed = chaos.epoch.elapsed();
-            // A stalled endpoint defers traffic until its window closes:
-            // a descheduled sender cannot inject, a descheduled receiver
-            // cannot run handlers.
-            delay += chaos.plan.stall_extra(from.index(), elapsed);
-            delay += chaos.plan.stall_extra(to.index(), elapsed);
             let decision = chaos.plan.decide(from.index(), to.index(), seq);
-            if decision.delay_spike {
-                delay += chaos.plan.spike_delay;
-            }
+            let elapsed = chaos.epoch.elapsed();
+            delay += chaos.plan.extra_delay(from.index(), to.index(), decision, elapsed);
             if decision.drop {
                 self.stats.note_wire_drop();
                 return; // vanishes; the retry timer will answer
@@ -361,7 +364,7 @@ impl<M: Send> Fabric<M> {
         let now = Instant::now();
         let fl = self.failure.as_ref();
         let is_dead = |peer| fl.is_some_and(|fl| fl.is_dead(image, peer));
-        let (resend, exhausted) = chaos.reliable.pump(image, now, is_dead, &self.stats);
+        let (resend, exhausted) = chaos.reliable.pump(image, chaos.ns(now), is_dead, &self.stats);
         if let Some(fl) = fl {
             fl.on_retry_exhausted(image, &exhausted);
         }
@@ -459,7 +462,9 @@ impl<M: Send> Fabric<M> {
         self.flush_acks(image);
         self.pump(image);
         // A parked sender must wake in time to retransmit.
-        let retry = self.chaos.as_ref().and_then(|c| c.reliable.next_retry_at(image));
+        let retry = self.chaos.as_ref().and_then(|c| {
+            c.reliable.next_retry_at(image).map(|ns| c.epoch + Duration::from_nanos(ns))
+        });
         self.inboxes[image.index()].wait_activity(retry.map_or(deadline, |r| r.min(deadline)));
         self.pump(image);
     }

@@ -2,12 +2,13 @@
 //!
 //! The threaded runtime can only chaos-test a handful of images; this
 //! model replays the *same* protocol stack — [`FaultPlan`] fault rolls,
-//! ack/retry reliable delivery with [`SeqTracker`] dedup and per-link
-//! cumulative [`CumAck`]s (flushed once per link per virtual instant;
-//! unlike the fabric, the model never piggybacks them), the strict
-//! epoch termination detector via [`FinishSim`], and (when engaged) the
-//! fail-stop [`FailureDetectorState`] — as discrete events, so the
-//! exactly-once, never-terminate-early, and every-survivor-observes
+//! ack/retry reliable delivery by the fabric's own [`LinkMachine`] (one
+//! per communicating (image, peer) pair; cumulative acks ride reverse
+//! `Data` as piggybacks, or are flushed once per link per virtual
+//! instant; one retry wake per link at the machine's deadline), the
+//! strict epoch termination detector via [`FinishSim`], and (when
+//! engaged) the fail-stop [`FailureDetectorState`] — as discrete events,
+//! so the exactly-once, never-terminate-early, and every-survivor-observes
 //! properties can be checked at the paper's 4K+ image counts in
 //! milliseconds.
 //!
@@ -25,22 +26,27 @@
 //! `Crash { image, at_seq }` fires on the same global wire-sequence
 //! keying as `caf-net`, silence (or retry exhaustion) drives the
 //! suspect → confirm two-phase detector, and the first confirmation
-//! broadcasts a team-wide `Down` message over the reliable sublayer.
+//! broadcasts a team-wide `Down` message over the reliable sublayer. A
+//! sender abandons its window toward a peer it holds dead at the link's
+//! next retry wake, as the fabric's pump does.
 //! Every survivor that learns the death poisons its epoch detector; the
 //! poisoned wave closes without the victim and the run reports
 //! [`ChaosOutcome::Failed`] — the virtual twin of
 //! `RuntimeError::ImageFailed` — naming the victim, the detection
 //! latency, and exactly which images observed the failure.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Duration;
 
-use caf_core::failure::{FailureDetectorState, FailureEvent, FailureParams};
-use caf_core::fault::{CumAck, FaultPlan, RetryPolicy, SeqTracker, ACK_BYTES, FIRST_INCARNATION};
+use caf_core::failure::{FailureDetectorState, FailureEvent, FailureParams, PeerHealth};
+use caf_core::fault::{
+    CumAck, FaultDecision, FaultPlan, Frame, LinkAction, LinkMachine, RetryPolicy, ACK_BYTES,
+    FIRST_INCARNATION,
+};
 use caf_core::ids::Parity;
 use caf_core::rng::SplitMix64;
 use caf_core::termination::WaveDecision;
-use caf_des::{ChaosWire, Engine, SimNet};
+use caf_des::{Engine, SimNet};
 
 use crate::finish_sim::FinishSim;
 
@@ -168,19 +174,21 @@ enum Payload {
 }
 
 enum Ev {
-    /// Sender puts (another) copy of `link_seq` on the wire.
-    Xmit { from: usize, to: usize, link_seq: u64 },
-    /// A copy arrives at `to`.
-    Data { from: usize, to: usize, link_seq: u64, payload: Payload },
-    /// `receiver` puts the cumulative ack it owes `sender` on the wire.
+    /// `from` sends `payload` to `to` as a fresh frame.
+    Send { from: usize, to: usize, payload: Payload },
+    /// A copy of `frame` arrives at `to`.
+    Data { from: usize, to: usize, frame: Frame<Payload> },
+    /// `receiver` puts the cumulative ack it owes `sender` on the wire,
+    /// unless a piggyback or an earlier flush already settled it.
     AckFlush { receiver: usize, sender: usize },
     /// A cumulative acknowledgement arrives back at `to` (the original
     /// sender of the `to → from` link).
     Ack { from: usize, to: usize, ack: CumAck },
     /// A delivered spawn's handler finishes at `img`.
     HandlerDone { img: usize, tag: Parity },
-    /// The sender's ack timer for `link_seq` expires.
-    RetryTimeout { from: usize, to: usize, link_seq: u64 },
+    /// The `from → to` link's retry deadline `at` falls due. Stale, and
+    /// ignored, once the link's machine has moved its deadline.
+    RetryWake { from: usize, to: usize, at: u64 },
     /// The open reduction wave closes.
     WaveComplete,
     /// `img` puts a heartbeat to its ring monitor on the wire (recurring).
@@ -202,31 +210,16 @@ impl Ev {
     }
 }
 
-struct Pending {
-    payload: Payload,
-    attempts: u32,
-}
-
 struct ChaosSim {
     cfg: ChaosSimConfig,
-    wire: ChaosWire,
     rng: SplitMix64,
     engine: Engine<Ev>,
     fsim: FinishSim,
-    /// `trackers[receiver][sender]` — exactly-once filter per link.
-    trackers: Vec<Vec<SeqTracker>>,
-    /// `(receiver, sender)` links owing a cumulative ack, each with one
-    /// flush event pending.
-    owed: HashSet<(usize, usize)>,
-    /// Unacknowledged frames per `(sender, receiver)` link, by sequence.
-    outstanding: HashMap<(usize, usize), BTreeMap<u64, Pending>>,
-    /// Next per-link sequence number (spawns and Down notices share the
-    /// space, exactly like the fabric's per-sender counters).
-    next_link_seq: Vec<Vec<u64>>,
+    /// `links[(image, peer)]`: `image`'s end of its link with `peer`,
+    /// created on first use (only communicating pairs cost memory).
+    links: HashMap<(usize, usize), LinkMachine<Payload>>,
     wire_seq: u64,
     acked: u64,
-    /// The crash schedule, copied out of the plan.
-    crash_sched: Vec<(usize, u64)>,
     crashed: Vec<bool>,
     /// Virtual time the (first) crash fired — detection-latency base.
     crashed_at_ns: Option<u64>,
@@ -251,10 +244,7 @@ struct ChaosSim {
 impl ChaosSim {
     fn new(cfg: ChaosSimConfig) -> Self {
         let p = cfg.images;
-        let wire = ChaosWire::new(cfg.plan.clone(), cfg.retry.clone());
         let rng = SplitMix64::new(cfg.plan.seed ^ 0xC4A0_5EED);
-        let crash_sched: Vec<(usize, u64)> =
-            cfg.plan.crashes.iter().map(|c| (c.image, c.at_seq)).collect();
         let detectors: Vec<FailureDetectorState> = match &cfg.failure {
             Some(params) => (0..p)
                 .map(|i| {
@@ -276,17 +266,12 @@ impl ChaosSim {
             None => (0, 0),
         };
         ChaosSim {
-            wire,
             rng,
             engine: Engine::new(),
             fsim: FinishSim::new(p, true),
-            trackers: (0..p).map(|_| vec![SeqTracker::default(); p]).collect(),
-            owed: HashSet::new(),
-            outstanding: HashMap::new(),
-            next_link_seq: vec![vec![0u64; p]; p],
+            links: HashMap::new(),
             wire_seq: 0,
             acked: 0,
-            crash_sched,
             crashed: vec![false; p],
             crashed_at_ns: None,
             detectors,
@@ -343,107 +328,105 @@ impl ChaosSim {
         self.live_pending > 0 || self.engine.now() < self.idle_deadline_ns
     }
 
-    /// Scheduled crashes fire on the first transmission at or past their
-    /// trigger sequence — the same wire-seq keying the threaded fabric
-    /// uses, so a crash point reproduces across substrates.
-    fn arm_crashes(&mut self, seq: u64) {
-        for k in 0..self.crash_sched.len() {
-            let (image, at_seq) = self.crash_sched[k];
-            if seq >= at_seq && !self.crashed[image] {
-                self.crashed[image] = true;
-                if self.crashed_at_ns.is_none() {
-                    self.crashed_at_ns = Some(self.engine.now());
-                }
-            }
+    /// `img`'s end of its link with `peer`.
+    fn link(&mut self, img: usize, peer: usize) -> &mut LinkMachine<Payload> {
+        self.links.entry((img, peer)).or_default()
+    }
+
+    /// Schedules the `from → to` link's retry wake at its machine's
+    /// deadline, if it has one.
+    fn arm_retry(&mut self, from: usize, to: usize) {
+        if let Some(at) = self.link(from, to).next_due() {
+            self.schedule_live_at(at, Ev::RetryWake { from, to, at });
         }
     }
 
-    /// Puts one copy of an outstanding message on the wire: rolls its
-    /// fault decision, schedules the arrival(s), and arms the ack timer.
-    fn transmit(&mut self, from: usize, to: usize, link_seq: u64) {
-        let Some(p) = self.link(from, to).get(&link_seq) else { return };
-        let (payload, attempts) = (p.payload, p.attempts);
+    /// One transmission on the `from → to` wire: takes the next global
+    /// wire sequence, fires the crashes it reaches — the same wire-seq
+    /// keying the threaded fabric uses, so a crash point reproduces across
+    /// substrates — and rolls the fault dice. A dead image neither injects
+    /// nor receives: `None` when a crashed endpoint (possibly armed by this
+    /// very transmission) destroys it.
+    fn roll(&mut self, from: usize, to: usize) -> Option<FaultDecision> {
         let seq = self.wire_seq;
         self.wire_seq += 1;
-        self.arm_crashes(seq);
-        // Fail-stop: a dead image neither injects nor receives; the
-        // arming transmission itself is destroyed. A live sender still
-        // re-arms its ack timer — exhausting the budget against a dead
-        // target is the retry layer's detection signal.
+        for image in self.cfg.plan.crashes_due(seq) {
+            if !self.crashed[image] {
+                self.crashed[image] = true;
+                self.crashed_at_ns.get_or_insert(self.engine.now());
+            }
+        }
         if self.crashed[from] || self.crashed[to] {
             self.report.crash_drops += 1;
-            if !self.crashed[from] {
-                self.schedule_live(
-                    self.wire.timeout_ns(attempts),
-                    Ev::RetryTimeout { from, to, link_seq },
-                );
-            }
-            return;
+            return None;
         }
-        let d = self.wire.decide(from, to, seq);
-        let now = self.engine.now();
-        let extra = self.wire.spike_ns(d) + self.wire.stall_extra_ns(from, to, now);
-        let copies = match (d.drop, d.duplicate) {
-            (true, false) => 0,
-            (false, false) | (true, true) => 1, // dup of a drop: one survives
-            (false, true) => 2,
-        };
-        if d.drop {
-            self.report.wire_drops += 1;
+        Some(self.cfg.plan.decide(from, to, seq))
+    }
+
+    /// Wire time of `bytes` on `from → to` under decision `d`: the
+    /// network's delivery delay plus spikes and straggler windows.
+    fn delay(&mut self, from: usize, to: usize, d: FaultDecision, bytes: usize) -> u64 {
+        let extra = self.cfg.plan.extra_delay(from, to, d, self.now_d()).as_nanos() as u64;
+        self.cfg.net.delivery_delay(bytes, &mut self.rng) + extra
+    }
+
+    /// Puts one copy of `frame` on the wire and schedules its arrival(s).
+    /// Its retry deadline lives in the sender's link machine.
+    fn transmit(&mut self, from: usize, to: usize, frame: Frame<Payload>) {
+        let Some(d) = self.roll(from, to) else { return };
+        self.report.wire_drops += d.drop as u64;
+        // The duplicate of a dropped frame survives it.
+        for _ in 0..1 + d.duplicate as usize - d.drop as usize {
+            let delay = self.delay(from, to, d, self.cfg.bytes);
+            self.schedule_live(delay, Ev::Data { from, to, frame: frame.clone() });
         }
-        for _ in 0..copies {
-            let delay = self.cfg.net.delivery_delay(self.cfg.bytes, &mut self.rng) + extra;
-            self.schedule_live(delay, Ev::Data { from, to, link_seq, payload });
-        }
-        self.schedule_live(self.wire.timeout_ns(attempts), Ev::RetryTimeout { from, to, link_seq });
     }
 
-    /// The unacknowledged frames of the `from → to` link.
-    fn link(&mut self, from: usize, to: usize) -> &mut BTreeMap<u64, Pending> {
-        self.outstanding.entry((from, to)).or_default()
-    }
-
-    /// Queues a new frame on the `from → to` link and returns its sequence.
-    fn enqueue(&mut self, from: usize, to: usize, payload: Payload) -> u64 {
-        let link_seq = self.next_link_seq[from][to];
-        self.next_link_seq[from][to] += 1;
-        self.link(from, to).insert(link_seq, Pending { payload, attempts: 1 });
-        link_seq
-    }
-
-    /// Retires every frame on `sender → receiver` that `ack` covers,
-    /// returning their payloads in sequence order.
-    fn retire(&mut self, sender: usize, receiver: usize, ack: CumAck) -> Vec<Payload> {
-        let link = self.link(sender, receiver);
-        let covered: Vec<u64> = link
-            .range(..=ack.upto.saturating_add(CumAck::WINDOW))
-            .map(|(&s, _)| s)
-            .filter(|&s| ack.covers(s))
-            .collect();
-        covered.iter().filter_map(|s| link.remove(s)).map(|p| p.payload).collect()
-    }
-
-    /// Sends the cumulative ack `receiver` owes `sender`, itself subject
-    /// to the fault plan.
+    /// Sends the cumulative ack `receiver` owes `sender`, if still owed,
+    /// itself subject to the fault plan.
     fn send_ack(&mut self, receiver: usize, sender: usize) {
-        self.owed.remove(&(receiver, sender));
-        let seq = self.wire_seq;
-        self.wire_seq += 1;
-        self.arm_crashes(seq);
-        if self.crashed[receiver] || self.crashed[sender] {
-            self.report.crash_drops += 1;
-            return;
-        }
-        let d = self.wire.decide(receiver, sender, seq);
+        let Some(ack) = self.link(receiver, sender).take_ack() else { return };
+        let Some(d) = self.roll(receiver, sender) else { return };
         if d.drop {
             self.report.wire_drops += 1;
             return;
         }
-        let extra =
-            self.wire.spike_ns(d) + self.wire.stall_extra_ns(receiver, sender, self.engine.now());
-        let delay = self.cfg.net.delivery_delay(ACK_BYTES, &mut self.rng) + extra;
-        let ack = self.trackers[receiver][sender].cum_ack();
+        let delay = self.delay(receiver, sender, d, ACK_BYTES);
         self.schedule_live(delay, Ev::Ack { from: receiver, to: sender, ack });
+    }
+
+    /// Whether `to` processes a protocol frame from `from`: not once `to`
+    /// is dead, nor — the posthumous filter — once `to` knows `from` is
+    /// (late copies are discarded un-acked). Otherwise the frame is a life
+    /// sign.
+    fn admit(&mut self, to: usize, from: usize) -> bool {
+        if self.crashed[to] {
+            self.report.crash_drops += 1;
+            return false;
+        }
+        if self.failure_on() {
+            let now_d = self.now_d();
+            if !self.detectors[to].accepts(from, FIRST_INCARNATION) {
+                self.report.posthumous_drops += 1;
+                return false;
+            }
+            self.detectors[to].on_life_sign(from, FIRST_INCARNATION, now_d);
+        }
+        true
+    }
+
+    /// `img` retires the frames toward `peer` that `ack` covers; each
+    /// retired spawn is a delivery its detector counts. Returns whether
+    /// anything was retired (frames an earlier ack retired are gone).
+    fn retire(&mut self, img: usize, peer: usize, ack: CumAck) -> bool {
+        let (mut retired, mut spawns) = (0, 0);
+        self.link(img, peer).on_ack(ack, |p| {
+            retired += 1;
+            spawns += matches!(p, Payload::Spawn { .. }) as u64;
+        });
+        self.acked += spawns;
+        (0..spawns).for_each(|_| self.fsim.on_delivered(img));
+        retired > 0
     }
 
     /// One heartbeat from `img` to its ring monitor; reschedules itself
@@ -455,27 +438,18 @@ impl ChaosSim {
         }
         let p = self.cfg.images;
         let to = (img + p - 1) % p; // my monitor is my ring predecessor
-        let seq = self.wire_seq;
-        self.wire_seq += 1;
-        self.arm_crashes(seq);
+        let d = self.roll(img, to);
         if self.crashed[img] {
-            // The heartbeat armed its own sender's crash point.
-            self.report.crash_drops += 1;
-            return;
+            return; // the heartbeat armed its own sender's crash point
         }
         self.report.heartbeats += 1;
-        if self.crashed[to] {
-            self.report.crash_drops += 1;
-        } else {
-            let d = self.wire.decide(img, to, seq);
-            if d.drop {
-                self.report.wire_drops += 1;
-            } else {
-                let extra =
-                    self.wire.spike_ns(d) + self.wire.stall_extra_ns(img, to, self.engine.now());
-                let delay = self.cfg.net.delivery_delay(CTRL_BYTES, &mut self.rng) + extra;
+        match d {
+            Some(d) if d.drop => self.report.wire_drops += 1,
+            Some(d) => {
+                let delay = self.delay(img, to, d, CTRL_BYTES);
                 self.engine.schedule(delay, Ev::HeartbeatArrive { to, from: img });
             }
+            None => {}
         }
         if self.maintenance_live() {
             self.engine.schedule(self.hb_period_ns, Ev::HeartbeatSend { img });
@@ -497,11 +471,10 @@ impl ChaosSim {
                 if other == observer || other == peer {
                     continue;
                 }
-                let down = Payload::Down { victim: peer, incarnation };
-                let link_seq = self.enqueue(observer, other, down);
+                let payload = Payload::Down { victim: peer, incarnation };
                 self.schedule_live(
                     self.cfg.net.injection_ns,
-                    Ev::Xmit { from: observer, to: other, link_seq },
+                    Ev::Send { from: observer, to: other, payload },
                 );
             }
         }
@@ -549,13 +522,10 @@ impl ChaosSim {
                     break;
                 }
                 let to = (img + 1 + k % (p - 1)) % p;
-                let tag = self.fsim.on_send(img);
-                let link_seq = self.enqueue(img, to, Payload::Spawn { tag });
+                let payload = Payload::Spawn { tag: self.fsim.on_send(img) };
                 self.report.sent += 1;
-                self.schedule_live_at(
-                    k as u64 * self.cfg.net.injection_ns,
-                    Ev::Xmit { from: img, to, link_seq },
-                );
+                let at = k as u64 * self.cfg.net.injection_ns;
+                self.schedule_live_at(at, Ev::Send { from: img, to, payload });
             }
         }
         if self.failure_on() && p > 1 {
@@ -583,72 +553,45 @@ impl ChaosSim {
                 }
             }
             match ev {
-                Ev::Xmit { from, to, link_seq } => self.transmit(from, to, link_seq),
-                Ev::Data { from, to, link_seq, payload } => {
-                    if self.crashed[to] {
-                        self.report.crash_drops += 1;
+                Ev::Send { from, to, payload } => {
+                    let link = self.links.entry((from, to)).or_default();
+                    let before = link.next_due();
+                    let frame = link.send(payload, now, &self.cfg.retry);
+                    if link.next_due() != before {
+                        self.arm_retry(from, to);
+                    }
+                    self.transmit(from, to, frame);
+                }
+                Ev::Data { from, to, frame } => {
+                    if !self.admit(to, from) {
                         continue;
                     }
-                    if self.failure_on() {
-                        let now_d = self.now_d();
-                        // Posthumous filter: once `to` knows `from` is
-                        // dead, late copies are discarded un-acked.
-                        if !self.detectors[to].accepts(from, FIRST_INCARNATION) {
-                            self.report.posthumous_drops += 1;
-                            continue;
-                        }
-                        // Any application message is a life sign.
-                        self.detectors[to].on_life_sign(from, FIRST_INCARNATION, now_d);
-                    }
+                    let retired = frame.ack.is_some_and(|ack| self.retire(to, from, ack));
                     // Fresh or not, the link owes an ack: the previous
                     // one may have been lost, and only an ack stops the
-                    // sender's timer. One flush per link batches every
-                    // arrival of this virtual instant.
-                    if self.owed.insert((to, from)) {
-                        self.schedule_live(0, Ev::AckFlush { receiver: to, sender: from });
-                    }
-                    if self.trackers[to][from].note(link_seq) {
-                        match payload {
-                            Payload::Spawn { tag } => {
-                                self.report.delivered += 1;
-                                self.fsim.on_receive(to, tag);
-                                self.schedule_live(
-                                    self.cfg.work_ns,
-                                    Ev::HandlerDone { img: to, tag },
-                                );
-                            }
-                            Payload::Down { victim, incarnation } => {
-                                self.observe_death(to, victim, incarnation);
-                            }
+                    // sender's timer. Reverse data may piggyback it first;
+                    // otherwise one flush per link answers every arrival of
+                    // this virtual instant.
+                    let fresh = self.link(to, from).on_data(frame.seq);
+                    self.schedule_live(0, Ev::AckFlush { receiver: to, sender: from });
+                    match frame.payload {
+                        _ if !fresh => self.report.dups_suppressed += 1,
+                        Payload::Spawn { tag } => {
+                            self.report.delivered += 1;
+                            self.fsim.on_receive(to, tag);
+                            self.schedule_live(self.cfg.work_ns, Ev::HandlerDone { img: to, tag });
                         }
-                    } else {
-                        self.report.dups_suppressed += 1;
+                        Payload::Down { victim, incarnation } => {
+                            self.observe_death(to, victim, incarnation);
+                        }
+                    }
+                    if retired {
+                        self.try_wave(to);
                     }
                 }
                 Ev::AckFlush { receiver, sender } => self.send_ack(receiver, sender),
                 Ev::Ack { from, to, ack } => {
-                    if self.crashed[to] {
-                        self.report.crash_drops += 1;
-                        continue;
-                    }
-                    if self.failure_on() {
-                        let now_d = self.now_d();
-                        if !self.detectors[to].accepts(from, FIRST_INCARNATION) {
-                            self.report.posthumous_drops += 1;
-                            continue;
-                        }
-                        self.detectors[to].on_life_sign(from, FIRST_INCARNATION, now_d);
-                    }
-                    // Frames an earlier ack already retired are gone;
-                    // a stale or repeated ack retires nothing.
-                    let retired = self.retire(to, from, ack);
-                    for payload in &retired {
-                        if matches!(payload, Payload::Spawn { .. }) {
-                            self.acked += 1;
-                            self.fsim.on_delivered(to);
-                        }
-                    }
-                    if !retired.is_empty() {
+                    if self.admit(to, from) && self.retire(to, from, ack) {
                         self.try_wave(to);
                     }
                 }
@@ -661,32 +604,40 @@ impl ChaosSim {
                     self.fsim.on_complete(img, tag);
                     self.try_wave(img);
                 }
-                Ev::RetryTimeout { from, to, link_seq } => {
-                    let max_retries = self.wire.max_retries();
-                    let Some(pend) =
-                        self.outstanding.get_mut(&(from, to)).and_then(|l| l.get_mut(&link_seq))
-                    else {
-                        continue; // already acknowledged
-                    };
-                    if self.crashed[from] {
-                        continue; // the dead retransmit nothing
+                Ev::RetryWake { from, to, at } => {
+                    if self.crashed[from] || self.link(from, to).next_due() != Some(at) {
+                        continue; // the dead retransmit nothing; or stale
                     }
-                    if pend.attempts > max_retries {
-                        self.link(from, to).remove(&link_seq);
-                        self.report.retries_exhausted += 1;
-                        if self.failure_on() && from != to {
-                            // Budget exhaustion is a strong death hint:
-                            // suspect immediately instead of waiting out
-                            // the silence deadline.
-                            let now_d = self.now_d();
-                            self.detectors[from].monitor(to, now_d);
-                            self.detectors[from].on_retry_exhausted(to, now_d);
+                    if self.failure_on()
+                        && self.detectors[from].health(to) == Some(PeerHealth::Dead)
+                    {
+                        // Dead letters, abandoned as the fabric's pump does.
+                        self.report.crash_drops += self.link(from, to).abandon() as u64;
+                        continue;
+                    }
+                    let mut actions = Vec::new();
+                    let link = self.links.entry((from, to)).or_default();
+                    link.pump(at, &self.cfg.retry, |a| actions.push(a));
+                    for action in actions {
+                        match action {
+                            LinkAction::Transmit(frame) => {
+                                self.report.retries += 1;
+                                self.transmit(from, to, frame);
+                            }
+                            LinkAction::GiveUp(_) => {
+                                self.report.retries_exhausted += 1;
+                                if self.failure_on() {
+                                    // Budget exhaustion is a strong death
+                                    // hint: suspect immediately instead of
+                                    // waiting out the silence deadline.
+                                    let now_d = self.now_d();
+                                    self.detectors[from].monitor(to, now_d);
+                                    self.detectors[from].on_retry_exhausted(to, now_d);
+                                }
+                            }
                         }
-                    } else {
-                        pend.attempts += 1;
-                        self.report.retries += 1;
-                        self.transmit(from, to, link_seq);
                     }
+                    self.arm_retry(from, to);
                 }
                 Ev::WaveComplete => match self.fsim.complete_wave() {
                     WaveDecision::Terminated => {
@@ -822,6 +773,22 @@ mod tests {
             matches!(r.outcome, ChaosOutcome::Terminated { .. }),
             "chaos within budget must still terminate: {r:?}"
         );
+    }
+
+    #[test]
+    fn busy_links_carry_piggybacks_and_still_deliver_exactly_once() {
+        // Three images: every link carries data both ways, so acks ride
+        // reverse `Data` and each window holds dozens of frames, reordered
+        // by jitter, with gaps below the watermark from drops.
+        let mut cfg = chaos_cfg(3, 0xB05E, 0.05, 0.05);
+        cfg.msgs_per_image = 96;
+        let r = run_chaos_sim(&cfg);
+        assert_eq!(r.sent, 3 * 96);
+        assert_eq!(r.delivered, r.sent, "exactly once: {r:?}");
+        assert!(matches!(r.outcome, ChaosOutcome::Terminated { .. }), "{r:?}");
+        assert_eq!(r.retries_exhausted, 0);
+        assert!(r.wire_drops > 0 && r.dups_suppressed > 0, "the plan must have fired: {r:?}");
+        assert_eq!(r, run_chaos_sim(&cfg));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! * [`finish_sim`] — virtual-time `finish` wave coordination;
 //! * [`chaos_model`] — the fault-injection plan, ack/retry reliable
-//!   delivery, and the stall outcome replayed at 4K+ images;
+//!   delivery by the fabric's own link machine (piggybacked acks
+//!   included), and the stall outcome replayed at 4K+ images;
 //! * [`uts_model`] — lifeline work stealing over up to 32 768 images
 //!   (Figs. 16–18);
 //! * [`ra_model`] — bunched RandomAccess with injection/service limits

@@ -3,10 +3,11 @@
 //! Coarray Fortran 2.0*.
 //!
 //! The checker drives the **pure protocol models** from `caf-core` — the
-//! strict and loose epoch and four-counter termination detectors, and the
-//! cofence pass algebra — through *every* interleaving of bounded
-//! scenarios: `p` images, a bounded tree of spawned functions, optionally
-//! one fail-stop crash. A sleep-set partial-order reduction over a
+//! strict and loose epoch and four-counter termination detectors, the
+//! strict one again behind the runtime's per-destination send buffers
+//! (the `aggregated` family), and the cofence pass algebra — through
+//! *every* interleaving of bounded scenarios: `p` images, a bounded tree
+//! of spawned functions, optionally one fail-stop crash. A sleep-set partial-order reduction over a
 //! vector-clock happens-before layer keeps `p ≤ 5`, depth `≤ 4`
 //! tractable. The unsound barrier strawman of Fig. 5 is one more world
 //! family, explored on demand but kept out of `suite`; the centralized

@@ -42,11 +42,12 @@ USAGE:
       where the analysis was silent, and deadlock diagnostics must match
       reachable stuck states. Exit 1 on any disagreement.
 
-FAMILIES:  epoch-strict  epoch-loose  four-counter
+FAMILIES:  epoch-strict  epoch-loose  four-counter  aggregated
 MUTATIONS: drop-quiescence-wait merge-epochs skip-poison local-verdict
            single-wave-four-counter ack-complete-confusion
-           stale-contribution ack-miscount cofence-swap-read-write
-           cofence-ignore-upward link-covers-upto link-bitmap-shift
+           stale-contribution ack-miscount flush-on-cap-only
+           cofence-swap-read-write cofence-ignore-upward link-covers-upto
+           link-bitmap-shift
 ";
 
 fn main() -> ExitCode {

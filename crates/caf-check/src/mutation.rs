@@ -24,6 +24,10 @@
 //! * [`Mutation::AckMiscount`] — a counted delivery ack of `k` messages
 //!   reports `k − 1`: the sender never quiesces. This one perturbs the
 //!   world's ack step, not the detector wrapper.
+//! * [`Mutation::FlushOnCapOnly`] — an aggregating image flushes a
+//!   destination's buffer only once it is full, never before wave entry
+//!   or while it waits: a short buffer never leaves, and its sender never
+//!   quiesces. This one perturbs the world's flush and enter steps.
 
 use caf_core::ids::Parity;
 use caf_core::termination::{
@@ -43,11 +47,18 @@ pub enum Family {
     /// entered once locally done. Kept out of [`Family::ALL`] (and so out
     /// of `suite`): it is unsound by design.
     Barrier,
+    /// The strict epoch algorithm with per-destination aggregation: a
+    /// spawn waits in its image's buffer for that destination until a
+    /// flush puts it on the wire, and an image enters a wave only with
+    /// empty buffers. The other families are its `k = 1` case, where
+    /// every spawn flushes at once.
+    Aggregated,
 }
 
 impl Family {
     /// All sound families (the ones `suite` explores).
-    pub const ALL: [Family; 3] = [Family::EpochStrict, Family::EpochLoose, Family::FourCounter];
+    pub const ALL: [Family; 4] =
+        [Family::EpochStrict, Family::EpochLoose, Family::FourCounter, Family::Aggregated];
 
     /// Stable name used in replay files and reports.
     pub fn name(self) -> &'static str {
@@ -56,6 +67,7 @@ impl Family {
             Family::EpochLoose => "epoch-loose",
             Family::FourCounter => "four-counter",
             Family::Barrier => "barrier",
+            Family::Aggregated => "aggregated",
         }
     }
 
@@ -69,7 +81,7 @@ impl Family {
 
     /// Whether the Theorem 1 `L + 1` wave bound applies to this family.
     pub fn theorem1_applies(self) -> bool {
-        matches!(self, Family::EpochStrict)
+        matches!(self, Family::EpochStrict | Family::Aggregated)
     }
 }
 
@@ -84,7 +96,7 @@ enum Det {
 impl Det {
     fn new(family: Family) -> Det {
         match family {
-            Family::EpochStrict => Det::Epoch(EpochDetector::new(true)),
+            Family::EpochStrict | Family::Aggregated => Det::Epoch(EpochDetector::new(true)),
             Family::EpochLoose => Det::Epoch(EpochDetector::new(false)),
             Family::FourCounter => Det::Four(FourCounterDetector::new()),
             Family::Barrier => Det::Barrier(BarrierDetector::new()),
@@ -127,12 +139,15 @@ pub enum Mutation {
     StaleContribution,
     /// A counted ack of `k` deliveries is applied as `k − 1`.
     AckMiscount,
+    /// Aggregation buffers flush only when full: not before wave entry,
+    /// not while the image waits.
+    FlushOnCapOnly,
 }
 
 impl Mutation {
     /// All finish-protocol mutations (the cofence mutations live in
     /// `cofence_check`).
-    pub const ALL: [Mutation; 8] = [
+    pub const ALL: [Mutation; 9] = [
         Mutation::DropQuiescenceWait,
         Mutation::MergeEpochs,
         Mutation::SkipPoison,
@@ -141,6 +156,7 @@ impl Mutation {
         Mutation::AckCompleteConfusion,
         Mutation::StaleContribution,
         Mutation::AckMiscount,
+        Mutation::FlushOnCapOnly,
     ];
 
     /// Stable name used by the CLI, replay files, and `mutate_check.sh`.
@@ -154,6 +170,7 @@ impl Mutation {
             Mutation::AckCompleteConfusion => "ack-complete-confusion",
             Mutation::StaleContribution => "stale-contribution",
             Mutation::AckMiscount => "ack-miscount",
+            Mutation::FlushOnCapOnly => "flush-on-cap-only",
         }
     }
 
@@ -169,6 +186,7 @@ impl Mutation {
     pub fn family(self) -> Family {
         match self {
             Mutation::SingleWaveFourCounter => Family::FourCounter,
+            Mutation::FlushOnCapOnly => Family::Aggregated,
             _ => Family::EpochStrict,
         }
     }

@@ -3,16 +3,20 @@
 //!
 //! The world is a small-step operational model of exactly the protocol
 //! the threaded runtime executes: root spawns are sent before the finish
-//! starts closing; every message is delivered, acknowledged, and executed
-//! as three separately schedulable transitions; an acknowledgement is
-//! *counted*, covering every message the receiver owes an ack on that
-//! link up to the named one (the runtime's `Ack { finish, count }`, with
-//! the per-message ack as its `k = 1` case); executing a message
-//! spawns its children; each image asynchronously enters a reduction wave
-//! when its detector is ready, and the wave closes (the allreduce) once
-//! every live image has entered. Images keep receiving and executing
-//! messages while a wave is open — the interleavings this creates are
-//! where epoch-parity bugs live.
+//! starts closing; under the [`Family::Aggregated`] family a sent message
+//! first waits in its sender's buffer for its destination, until a
+//! `Flush(image, dest)` puts the whole buffer on the wire, and an image
+//! enters a wave only with empty buffers (every other family is the
+//! `k = 1` case: sent means on the wire); every message is delivered,
+//! acknowledged, and executed as three separately schedulable
+//! transitions; an acknowledgement is *counted*, covering every message
+//! the receiver owes an ack on that link up to the named one (the
+//! runtime's `Ack { finish, count }`, with the per-message ack as its
+//! `k = 1` case); executing a message spawns its children; each image
+//! asynchronously enters a reduction wave when its detector is ready, and
+//! the wave closes (the allreduce) once every live image has entered.
+//! Images keep receiving and executing messages while a wave is open —
+//! the interleavings this creates are where epoch-parity bugs live.
 //!
 //! Transition identities ([`TKey`]) are path-based and schedule-stable:
 //! the `k`-th root message is `r<k>`, the `j`-th child of message `P` is
@@ -33,6 +37,10 @@ use caf_core::termination::{Contribution, WaveDecision, WaveDetector};
 use crate::mutation::{CheckedDetector, Family, Mutation};
 use crate::scenario::{Scenario, SpawnTree};
 use crate::vc::VectorClock;
+
+/// Buffered messages per (image, destination) at which a buffer flushes
+/// under [`Mutation::FlushOnCapOnly`].
+const FLUSH_CAP: usize = 2;
 
 /// Stable identity of one schedulable transition.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,6 +63,9 @@ pub enum TKey {
     Crash(usize),
     /// Deliver the victim's death notice to one survivor.
     Poison(usize),
+    /// `.0` puts every message buffered for `.1` on the wire as one frame
+    /// ([`Family::Aggregated`] only).
+    Flush(usize, usize),
 }
 
 impl fmt::Display for TKey {
@@ -67,6 +78,7 @@ impl fmt::Display for TKey {
             TKey::Close => write!(f, "close"),
             TKey::Crash(v) => write!(f, "crash {v}"),
             TKey::Poison(i) => write!(f, "poison {i}"),
+            TKey::Flush(i, d) => write!(f, "flush {i} {d}"),
         }
     }
 }
@@ -88,6 +100,12 @@ impl TKey {
             "close" => Ok(TKey::Close),
             "crash" => Ok(TKey::Crash(arg()?)),
             "poison" => Ok(TKey::Poison(arg()?)),
+            "flush" => {
+                let (i, d) =
+                    rest.trim().split_once(' ').ok_or(format!("flush needs two ranks: {s:?}"))?;
+                let rank = |r: &str| r.parse().map_err(|e| format!("bad rank in {s:?}: {e}"));
+                Ok(TKey::Flush(rank(i)?, rank(d)?))
+            }
             _ => Err(format!("unknown transition {s:?}")),
         }
     }
@@ -100,6 +118,8 @@ struct Msg {
     to: usize,
     tag: Parity,
     children: Vec<SpawnTree>,
+    /// Still in the sender's aggregation buffer, not yet on the wire.
+    buffered: bool,
     delivered: bool,
     /// Position in the world's delivery order, once delivered: a counted
     /// ack covers the owed messages of its link up to this stamp.
@@ -375,6 +395,7 @@ impl World {
             to: tree.target,
             tag,
             children: tree.children,
+            buffered: self.family == Family::Aggregated,
             delivered: false,
             delivery: 0,
             execed: false,
@@ -400,6 +421,15 @@ impl World {
             candidates.push(TKey::Ack(id.clone()));
             candidates.push(TKey::Exec(id.clone()));
         }
+        let mut flushes: Vec<TKey> = self
+            .msgs
+            .values()
+            .filter(|m| m.buffered)
+            .map(|m| TKey::Flush(m.from, m.to))
+            .collect();
+        flushes.sort_unstable();
+        flushes.dedup();
+        candidates.extend(flushes);
         candidates.extend((0..self.n).map(TKey::Enter));
         candidates.push(TKey::Close);
         candidates.extend(self.crash_victim.map(TKey::Crash));
@@ -414,13 +444,22 @@ impl World {
             return false;
         }
         let msg = |id: &String| self.msgs.get(id).filter(|m| m.delivered);
+        let cap_only = self.mutation == Some(Mutation::FlushOnCapOnly);
         match key {
-            TKey::Deliver(id) => self.msgs.get(id).is_some_and(|m| !m.delivered),
+            TKey::Deliver(id) => self.msgs.get(id).is_some_and(|m| !m.buffered && !m.delivered),
             TKey::Ack(id) => msg(id).is_some_and(|m| !m.acked && self.alive[m.from]),
             TKey::Exec(id) => msg(id).is_some_and(|m| !m.execed),
             TKey::Enter(i) => {
-                *i < self.n && self.alive[*i] && !self.entered[*i] && self.dets[*i].ready()
+                *i < self.n
+                    && self.alive[*i]
+                    && !self.entered[*i]
+                    && self.dets[*i].ready()
+                    && (cap_only || self.buffered(*i, None) == 0)
             }
+            TKey::Flush(i, d) => match self.buffered(*i, Some(*d)) {
+                0 => false,
+                k => !cap_only || k >= FLUSH_CAP,
+            },
             TKey::Close => {
                 self.alive.contains(&true) && (0..self.n).all(|i| !self.alive[i] || self.entered[i])
             }
@@ -435,7 +474,7 @@ impl World {
         match key {
             TKey::Deliver(id) | TKey::Exec(id) => self.msgs.get(id).map(|m| vec![m.to]),
             TKey::Ack(id) => self.msgs.get(id).map(|m| vec![m.from]),
-            TKey::Enter(i) | TKey::Poison(i) => Some(vec![*i]),
+            TKey::Enter(i) | TKey::Poison(i) | TKey::Flush(i, _) => Some(vec![*i]),
             TKey::Close | TKey::Crash(_) => None,
         }
     }
@@ -553,7 +592,20 @@ impl World {
                 self.poison_pending[*i] = false;
                 Ok(())
             }
+            TKey::Flush(i, d) => {
+                for m in self.msgs.values_mut().filter(|m| m.from == *i && m.to == *d) {
+                    m.buffered = false;
+                }
+                Ok(())
+            }
         }
+    }
+
+    /// Messages `image` holds in its aggregation buffer for `dest`, or
+    /// for every destination when `dest` is `None`.
+    fn buffered(&self, image: usize, dest: Option<usize>) -> usize {
+        let hit = |m: &&Msg| m.buffered && m.from == image && dest.is_none_or(|d| m.to == d);
+        self.msgs.values().filter(hit).count()
     }
 
     fn retire(&mut self, id: &str) {
@@ -870,6 +922,37 @@ mod tests {
     }
 
     #[test]
+    fn aggregated_spawns_wait_for_a_flush_and_gate_wave_entry() {
+        let mut w = World::new(&two_on_one_link(), Family::Aggregated, None);
+        assert!(!w.is_enabled(&TKey::Deliver("r0".into())), "r0 is still buffered");
+        assert!(w.is_enabled(&TKey::Enter(1)), "image 1 buffers nothing");
+        assert_eq!(
+            w.enabled().iter().filter(|k| matches!(k, TKey::Flush(..))).collect::<Vec<_>>(),
+            vec![&TKey::Flush(0, 1), &TKey::Flush(0, 2)],
+            "one flush per non-empty (image, destination) buffer"
+        );
+        w.step(&TKey::Flush(0, 1)).unwrap();
+        assert!(w.is_enabled(&TKey::Deliver("r0".into())));
+        assert!(w.is_enabled(&TKey::Deliver("r1".into())), "the whole buffer left as one frame");
+        assert!(!w.is_enabled(&TKey::Deliver("r2".into())), "another destination's buffer stays");
+        assert!(run_first_enabled(&mut w).is_none());
+        assert_eq!(w.done, Some(Outcome::Terminated));
+    }
+
+    #[test]
+    fn flush_on_cap_only_strands_a_short_buffer() {
+        let s = Scenario { images: 2, roots: vec![(0, node(1, vec![]))], crash: None };
+        let mut w = World::new(&s, Family::Aggregated, Some(Mutation::FlushOnCapOnly));
+        assert!(!w.is_enabled(&TKey::Flush(0, 1)), "one message is below the cap");
+        assert!(run_first_enabled(&mut w).is_none());
+        assert_eq!(w.done, None, "the sender can never become ready: a deadlock");
+        // A buffer at the cap still leaves.
+        let w = World::new(&two_on_one_link(), Family::Aggregated, Some(Mutation::FlushOnCapOnly));
+        assert!(w.is_enabled(&TKey::Flush(0, 1)));
+        assert!(!w.is_enabled(&TKey::Flush(0, 2)));
+    }
+
+    #[test]
     fn tkey_round_trips_through_text() {
         for k in [
             TKey::Deliver("r0.1".into()),
@@ -879,6 +962,7 @@ mod tests {
             TKey::Close,
             TKey::Crash(1),
             TKey::Poison(0),
+            TKey::Flush(2, 0),
         ] {
             assert_eq!(TKey::parse(&k.to_string()).unwrap(), k);
         }

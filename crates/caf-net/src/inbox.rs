@@ -5,6 +5,10 @@
 //! its deadline has passed, which is how the fabric models wire latency
 //! without dedicating a thread to the network. Blocked receivers park on a
 //! condvar with a timeout at the earliest pending deadline.
+//!
+//! Every entry carries a *weight*: the number of logical messages its
+//! frame holds. The queue depth that flow control reads is the sum of the
+//! weights, so an aggregated frame of `k` messages takes `k` credits.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,6 +19,7 @@ use parking_lot::{Condvar, Mutex};
 struct Timed<M> {
     deliver_at: Instant,
     seq: u64,
+    weight: usize,
     msg: M,
 }
 
@@ -39,6 +44,8 @@ impl<M> Ord for Timed<M> {
 struct Inner<M> {
     heap: BinaryHeap<Timed<M>>,
     seq: u64,
+    /// Sum of the queued entries' weights.
+    depth: usize,
 }
 
 /// A single image's timed message queue.
@@ -48,8 +55,9 @@ pub struct Inbox<M> {
     /// Notified on every pop, so senders parked on flow control wake the
     /// moment space frees instead of sleep-polling.
     space: Condvar,
-    /// Queue depth mirror, maintained under `inner`'s lock but readable
-    /// without it — `len()` is on senders' flow-control fast path.
+    /// Weighted queue depth mirror, maintained under `inner`'s lock but
+    /// readable without it — `len()` is on senders' flow-control fast
+    /// path.
     len: AtomicUsize,
 }
 
@@ -63,43 +71,47 @@ impl<M> Inbox<M> {
     /// Creates an empty inbox.
     pub fn new() -> Self {
         Inbox {
-            inner: Mutex::new(Inner { heap: BinaryHeap::new(), seq: 0 }),
+            inner: Mutex::new(Inner { heap: BinaryHeap::new(), seq: 0, depth: 0 }),
             arrived: Condvar::new(),
             space: Condvar::new(),
             len: AtomicUsize::new(0),
         }
     }
 
-    /// Enqueues a message to surface at `deliver_at`, waking any parked
-    /// receiver so it can re-evaluate its next deadline.
-    pub fn push(&self, deliver_at: Instant, msg: M) {
+    /// Enqueues a frame of `weight` logical messages to surface at
+    /// `deliver_at`, waking any parked receiver so it can re-evaluate its
+    /// next deadline.
+    pub fn push(&self, deliver_at: Instant, weight: usize, msg: M) {
         let mut inner = self.inner.lock();
         inner.seq += 1;
         let seq = inner.seq;
-        inner.heap.push(Timed { deliver_at, seq, msg });
-        self.len.store(inner.heap.len(), Ordering::Release);
+        inner.heap.push(Timed { deliver_at, seq, weight, msg });
+        inner.depth += weight;
+        self.len.store(inner.depth, Ordering::Release);
         drop(inner);
         self.arrived.notify_all();
     }
 
-    /// Pops the earliest message whose deadline has passed, if any, and
-    /// reports under the same lock whether another one is already due.
-    pub fn try_pop_due(&self) -> Option<(M, bool)> {
+    /// Pops the earliest message whose deadline has passed, if any, with
+    /// its weight, and reports under the same lock whether another one is
+    /// already due.
+    pub fn try_pop_due(&self) -> Option<(M, usize, bool)> {
         let now = Instant::now();
         let mut inner = self.inner.lock();
         if inner.heap.peek().is_some_and(|t| t.deliver_at <= now) {
-            let msg = inner.heap.pop().expect("peeked").msg;
+            let Timed { weight, msg, .. } = inner.heap.pop().expect("peeked");
             let more_due = inner.heap.peek().is_some_and(|t| t.deliver_at <= now);
-            self.len.store(inner.heap.len(), Ordering::Release);
+            inner.depth -= weight;
+            self.len.store(inner.depth, Ordering::Release);
             drop(inner);
             self.space.notify_all();
-            Some((msg, more_due))
+            Some((msg, weight, more_due))
         } else {
             None
         }
     }
 
-    /// Parks the caller until the queue depth drops below `cap`, a drain
+    /// Parks the caller until the weighted depth drops below `cap`, a drain
     /// notification arrives, or `deadline` passes. Returns whether space
     /// is available. Senders loop on this under flow control; the timeout
     /// guards against missed wakeups and lets callers re-check abort
@@ -109,9 +121,9 @@ impl<M> Inbox<M> {
             return true;
         }
         let mut inner = self.inner.lock();
-        while inner.heap.len() >= cap {
+        while inner.depth >= cap {
             if self.space.wait_until(&mut inner, deadline).timed_out() {
-                return inner.heap.len() < cap;
+                return inner.depth < cap;
             }
         }
         true
@@ -144,13 +156,13 @@ impl<M> Inbox<M> {
         }
     }
 
-    /// Discards every queued message, due or not, returning how many were
-    /// dropped. Wakes senders parked on flow control so a teardown after
+    /// Discards every queued message, due or not, returning how many
+    /// logical messages were dropped. Wakes senders parked on flow control so a teardown after
     /// a detected failure never leaves a thread blocked on space that the
     /// (now absent) receiver would have had to free.
     pub fn drain(&self) -> usize {
         let mut inner = self.inner.lock();
-        let n = inner.heap.len();
+        let n = std::mem::take(&mut inner.depth);
         inner.heap.clear();
         self.len.store(0, Ordering::Release);
         drop(inner);
@@ -159,8 +171,9 @@ impl<M> Inbox<M> {
         n
     }
 
-    /// Number of queued messages (due or not) — the backpressure metric.
-    /// Lock-free: reads the atomic depth mirror.
+    /// Number of queued logical messages (due or not), each frame counted
+    /// by its weight — the backpressure metric. Lock-free: reads the
+    /// atomic depth mirror.
     pub fn len(&self) -> usize {
         self.len.load(Ordering::Acquire)
     }
@@ -180,7 +193,7 @@ mod tests {
     /// [`Inbox::wait_activity`] until something happens or `deadline`.
     fn pop_until<M>(inbox: &Inbox<M>, deadline: Instant) -> Option<M> {
         loop {
-            if let Some((msg, _)) = inbox.try_pop_due() {
+            if let Some((msg, _, _)) = inbox.try_pop_due() {
                 return Some(msg);
             }
             if Instant::now() >= deadline {
@@ -194,17 +207,17 @@ mod tests {
     fn due_messages_pop_in_deadline_order() {
         let inbox = Inbox::new();
         let now = Instant::now();
-        inbox.push(now, "b");
-        inbox.push(now - Duration::from_millis(1), "a");
-        assert_eq!(inbox.try_pop_due(), Some(("a", true)), "b is due too");
-        assert_eq!(inbox.try_pop_due(), Some(("b", false)));
+        inbox.push(now, 1, "b");
+        inbox.push(now - Duration::from_millis(1), 1, "a");
+        assert_eq!(inbox.try_pop_due(), Some(("a", 1, true)), "b is due too");
+        assert_eq!(inbox.try_pop_due(), Some(("b", 1, false)));
         assert_eq!(inbox.try_pop_due(), None);
     }
 
     #[test]
     fn future_messages_are_withheld() {
         let inbox = Inbox::new();
-        inbox.push(Instant::now() + Duration::from_millis(50), 42u32);
+        inbox.push(Instant::now() + Duration::from_millis(50), 1, 42u32);
         assert!(inbox.try_pop_due().is_none());
         assert_eq!(inbox.len(), 1);
         let got = pop_until(&inbox, Instant::now() + Duration::from_millis(500));
@@ -225,10 +238,10 @@ mod tests {
         let inbox = Inbox::new();
         let t = Instant::now();
         for i in 0..10 {
-            inbox.push(t, i);
+            inbox.push(t, 1, i);
         }
         for i in 0..10 {
-            assert_eq!(inbox.try_pop_due(), Some((i, i < 9)));
+            assert_eq!(inbox.try_pop_due(), Some((i, 1, i < 9)));
         }
     }
 
@@ -237,19 +250,33 @@ mod tests {
         let inbox = Inbox::new();
         let t = Instant::now();
         assert!(inbox.is_empty());
-        inbox.push(t, 1u8);
-        inbox.push(t + Duration::from_secs(60), 2u8);
+        inbox.push(t, 1, 1u8);
+        inbox.push(t + Duration::from_secs(60), 1, 2u8);
         assert_eq!(inbox.len(), 2);
-        assert_eq!(inbox.try_pop_due(), Some((1, false)), "the undue message is not more due");
+        assert_eq!(inbox.try_pop_due(), Some((1, 1, false)), "the undue message is not more due");
         assert_eq!(inbox.len(), 1, "undue message still counted");
+    }
+
+    #[test]
+    fn depth_is_weighted_by_frame_size() {
+        let inbox = Inbox::new();
+        let t = Instant::now();
+        inbox.push(t, 5, 'a');
+        inbox.push(t, 1, 'b');
+        assert_eq!(inbox.len(), 6, "a 5-message frame takes 5 credits");
+        assert_eq!(inbox.try_pop_due(), Some(('a', 5, true)));
+        assert_eq!(inbox.len(), 1);
+        inbox.push(t, 3, 'c');
+        assert_eq!(inbox.drain(), 4, "drain reports logical messages");
+        assert!(inbox.is_empty());
     }
 
     #[test]
     fn wait_space_wakes_promptly_on_drain() {
         let inbox = std::sync::Arc::new(Inbox::new());
         let t = Instant::now();
-        inbox.push(t, 0u8);
-        inbox.push(t, 1u8);
+        inbox.push(t, 1, 0u8);
+        inbox.push(t, 1, 1u8);
         let waiter = {
             let inbox = inbox.clone();
             std::thread::spawn(move || {
@@ -259,7 +286,7 @@ mod tests {
             })
         };
         std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(inbox.try_pop_due(), Some((0, true)));
+        assert_eq!(inbox.try_pop_due(), Some((0, 1, true)));
         let drained_at = Instant::now();
         let (ok, woke_at) = waiter.join().unwrap();
         assert!(ok, "space must be observed");
@@ -276,7 +303,7 @@ mod tests {
             let inbox = inbox.clone();
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(10));
-                inbox.push(Instant::now(), 7u8);
+                inbox.push(Instant::now(), 1, 7u8);
             })
         };
         let got = pop_until(&inbox, Instant::now() + Duration::from_secs(5));

@@ -70,13 +70,13 @@ impl<M> Wire<M> {
     }
 }
 
-/// A window entry's payload handle: the slot plus its simulated size,
-/// which retransmissions are charged again.
-type Handle<M> = (Slot<M>, usize);
+/// A window entry's payload handle: the slot plus its simulated size and
+/// logical message count, which retransmissions are charged again.
+type Handle<M> = (Slot<M>, usize, usize);
 
 /// Retransmissions owed by [`Reliable::pump`]: destination, payload bytes,
-/// and the frame to put back on the wire.
-pub(crate) type Resend<M> = Vec<(ImageId, usize, Wire<M>)>;
+/// logical messages, and the frame to put back on the wire.
+pub(crate) type Resend<M> = Vec<(ImageId, usize, usize, Wire<M>)>;
 
 /// The ack/retry/dedup protocol state for `n` images.
 pub(crate) struct Reliable<M> {
@@ -91,25 +91,34 @@ impl<M> Reliable<M> {
         Reliable { retry, links: (0..n).map(|_| machines()).collect() }
     }
 
-    /// Sends `msg` as the next frame on the `from → to` link at `now` and
-    /// returns its first transmission, carrying any ack `from` owes `to`.
+    /// Sends `msg`, a frame of `count` logical messages, as the next frame
+    /// on the `from → to` link at `now` and returns its first
+    /// transmission, carrying any ack `from` owes `to`.
     pub(crate) fn inject(
         &self,
         from: ImageId,
         to: ImageId,
         bytes: usize,
+        count: usize,
         msg: M,
         now: u64,
     ) -> Wire<M> {
-        let handle = (Arc::new(Mutex::new(Some(msg))), bytes);
+        let handle = (Arc::new(Mutex::new(Some(msg))), bytes, count);
         let frame = self.links[from.index()].lock()[to.index()].send(handle, now, &self.retry);
         Wire::Data { from, link_seq: frame.seq, ack: frame.ack, payload: frame.payload.0 }
     }
 
-    /// Protocol processing of a frame that passed the posthumous filter
-    /// at `image`: an ack, standalone or piggybacked, retires what it
-    /// covers, and a `Data` frame yields its payload on first sight.
-    pub(crate) fn open(&self, image: ImageId, wire: Wire<M>, stats: &FabricStats) -> Option<M> {
+    /// Protocol processing of a frame of `count` logical messages that
+    /// passed the posthumous filter at `image`: an ack, standalone or
+    /// piggybacked, retires what it covers, and a `Data` frame yields its
+    /// payload on first sight.
+    pub(crate) fn open(
+        &self,
+        image: ImageId,
+        wire: Wire<M>,
+        count: usize,
+        stats: &FabricStats,
+    ) -> Option<M> {
         match wire {
             Wire::Data { from, link_seq, ack, payload } => {
                 let fresh = {
@@ -127,7 +136,7 @@ impl<M> Reliable<M> {
                 let msg = payload.lock().take();
                 debug_assert!(msg.is_some(), "fresh sequence with an empty payload slot");
                 if msg.is_some() {
-                    stats.note_delivered();
+                    stats.note_delivered(count);
                 }
                 msg
             }
@@ -172,9 +181,9 @@ impl<M> Reliable<M> {
             }
             link.pump(now, &self.retry, |action| match action {
                 LinkAction::Transmit(f) => {
-                    let (payload, bytes) = f.payload;
+                    let (payload, bytes, count) = f.payload;
                     let wire = Wire::Data { from: image, link_seq: f.seq, ack: f.ack, payload };
-                    resend.push((ImageId(dest), bytes, wire));
+                    resend.push((ImageId(dest), bytes, count, wire));
                 }
                 LinkAction::GiveUp(_) => {
                     // The message may still be in flight; if it truly never

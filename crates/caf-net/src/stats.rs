@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct FabricStats {
     messages: AtomicU64,
+    frames: AtomicU64,
     bytes: AtomicU64,
     backpressure_stalls: AtomicU64,
     delivered: AtomicU64,
@@ -28,13 +29,18 @@ pub struct FabricStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricTotals {
     /// Logical messages sent through the fabric (excludes protocol acks
-    /// and retransmissions).
+    /// and retransmissions). An aggregated frame counts every message it
+    /// carries.
     pub messages: u64,
+    /// Wire frames those logical messages travelled in: one per send, so
+    /// `messages / frames` is the mean aggregation factor.
+    pub frames: u64,
     /// Payload bytes sent through the fabric.
     pub bytes: u64,
     /// Sender stalls caused by inbox backpressure.
     pub backpressure_stalls: u64,
-    /// Logical messages surfaced to receivers (each exactly once).
+    /// Logical messages surfaced to receivers (each exactly once; an
+    /// aggregated frame surfaces all of its messages).
     pub delivered: u64,
     /// Wire transmissions destroyed by fault injection.
     pub wire_drops: u64,
@@ -61,8 +67,10 @@ pub struct FabricTotals {
 }
 
 impl FabricStats {
-    pub(crate) fn note_send(&self, payload_bytes: usize) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
+    /// One frame of `count` logical messages and `payload_bytes` bytes.
+    pub(crate) fn note_send(&self, payload_bytes: usize, count: usize) {
+        self.messages.fetch_add(count as u64, Ordering::Relaxed);
+        self.frames.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(payload_bytes as u64, Ordering::Relaxed);
     }
 
@@ -70,8 +78,8 @@ impl FabricStats {
         self.backpressure_stalls.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_delivered(&self) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn note_delivered(&self, count: usize) {
+        self.delivered.fetch_add(count as u64, Ordering::Relaxed);
     }
 
     pub(crate) fn note_wire_drop(&self) {
@@ -115,6 +123,7 @@ impl FabricStats {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         FabricTotals {
             messages: get(&self.messages),
+            frames: get(&self.frames),
             bytes: get(&self.bytes),
             backpressure_stalls: get(&self.backpressure_stalls),
             delivered: get(&self.delivered),
@@ -138,11 +147,13 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let s = FabricStats::default();
-        s.note_send(10);
-        s.note_send(5);
+        s.note_send(10, 1);
+        s.note_send(5, 1);
         s.note_backpressure_stall();
         assert_eq!(s.snapshot().messages, 2);
         assert_eq!(s.snapshot().bytes, 15);
         assert_eq!(s.snapshot().backpressure_stalls, 1);
+        s.note_send(0, 3);
+        assert_eq!((s.snapshot().messages, s.snapshot().frames), (5, 3));
     }
 }

@@ -179,6 +179,11 @@ fn exhausted_retry_budget_stalls_cleanly_within_the_window() {
     assert_eq!(blocked, vec![(0, "finish"), (1, "collective")], "blocking constructs: {report}");
     let sender = &report.images[0];
     assert_eq!(sender.image, 0);
+    // The spawn left image 0's aggregation buffer before it parked: the
+    // report places it on the wire, not in a buffer.
+    for r in &report.images {
+        assert!(r.buffered.is_empty(), "image {} still buffers {:?}", r.image, r.buffered);
+    }
     let diag = sender
         .finishes
         .iter()

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Mutation adequacy of the model checker: seed each hand-written protocol
-# bug (eight finish-protocol mutations + two cofence mutations + two
+# bug (nine finish-protocol mutations + two cofence mutations + two
 # lossy-link mutations) and confirm the checker's oracles catch every one
 # — then run the unmutated protocol through the same suite and confirm it
 # comes back clean. A mutation that escapes, or a clean-protocol

@@ -35,13 +35,6 @@ pub struct NetworkModel {
     /// (models GASNet flow control — the Fig. 14 large-bunch anomaly).
     /// `None` disables backpressure.
     pub inbox_capacity: Option<usize>,
-    /// Stall applied to a sender per message while the target inbox is over
-    /// capacity.
-    pub backpressure_stall: Duration,
-    /// Maximum payload of a single medium active message, in bytes
-    /// (GASNet `AMMedium`; bounds how much work one steal can carry,
-    /// paper §IV-C challenge *a*).
-    pub am_medium_payload: usize,
 }
 
 impl NetworkModel {
@@ -54,8 +47,6 @@ impl NetworkModel {
             byte_cost: Duration::from_nanos(0) + Duration::from_nanos(1) / 5,
             handler_overhead: Duration::from_nanos(150),
             inbox_capacity: Some(512),
-            backpressure_stall: Duration::from_nanos(3_000),
-            am_medium_payload: 504,
         }
     }
 
@@ -68,8 +59,6 @@ impl NetworkModel {
             byte_cost: Duration::from_nanos(2),
             handler_overhead: Duration::from_micros(1),
             inbox_capacity: Some(256),
-            backpressure_stall: Duration::from_micros(60),
-            am_medium_payload: 504,
         }
     }
 
@@ -82,8 +71,6 @@ impl NetworkModel {
             byte_cost: Duration::ZERO,
             handler_overhead: Duration::ZERO,
             inbox_capacity: None,
-            backpressure_stall: Duration::ZERO,
-            am_medium_payload: 504,
         }
     }
 

@@ -34,18 +34,16 @@
 //! image ([`CrashFault`](caf_core::fault::CrashFault) or
 //! [`Fabric::mark_crashed`]) has every transmission touching it destroyed.
 //!
-//! The reliable sublayer's timers and acks run from the image's own
-//! receive calls. [`Fabric::try_recv`] drains first and scans for due
-//! retransmissions only when the drain is over, so acks already queued
-//! retire their frames before the scan sees them. It flushes the owed
-//! cumulative acks (one frame per owing link) when it surfaces a message
-//! with nothing further due, and when it comes back empty;
-//! [`Fabric::wait_activity`] flushes before parking. A drain of `k`
-//! messages therefore costs one ack frame per link, sent before the
-//! drain's last message is handled. A receiver that replies at the end of
-//! its drain (the runtime's counted finish acks) receives through
-//! [`Fabric::try_recv_deferred`] and calls [`Fabric::flush_acks`] after
-//! queueing its replies, so those replies carry the wire acks.
+//! The reliable sublayer's timers run from the image's own receive calls.
+//! [`Fabric::try_recv`] drains first and scans for due retransmissions
+//! only when the drain is over, so acks already queued retire their
+//! frames before the scan sees them. The fabric never flushes the
+//! cumulative acks an image owes on its own: [`Fabric::try_recv`] reports
+//! whether another frame is due behind the one it surfaces, and the
+//! receiving image calls [`Fabric::flush_acks`] when its drain ends (no
+//! further frame due, or nothing surfaced), after queueing its own
+//! replies so that they carry the wire acks as piggybacks. A drain of `k`
+//! messages therefore costs at most one ack frame per link.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,6 +60,12 @@ use crate::failure::{ConfirmedDown, FailureLayer, HEARTBEAT_BYTES};
 use crate::inbox::Inbox;
 use crate::reliable::{Reliable, Wire};
 use crate::stats::FabricStats;
+
+/// Longest a sender parked under backpressure in [`Fabric::send`] waits
+/// before it re-probes the target's credit. A drain wakes it at once;
+/// the timeout only bounds a missed wakeup or an abort, and keeps the
+/// parked sender pumping its retransmit timers.
+const BACKPRESSURE_REPROBE: Duration = Duration::from_micros(100);
 
 /// The fault schedule plus the reliable layer answering it.
 struct Chaos<M> {
@@ -190,12 +194,6 @@ impl<M: Send> Fabric<M> {
         self.failure.as_ref().map_or_else(Vec::new, |fl| fl.poll(image))
     }
 
-    /// `image`'s detector counters: `(suspects_raised, false_suspects)`.
-    /// Zero when failure detection is off.
-    pub fn failure_metrics(&self, image: ImageId) -> (u64, u64) {
-        self.failure.as_ref().map_or((0, 0), |fl| fl.metrics(image))
-    }
-
     /// Announces `image`'s clean exit to every surviving detector, so the
     /// silence of a normal staggered shutdown is never read as a crash.
     pub fn retire(&self, image: ImageId) {
@@ -253,16 +251,8 @@ impl<M: Send> Fabric<M> {
         while !self.admits(from, to) {
             self.stats.note_backpressure_stall();
             self.pump(from);
-            // Re-probe interval: a drain notification wakes us instantly;
-            // the timeout only bounds missed-wakeup / abort latency and
-            // lets a parked sender keep pumping its retransmit timers.
-            let quantum = if self.model.backpressure_stall > Duration::ZERO {
-                self.model.backpressure_stall
-            } else {
-                Duration::from_micros(100)
-            };
             let cap = self.model.inbox_capacity.expect("only a bounded inbox refuses");
-            self.inboxes[to.index()].wait_space_until(cap, Instant::now() + quantum);
+            self.inboxes[to.index()].wait_space_until(cap, Instant::now() + BACKPRESSURE_REPROBE);
         }
         self.inject(from, to, payload_bytes, 1, msg);
     }
@@ -414,7 +404,8 @@ impl<M: Send> Fabric<M> {
 
     /// Puts every cumulative ack `image` owes on the wire, one frame per
     /// owing link. Acks ride the faulty wire too. A no-op on a lossless
-    /// wire.
+    /// wire. The receiving image calls this when its drain ends (see
+    /// [`Fabric::try_recv`]); the fabric itself never does.
     pub fn flush_acks(&self, image: ImageId) {
         let Some(chaos) = &self.chaos else { return };
         for (to, ack) in chaos.reliable.owed_acks(image) {
@@ -447,27 +438,16 @@ impl<M: Send> Fabric<M> {
         chaos.reliable.open(image, wire, count, &self.stats)
     }
 
-    /// Non-blocking receive for `image`: the earliest due message, if any.
-    /// Protocol frames (acks, heartbeats, filtered duplicates) are
-    /// consumed without surfacing. Flushes `image`'s owed acks when no
-    /// further frame is due, and pumps its protocol timers when nothing
-    /// surfaces.
-    pub fn try_recv(&self, image: ImageId) -> Option<M> {
-        let got = self.try_recv_deferred(image);
-        if got.as_ref().is_none_or(|&(_, more_due)| !more_due) {
-            self.flush_acks(image);
-        }
-        got.map(|(msg, _)| msg)
-    }
-
-    /// [`Fabric::try_recv`] for a receiver with replies of its own to
-    /// flush when its drain ends. Also returns whether another frame is
-    /// already due behind the message. When none is (or nothing
-    /// surfaces), the drain is over, but the owed wire acks are *not*
-    /// flushed: the caller queues its replies first, so a reply to a
-    /// link's sender carries that link's ack as a piggyback, and then
-    /// calls [`Fabric::flush_acks`] for the rest.
-    pub fn try_recv_deferred(&self, image: ImageId) -> Option<(M, bool)> {
+    /// Non-blocking receive for `image`: the earliest due message, if any,
+    /// and whether another frame is already due behind it. Protocol
+    /// frames (acks, heartbeats, filtered duplicates) are consumed
+    /// without surfacing. Pumps `image`'s protocol timers when nothing
+    /// surfaces. When no further frame is due (or nothing surfaces), the
+    /// drain is over, but the owed wire acks are *not* flushed: the
+    /// caller queues its replies first, so a reply to a link's sender
+    /// carries that link's ack as a piggyback, and then calls
+    /// [`Fabric::flush_acks`] for the rest.
+    pub fn try_recv(&self, image: ImageId) -> Option<(M, bool)> {
         while let Some((wire, count, more_due)) = self.inboxes[image.index()].try_pop_due() {
             if let Some(msg) = self.open(image, wire, count) {
                 return Some((msg, more_due));
@@ -489,11 +469,11 @@ impl<M: Send> Fabric<M> {
         self.inboxes[image.index()].poke();
     }
 
-    /// Flushes `image`'s owed acks, then parks it until a message
-    /// arrives / becomes due, a poke lands, a retransmission falls due,
-    /// or `deadline` passes. See [`Inbox::wait_activity`].
+    /// Parks `image` until a message arrives / becomes due, a poke lands,
+    /// a retransmission falls due, or `deadline` passes. The caller has
+    /// flushed what `image` owes (see [`Fabric::try_recv`]). See
+    /// [`Inbox::wait_activity`].
     pub fn wait_activity(&self, image: ImageId, deadline: Instant) {
-        self.flush_acks(image);
         self.pump(image);
         // A parked sender must wake in time to retransmit.
         let retry = self.chaos.as_ref().and_then(|c| {
@@ -512,11 +492,23 @@ mod tests {
         ImageId(i)
     }
 
-    /// Receives the way the runtime does: poll [`Fabric::try_recv`], park
-    /// in [`Fabric::wait_activity`] until something happens.
+    /// One receive under the runtime's flush rule: when the drain ends
+    /// (no further frame due, or nothing surfaced), flush the wire acks
+    /// `image` owes. The runtime queues its own replies first; these
+    /// tests have none.
+    fn poll<M: Send>(f: &Fabric<M>, image: ImageId) -> Option<M> {
+        let got = f.try_recv(image);
+        if got.as_ref().is_none_or(|&(_, more_due)| !more_due) {
+            f.flush_acks(image);
+        }
+        got.map(|(msg, _)| msg)
+    }
+
+    /// Receives the way the runtime does: [`poll`], park in
+    /// [`Fabric::wait_activity`] until something happens.
     fn recv<M: Send>(f: &Fabric<M>, image: ImageId, deadline: Instant) -> Option<M> {
         loop {
-            if let Some(m) = f.try_recv(image) {
+            if let Some(m) = poll(f, image) {
                 return Some(m);
             }
             if Instant::now() >= deadline {
@@ -530,8 +522,8 @@ mod tests {
     fn instant_network_delivers_immediately() {
         let f: Arc<Fabric<u32>> = Fabric::new(2, NetworkModel::instant(), false);
         f.send(img(0), img(1), 8, 99);
-        assert_eq!(f.try_recv(img(1)), Some(99));
-        assert_eq!(f.try_recv(img(0)), None);
+        assert_eq!(poll(&f, img(1)), Some(99));
+        assert_eq!(poll(&f, img(0)), None);
     }
 
     #[test]
@@ -539,7 +531,7 @@ mod tests {
         let model = NetworkModel { latency: Duration::from_millis(30), ..NetworkModel::instant() };
         let f: Arc<Fabric<&str>> = Fabric::new(2, model, false);
         f.send(img(0), img(1), 0, "hi");
-        assert_eq!(f.try_recv(img(1)), None, "message must not be visible early");
+        assert_eq!(poll(&f, img(1)), None, "message must not be visible early");
         let got = recv(&f, img(1), Instant::now() + Duration::from_secs(2));
         assert_eq!(got, Some("hi"));
     }
@@ -549,7 +541,7 @@ mod tests {
         let model = NetworkModel { latency: Duration::from_secs(3600), ..NetworkModel::instant() };
         let f: Arc<Fabric<u8>> = Fabric::new(2, model, false);
         f.send(img(1), img(1), 0, 5);
-        assert_eq!(f.try_recv(img(1)), Some(5));
+        assert_eq!(poll(&f, img(1)), Some(5));
     }
 
     #[test]
@@ -573,7 +565,7 @@ mod tests {
         f.send(img(0), img(1), 16, 8);
         assert_eq!((f.stats().snapshot().messages, f.stats().snapshot().frames), (6, 2));
         assert_eq!(f.inbox_depth(img(1)), k + 1);
-        assert_eq!(f.try_recv(img(1)), Some(7));
+        assert_eq!(poll(&f, img(1)), Some(7));
         assert_eq!(f.stats().snapshot().delivered, k as u64, "a frame surfaces all k");
         assert_eq!(f.inbox_depth(img(1)), 1);
     }
@@ -600,11 +592,7 @@ mod tests {
 
     #[test]
     fn backpressure_blocks_sender_until_receiver_drains() {
-        let model = NetworkModel {
-            inbox_capacity: Some(2),
-            backpressure_stall: Duration::from_micros(100),
-            ..NetworkModel::instant()
-        };
+        let model = NetworkModel { inbox_capacity: Some(2), ..NetworkModel::instant() };
         let f = Fabric::new(2, model, false);
         f.send(img(0), img(1), 0, 0u8);
         f.send(img(0), img(1), 0, 1u8);
@@ -616,11 +604,11 @@ mod tests {
         });
         std::thread::sleep(Duration::from_millis(20));
         assert!(!sender.is_finished(), "sender should be stalled");
-        assert_eq!(f.try_recv(img(1)), Some(0));
+        assert_eq!(poll(&f, img(1)), Some(0));
         sender.join().unwrap();
         assert!(f.stats().snapshot().backpressure_stalls > 0);
-        assert_eq!(f.try_recv(img(1)), Some(1));
-        assert_eq!(f.try_recv(img(1)), Some(2));
+        assert_eq!(poll(&f, img(1)), Some(1));
+        assert_eq!(poll(&f, img(1)), Some(2));
     }
 
     #[test]
@@ -700,7 +688,7 @@ mod tests {
     /// The sender must keep polling (acks land in *its* inbox) for the
     /// protocol to converge; this helper pumps both sides.
     fn pump_sender(f: &Arc<Fabric<u32>>, sender: ImageId) {
-        while f.try_recv(sender).is_some() {}
+        while poll(f, sender).is_some() {}
     }
 
     #[test]
@@ -730,7 +718,7 @@ mod tests {
         while f.retry_backlog(img(0)) > 0 {
             assert!(Instant::now() < deadline, "acks never converged");
             pump_sender(&f, img(0));
-            while f.try_recv(img(1)).is_some() {}
+            while poll(&f, img(1)).is_some() {}
             std::thread::yield_now();
         }
     }
@@ -747,7 +735,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         // Nothing further surfaces even though the wire carried ~2x.
-        assert_eq!(f.try_recv(img(1)), None);
+        assert_eq!(poll(&f, img(1)), None);
         assert!(f.stats().snapshot().dups_discarded > 0);
         assert_eq!(f.stats().snapshot().delivered, 50);
     }
@@ -772,7 +760,7 @@ mod tests {
         }
         assert_eq!(f.retry_backlog(img(0)), 0, "abandoned message must leave the queue");
         assert_eq!(f.stats().snapshot().retries, 3, "exactly max_retries retransmissions");
-        assert_eq!(f.try_recv(img(1)), None, "nothing ever crossed the link");
+        assert_eq!(poll(&f, img(1)), None, "nothing ever crossed the link");
     }
 
     #[test]
@@ -791,14 +779,14 @@ mod tests {
         let mut surfaced = Vec::new();
         while f.stats().snapshot().retries_exhausted == 0 {
             assert!(Instant::now() < deadline, "sender never gave up");
-            if let Some(m) = f.try_recv(img(1)) {
+            if let Some(m) = poll(&f, img(1)) {
                 surfaced.push(m);
             }
             f.wait_activity(img(0), Instant::now() + Duration::from_micros(100));
         }
         // Give any in-flight retransmits time to land, then re-drain.
         std::thread::sleep(Duration::from_millis(5));
-        while let Some(m) = f.try_recv(img(1)) {
+        while let Some(m) = poll(&f, img(1)) {
             surfaced.push(m);
         }
         assert_eq!(surfaced, vec![11], "dedup must absorb every retransmission");
@@ -820,7 +808,7 @@ mod tests {
         );
         // The ack is queued at image 0, but every ack timer has expired.
         std::thread::sleep(retry.ack_timeout * 2);
-        assert_eq!(f.try_recv(img(0)), None);
+        assert_eq!(poll(&f, img(0)), None);
         assert_eq!(f.stats().snapshot().retries, 0, "a queued ack must beat the retry scan");
         assert_eq!(f.retry_backlog(img(0)), 0);
     }
@@ -837,7 +825,7 @@ mod tests {
             k as usize
         );
         assert_eq!(f.stats().snapshot().acks, 1, "one cumulative ack for the whole drain");
-        assert_eq!(f.try_recv(img(0)), None);
+        assert_eq!(poll(&f, img(0)), None);
         assert_eq!(f.retry_backlog(img(0)), 0, "the one ack retires all {k} frames");
         // Two inbound links: one ack each, however the drain interleaves.
         for i in 0..k {
@@ -856,11 +844,11 @@ mod tests {
         let f = faulty(3, FaultPlan::none(23), RetryPolicy::default());
         f.send(img(0), img(1), 4, 10);
         f.send(img(2), img(1), 4, 20); // keeps image 1's drain going
-        assert_eq!(f.try_recv(img(1)), Some(10));
+        assert_eq!(poll(&f, img(1)), Some(10));
         // Image 1 answers before its drain ends, so its ack is still owed.
         f.send(img(1), img(0), 4, 11);
         f.send(img(1), img(0), 4, 12);
-        assert_eq!(f.try_recv(img(0)), Some(11));
+        assert_eq!(poll(&f, img(0)), Some(11));
         assert_eq!(f.retry_backlog(img(0)), 0, "the reply carried the ack");
         assert_eq!(f.stats().snapshot().acks, 0, "no standalone ack frame was sent");
     }
@@ -876,7 +864,7 @@ mod tests {
         );
         let t0 = Instant::now();
         f.send(img(0), img(1), 0, 3);
-        assert_eq!(f.try_recv(img(1)), None, "stalled image must not see the message yet");
+        assert_eq!(poll(&f, img(1)), None, "stalled image must not see the message yet");
         let got = recv(&f, img(1), t0 + Duration::from_secs(5));
         assert_eq!(got, Some(3));
         assert!(
@@ -908,7 +896,7 @@ mod tests {
         let deadline = Instant::now() + FailureParams::aggressive().detection_horizon() * 3;
         while Instant::now() < deadline {
             for i in 0..2 {
-                while f.try_recv(img(i)).is_some() {}
+                while poll(&f, img(i)).is_some() {}
                 f.wait_activity(img(i), Instant::now() + Duration::from_micros(200));
             }
         }
@@ -1003,7 +991,7 @@ mod tests {
         }
         assert_eq!(f.retry_backlog(img(0)), 3);
         f.mark_peer_dead(img(0), 1, 1);
-        assert_eq!(f.try_recv(img(0)), None); // the next pump
+        assert_eq!(poll(&f, img(0)), None); // the next pump
         assert_eq!(f.retry_backlog(img(0)), 0, "dead letters must leave the queue");
         assert_eq!(f.stats().snapshot().crash_drops, 3, "abandoned frames count as crash drops");
 
@@ -1018,7 +1006,7 @@ mod tests {
             std::thread::sleep(Duration::from_micros(200));
         }
         assert_eq!(f.retry_backlog(img(0)), 3, "confirmation lands after this pump's retry walk");
-        assert_eq!(f.try_recv(img(0)), None); // the next pump
+        assert_eq!(poll(&f, img(0)), None); // the next pump
         assert_eq!(f.retry_backlog(img(0)), 0);
         assert_eq!(f.stats().snapshot().crash_drops, 3);
         assert_eq!(f.stats().snapshot().retries, 0, "nothing was retransmitted into the void");
@@ -1033,7 +1021,7 @@ mod tests {
             assert!(f.poll_failures(img(0)).is_empty(), "clean exit misread as a crash");
             std::thread::sleep(Duration::from_micros(500));
         }
-        let (suspects, _) = f.failure_metrics(img(0));
+        let (suspects, _) = f.failure.as_ref().expect("detection is on").metrics(img(0));
         assert_eq!(suspects, 0, "retired peers must never enter the suspect window");
     }
 

@@ -129,6 +129,7 @@ impl FailureLayer {
     }
 
     /// `image`'s detector counters: `(suspects_raised, false_suspects)`.
+    #[cfg(test)]
     pub(crate) fn metrics(&self, image: ImageId) -> (u64, u64) {
         let obs = self.observers[image.index()].lock();
         (obs.detector.suspects_raised(), obs.detector.false_suspects())

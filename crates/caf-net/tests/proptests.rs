@@ -10,11 +10,22 @@ use caf_core::ids::ImageId;
 use caf_net::Fabric;
 use proptest::prelude::*;
 
-/// Receives the way the runtime does: poll `try_recv`, park in
-/// `wait_activity` until something happens or `deadline` passes.
+/// One receive under the runtime's flush rule: when the drain ends (no
+/// further frame due, or nothing surfaced), flush the wire acks `to`
+/// owes.
+fn poll(f: &Fabric<u64>, to: ImageId) -> Option<u64> {
+    let got = f.try_recv(to);
+    if got.is_none_or(|(_, more_due)| !more_due) {
+        f.flush_acks(to);
+    }
+    got.map(|(v, _)| v)
+}
+
+/// Receives the way the runtime does: `poll`, park in `wait_activity`
+/// until something happens or `deadline` passes.
 fn recv(f: &Fabric<u64>, to: ImageId, deadline: Instant) -> Option<u64> {
     loop {
-        if let Some(v) = f.try_recv(to) {
+        if let Some(v) = poll(f, to) {
             return Some(v);
         }
         if Instant::now() >= deadline {
@@ -162,7 +173,7 @@ proptest! {
             // Senders must poll their own inboxes: acks land there, and
             // polling pumps their retransmission timers.
             for s in 0..3 {
-                while f.try_recv(ImageId(s)).is_some() {}
+                while poll(&f, ImageId(s)).is_some() {}
             }
         }
         got.sort_unstable();
@@ -171,7 +182,7 @@ proptest! {
         // Nothing further may ever surface: late duplicates and
         // retransmits are filtered by sequence dedup, and a payload slot
         // is single-use even in principle.
-        prop_assert_eq!(f.try_recv(ImageId(3)), None);
+        prop_assert_eq!(poll(&f, ImageId(3)), None);
         // The last acks may still be in flight (or dropped, awaiting a
         // retransmit): keep every image polling until all senders'
         // outstanding frames are acknowledged.
@@ -182,7 +193,7 @@ proptest! {
                 (0..3).map(|s| f.retry_backlog(ImageId(s))).collect::<Vec<_>>()
             );
             for s in 0..4 {
-                while f.try_recv(ImageId(s)).is_some() {}
+                while poll(&f, ImageId(s)).is_some() {}
             }
             f.wait_activity(ImageId(3), Instant::now() + Duration::from_micros(200));
         }

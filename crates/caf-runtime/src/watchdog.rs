@@ -40,8 +40,12 @@ pub(crate) struct Watchdog {
     /// the survivors — all blocked on the dead peer — can still stall
     /// out instead of waiting forever).
     active: AtomicUsize,
-    /// Images currently inside a blocking runtime wait.
+    /// Images currently inside a blocking runtime wait (an image counts
+    /// once, however deeply its waits nest).
     waiting: AtomicUsize,
+    /// Open waits per image: a handler that waits inside an outer wait of
+    /// its image nests one deeper. Only the outermost enters `waiting`.
+    depth: Vec<AtomicUsize>,
     /// Latched once a stall has been declared.
     stalled: AtomicBool,
     obs: Mutex<Observation>,
@@ -53,6 +57,7 @@ impl Watchdog {
             window,
             active: AtomicUsize::new(n),
             waiting: AtomicUsize::new(0),
+            depth: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             stalled: AtomicBool::new(false),
             obs: Mutex::new(Observation { fingerprint: 0, since: Instant::now() }),
         }
@@ -62,10 +67,12 @@ impl Watchdog {
         self.window
     }
 
-    /// Marks the calling image as blocked for the guard's lifetime.
-    pub(crate) fn enter_wait(&self) -> WaitGuard<'_> {
-        self.waiting.fetch_add(1, Ordering::AcqRel);
-        WaitGuard { wd: self }
+    /// Marks `image` as blocked for the guard's lifetime.
+    pub(crate) fn enter_wait(&self, image: usize) -> WaitGuard<'_> {
+        if self.depth[image].fetch_add(1, Ordering::AcqRel) == 0 {
+            self.waiting.fetch_add(1, Ordering::AcqRel);
+        }
+        WaitGuard { wd: self, image }
     }
 
     /// Held by each image thread for its whole run; dropping it (return
@@ -101,6 +108,7 @@ impl Watchdog {
 
 pub(crate) struct WaitGuard<'a> {
     wd: &'a Watchdog,
+    image: usize,
 }
 
 impl WaitGuard<'_> {
@@ -112,7 +120,9 @@ impl WaitGuard<'_> {
 
 impl Drop for WaitGuard<'_> {
     fn drop(&mut self) {
-        self.wd.waiting.fetch_sub(1, Ordering::AcqRel);
+        if self.wd.depth[self.image].fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.wd.waiting.fetch_sub(1, Ordering::AcqRel);
+        }
     }
 }
 
@@ -133,13 +143,13 @@ mod tests {
     #[test]
     fn stall_needs_all_images_waiting_and_flat_fingerprint() {
         let wd = Watchdog::new(Duration::from_millis(10), 2);
-        let _g0 = wd.enter_wait();
+        let _g0 = wd.enter_wait(0);
         // Only one of two images waiting: never stalls.
         assert!(!wd.observe(1));
         std::thread::sleep(Duration::from_millis(15));
         assert!(!wd.observe(1));
         // Second image joins; flat fingerprint now ages toward the window.
-        let _g1 = wd.enter_wait();
+        let _g1 = wd.enter_wait(1);
         assert!(!wd.observe(1), "window restarts from the waiting transition");
         std::thread::sleep(Duration::from_millis(15));
         assert!(wd.observe(1));
@@ -149,7 +159,7 @@ mod tests {
     #[test]
     fn fingerprint_movement_resets_the_window() {
         let wd = Watchdog::new(Duration::from_millis(20), 1);
-        let _g = wd.enter_wait();
+        let _g = wd.enter_wait(0);
         assert!(!wd.observe(1));
         std::thread::sleep(Duration::from_millis(12));
         assert!(!wd.observe(2), "progress happened");
@@ -163,7 +173,7 @@ mod tests {
     fn wait_guard_is_balanced() {
         let wd = Watchdog::new(Duration::from_millis(5), 1);
         {
-            let _g = wd.enter_wait();
+            let _g = wd.enter_wait(0);
             assert_eq!(wd.waiting.load(Ordering::Relaxed), 1);
         }
         assert_eq!(wd.waiting.load(Ordering::Relaxed), 0);

@@ -121,6 +121,29 @@ fn watchdog_stays_quiet_while_the_retry_budget_holds() {
 }
 
 #[test]
+fn nested_waits_of_one_image_are_not_a_stall() {
+    // Image 0's `finish` wait runs a shipped function that blocks in
+    // `event_wait`: two open waits, but one blocked image. Image 1 stays
+    // in user code for four watchdog windows before it notifies, so the
+    // team is never all blocked and the watchdog must stay quiet.
+    let window = Duration::from_millis(150);
+    let cfg = RuntimeConfig { watchdog: Some(window), ..RuntimeConfig::testing() };
+    let out = Runtime::try_launch(2, cfg, |img| {
+        let w = img.world();
+        let ce = img.coevent();
+        img.finish(&w, |img| {
+            if img.id().index() == 0 {
+                img.spawn(img.id(), move |me| me.event_wait(ce.on(me.id())));
+            } else {
+                std::thread::sleep(window * 4);
+                img.event_notify(ce.on(img.image(0)));
+            }
+        });
+    });
+    assert!(out.is_ok(), "a running image was counted as blocked: {out:?}");
+}
+
+#[test]
 fn exhausted_retry_budget_stalls_cleanly_within_the_window() {
     // Link 0→1 is a black hole: the spawned increment can never arrive,
     // so finish can never terminate. The retry budget exhausts after

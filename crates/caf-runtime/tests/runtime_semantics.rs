@@ -646,11 +646,7 @@ fn broadcast_async_rounds_back_to_back() {
 fn backpressure_does_not_deadlock_ack_cycles() {
     let cfg = RuntimeConfig {
         comm_mode: CommMode::DedicatedThread,
-        network: NetworkModel {
-            inbox_capacity: Some(8),
-            backpressure_stall: Duration::from_micros(20),
-            ..NetworkModel::instant()
-        },
+        network: NetworkModel { inbox_capacity: Some(8), ..NetworkModel::instant() },
         ..RuntimeConfig::default()
     };
     let n = 4;

@@ -57,7 +57,44 @@ impl UtsRng {
 
 #[cfg(test)]
 mod tests {
+    use std::hint::black_box;
+    use std::time::Instant;
+
+    use caf_core::rng::splitmix64_hash;
+
     use super::*;
+
+    /// Fastest of five rounds of `n` calls, in ns per call.
+    fn ns_per_call(n: u32, mut f: impl FnMut(u32)) -> f64 {
+        (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                (0..n).for_each(&mut f);
+                t.elapsed().as_nanos() as f64 / f64::from(n)
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The hash ablation: SHA-1 descriptor derivation against a
+    /// SplitMix64 stand-in, which bounds how much of a UTS node's cost is
+    /// hashing (the knob behind the simulator's `node_cost_ns`). Timing
+    /// only; run with `cargo test -p uts --release -- --ignored
+    /// --nocapture`.
+    #[test]
+    #[ignore = "timing; run in release with --nocapture"]
+    fn sha1_spawn_vs_splitmix_hash_timing() {
+        let root = UtsRng::init(19);
+        let sha1 = ns_per_call(400_000, |i| {
+            black_box(root.spawn(black_box(i as i32)));
+        });
+        let splitmix = ns_per_call(400_000, |i| {
+            black_box(splitmix64_hash(black_box(u64::from(i))));
+        });
+        println!(
+            "UtsRng::spawn {sha1:.1} ns, splitmix64_hash {splitmix:.2} ns: SHA-1 costs {:.0}x",
+            sha1 / splitmix
+        );
+    }
 
     #[test]
     fn init_is_deterministic_and_seed_sensitive() {

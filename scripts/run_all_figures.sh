@@ -5,10 +5,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results
-for bin in fig05_barrier_failure fig12_cofence fig13_randomaccess \
-           fig14_bunch_size fig16_load_balance fig17_uts_efficiency \
-           fig18_allreduce_rounds ablation_detectors ablation_comm_thread \
-           ablation_steal_chunk ablation_treeshape; do
+for src in crates/bench/src/bin/*.rs; do
+  bin="$(basename "$src" .rs)"
   echo "=== $bin ==="
   cargo run --release -p bench --bin "$bin" | tee "results/$bin.txt"
 done

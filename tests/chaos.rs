@@ -15,7 +15,6 @@ fn chaos_cfg(seed: u64) -> RuntimeConfig {
             latency: Duration::from_micros(100),
             injection_overhead: Duration::from_micros(2),
             inbox_capacity: Some(12),
-            backpressure_stall: Duration::from_micros(50),
             ..NetworkModel::instant()
         },
         non_fifo: true,

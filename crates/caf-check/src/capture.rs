@@ -3,13 +3,13 @@
 //!
 //! The runtime records the same protocol events the model checker
 //! explores — sends, delivery acks, receptions, completions, wave entries
-//! and exits, poison — with parities, ack counts and contributions
+//! and exits, poison — with wave tags, ack counts and contributions
 //! attached. This module replays a captured trace through fresh
 //! [`EpochDetector`]s (a counted ack applies all of its deliveries) and
 //! cross-checks every recorded value against the replica:
 //!
-//! * each `Send`'s recorded parity must equal what the replica's epoch
-//!   state hands out at that point in the image's program order;
+//! * each `Send`'s recorded wave tag must equal the replica's wave count
+//!   at that point in the image's program order;
 //! * each `EnterWave` must happen with the replica ready (the quiescence
 //!   precondition) and carry exactly the replica's contribution;
 //! * each `ExitWave` must carry a sum shared by every image in that wave,
@@ -22,7 +22,6 @@
 
 use std::collections::BTreeMap;
 
-use caf_core::ids::Parity;
 use caf_core::termination::{EpochDetector, WaveDecision, WaveDetector};
 use caf_core::trace::TraceEvent;
 
@@ -80,20 +79,18 @@ fn validate_finish(
         let image = ev.image();
         let det = dets.entry(image).or_insert_with(|| EpochDetector::new(wait_quiescence));
         match ev {
-            TraceEvent::Send { parity, .. } => {
+            TraceEvent::Send { wave, .. } => {
                 let replica = det.on_send();
-                if replica != *parity {
+                if replica != *wave {
                     return Err(fail(format!(
-                        "finish {fid:?}: image {image} recorded a {parity:?} send where the \
-                         replayed epoch state hands out {replica:?}"
+                        "finish {fid:?}: image {image} recorded a send tagged {wave} where \
+                         the replayed epoch state is in wave {replica}"
                     )));
                 }
             }
-            TraceEvent::Delivered { count, .. } => {
-                (0..*count).for_each(|_| det.on_delivered(Parity::Even));
-            }
-            TraceEvent::Receive { parity, .. } => det.on_receive(*parity),
-            TraceEvent::Complete { parity, .. } => det.on_complete(*parity),
+            TraceEvent::Delivered { count, .. } => (0..*count).for_each(|_| det.on_delivered()),
+            TraceEvent::Receive { .. } => det.on_receive(),
+            TraceEvent::Complete { wave, .. } => det.on_complete(*wave),
             TraceEvent::EnterWave { contribution, .. } => {
                 if !det.ready() {
                     return Err(fail(format!(
@@ -171,10 +168,10 @@ mod tests {
     fn clean_capture() -> Vec<TraceEvent> {
         let f = (0, 1);
         vec![
-            TraceEvent::Send { image: 0, finish: f, parity: Parity::Even },
-            TraceEvent::Receive { image: 1, finish: f, parity: Parity::Even },
+            TraceEvent::Send { image: 0, finish: f, wave: 0 },
+            TraceEvent::Receive { image: 1, finish: f },
             TraceEvent::Delivered { image: 0, finish: f, count: 1 },
-            TraceEvent::Complete { image: 1, finish: f, parity: Parity::Even },
+            TraceEvent::Complete { image: 1, finish: f, wave: 0 },
             TraceEvent::EnterWave { image: 0, finish: f, contribution: [1, 0] },
             TraceEvent::EnterWave { image: 1, finish: f, contribution: [-1, 0] },
             TraceEvent::ExitWave { image: 0, finish: f, sum: [0, 0], terminated: true },
@@ -189,9 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn wrong_parity_is_flagged() {
+    fn wrong_wave_tag_is_flagged() {
         let mut evs = clean_capture();
-        evs[0] = TraceEvent::Send { image: 0, finish: (0, 1), parity: Parity::Odd };
+        evs[0] = TraceEvent::Send { image: 0, finish: (0, 1), wave: 1 };
         let v = validate(&evs, true).unwrap_err();
         assert_eq!(v.kind, ViolationKind::Capture);
         assert!(v.detail.contains("send"), "{}", v.detail);
@@ -202,7 +199,7 @@ mod tests {
         // Image 0 enters the wave with its send still unacked.
         let f = (0, 1);
         let evs = vec![
-            TraceEvent::Send { image: 0, finish: f, parity: Parity::Even },
+            TraceEvent::Send { image: 0, finish: f, wave: 0 },
             TraceEvent::EnterWave { image: 0, finish: f, contribution: [1, 0] },
         ];
         let v = validate(&evs, true).unwrap_err();

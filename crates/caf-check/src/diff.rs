@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use caf_core::ids::{ImageId, Parity};
+use caf_core::ids::ImageId;
 use caf_core::termination::{
     BarrierDetector, CentralizedDetector, CentralizedHome, EpochDetector, WaveDecision,
     WaveDetector,
@@ -109,15 +109,15 @@ fn wave_verdict<D: WaveDetector, F: Fn() -> D>(
     expect_waves: usize,
 ) -> Result<(), String> {
     let mut bank: Vec<D> = (0..n).map(|_| fresh()).collect();
-    let mut tags: BTreeMap<&str, Parity> = BTreeMap::new();
+    let mut tags: BTreeMap<&str, u32> = BTreeMap::new();
     for step in trace {
         match step {
             MsgStep::Send { id, from, .. } => {
                 tags.insert(id, bank[*from].on_send());
             }
-            MsgStep::Deliver { id, to } => bank[*to].on_receive(tags[id.as_str()]),
+            MsgStep::Deliver { to, .. } => bank[*to].on_receive(),
             MsgStep::Exec { id, to } => bank[*to].on_complete(tags[id.as_str()]),
-            MsgStep::Ack { id, from } => bank[*from].on_delivered(tags[id.as_str()]),
+            MsgStep::Ack { from, .. } => bank[*from].on_delivered(),
         }
     }
     for wave in 1..=MAX_VERDICT_WAVES {
@@ -183,9 +183,9 @@ fn barrier_one_way(n: usize, trace: &[MsgStep]) -> Result<(), String> {
             MsgStep::Send { from, .. } => {
                 bank[*from].on_send();
             }
-            MsgStep::Deliver { id: _, to } => bank[*to].on_receive(Parity::Even),
-            MsgStep::Exec { id: _, to } => bank[*to].on_complete(Parity::Even),
-            MsgStep::Ack { id: _, from } => bank[*from].on_delivered(Parity::Even),
+            MsgStep::Deliver { to, .. } => bank[*to].on_receive(),
+            MsgStep::Exec { to, .. } => bank[*to].on_complete(0),
+            MsgStep::Ack { from, .. } => bank[*from].on_delivered(),
         }
     }
     match (0..n).find(|&i| !bank[i].locally_done()) {
@@ -196,9 +196,9 @@ fn barrier_one_way(n: usize, trace: &[MsgStep]) -> Result<(), String> {
 
 /// Replays the message trace through the DES engine, one event per tick,
 /// driving a fresh epoch bank; the per-step cumulative counter snapshots
-/// must equal the exploration-recorded history exactly. Cumulative
-/// counters are invariant under wave folds, so the comparison is valid
-/// even though the replay runs no waves.
+/// must equal the exploration-recorded history exactly. The counters are
+/// cumulative and no wave touches them, so the comparison is valid even
+/// though the replay runs no waves.
 fn des_replay(world: &World) -> Result<(), String> {
     let n = world.images();
     let mut engine: caf_des::Engine<MsgStep> = caf_des::Engine::new();
@@ -206,20 +206,11 @@ fn des_replay(world: &World) -> Result<(), String> {
         engine.schedule_at(i as caf_des::SimTime, step.clone());
     }
     let mut bank: Vec<EpochDetector> = (0..n).map(|_| EpochDetector::new(true)).collect();
-    let mut tags: BTreeMap<String, Parity> = BTreeMap::new();
+    let mut tags: BTreeMap<String, u32> = BTreeMap::new();
     let mut history: Vec<(usize, [u64; 4])> = Vec::new();
     let snapshot = |bank: &Vec<EpochDetector>, image: usize| {
-        let s = bank[image].epochs();
-        let (e, o) = (s.counters(Parity::Even), s.counters(Parity::Odd));
-        (
-            image,
-            [
-                e.sent + o.sent,
-                e.delivered + o.delivered,
-                e.received + o.received,
-                e.completed + o.completed,
-            ],
-        )
+        let c = bank[image].epochs().counters();
+        (image, [c.sent, c.delivered, c.received, c.completed])
     };
     while let Some((_, step)) = engine.pop() {
         let image = match &step {
@@ -228,16 +219,16 @@ fn des_replay(world: &World) -> Result<(), String> {
                 tags.insert(id.clone(), tag);
                 *from
             }
-            MsgStep::Deliver { id, to } => {
-                bank[*to].on_receive(tags[id]);
+            MsgStep::Deliver { to, .. } => {
+                bank[*to].on_receive();
                 *to
             }
             MsgStep::Exec { id, to } => {
                 bank[*to].on_complete(tags[id]);
                 *to
             }
-            MsgStep::Ack { id, from } => {
-                bank[*from].on_delivered(tags[id]);
+            MsgStep::Ack { from, .. } => {
+                bank[*from].on_delivered();
                 *from
             }
         };

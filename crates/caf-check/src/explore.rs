@@ -7,8 +7,8 @@
 //! stays asleep in their subtrees as long as it is independent of every
 //! transition taken — schedules that merely commute adjacent independent
 //! steps are visited once. Independence is structural (disjoint image
-//! touch sets, see [`World::independent`]); wave closes and crashes are
-//! global and therefore dependent with everything.
+//! touch sets, see [`World::independent`]); crashes are global and
+//! therefore dependent with everything.
 //!
 //! Oracles fire inside [`World::step`]; terminal states additionally run
 //! the differential and DES replay oracles from [`crate::diff`].
@@ -111,11 +111,14 @@ fn dfs(
     if enabled.is_empty() {
         return terminal(world, cfg, stats);
     }
-    let candidates: Vec<&TKey> = if cfg.por {
+    let mut candidates: Vec<&TKey> = if cfg.por {
         enabled.iter().filter(|t| !sleep.contains(t)).collect()
     } else {
         enabled.iter().collect()
     };
+    // Wave steps first: the search then soon reaches schedules where waves
+    // overlap message traffic, which is where tagging bugs live.
+    candidates.sort_by_key(|t| !matches!(t, TKey::Enter(_) | TKey::Sum | TKey::Exit(_)));
     if candidates.is_empty() {
         // Every enabled transition is asleep: this state's subtree is
         // covered by a sibling that ran the same transitions earlier.

@@ -8,9 +8,13 @@
 //!
 //! * [`Mutation::DropQuiescenceWait`] — skip Fig. 7 line 4 entirely
 //!   (always ready): breaks the Theorem 1 wave bound.
-//! * [`Mutation::MergeEpochs`] — strip parity tags off every message, so
-//!   receivers never flip into the odd epoch: events concurrent with an
-//!   in-flight reduction leak into its cut (the classic false-zero).
+//! * [`Mutation::MergeEpochs`] — ignore the wave tag: every message
+//!   travels tagged 0, so a completion of a message sent after its sender
+//!   entered a wave leaks into that wave's cut (the classic false-zero).
+//! * [`Mutation::NextWaveAlias`] — a completion tagged one wave ahead
+//!   counts as current while its receiver is still inside the wave:
+//!   the paper's parity tags, which alias wave `w + 1` with `w − 1` once
+//!   images leave a wave at different times.
 //! * [`Mutation::SkipPoison`] — ignore fail-stop poison: a crash turns
 //!   into a deadlock instead of an abort.
 //! * [`Mutation::LocalVerdict`] — decide termination from the image's own
@@ -29,7 +33,6 @@
 //!   or while it waits: a short buffer never leaves, and its sender never
 //!   quiesces. This one perturbs the world's flush and enter steps.
 
-use caf_core::ids::Parity;
 use caf_core::termination::{
     BarrierDetector, Contribution, EpochDetector, FourCounterDetector, WaveDecision, WaveDetector,
 };
@@ -125,8 +128,10 @@ impl Det {
 pub enum Mutation {
     /// Always ready: the quiescence wait of Fig. 7 line 4 is skipped.
     DropQuiescenceWait,
-    /// Message parity tags are stripped (no even/odd epoch separation).
+    /// The wave tag is ignored: every message travels tagged 0.
     MergeEpochs,
+    /// Inside a wave, a completion tagged one wave ahead counts as current.
+    NextWaveAlias,
     /// Fail-stop poison is swallowed instead of propagated.
     SkipPoison,
     /// Termination decided from the local contribution, not the sum.
@@ -147,9 +152,10 @@ pub enum Mutation {
 impl Mutation {
     /// All finish-protocol mutations (the cofence mutations live in
     /// `cofence_check`).
-    pub const ALL: [Mutation; 9] = [
+    pub const ALL: [Mutation; 10] = [
         Mutation::DropQuiescenceWait,
         Mutation::MergeEpochs,
+        Mutation::NextWaveAlias,
         Mutation::SkipPoison,
         Mutation::LocalVerdict,
         Mutation::SingleWaveFourCounter,
@@ -164,6 +170,7 @@ impl Mutation {
         match self {
             Mutation::DropQuiescenceWait => "drop-quiescence-wait",
             Mutation::MergeEpochs => "merge-epochs",
+            Mutation::NextWaveAlias => "next-wave-alias",
             Mutation::SkipPoison => "skip-poison",
             Mutation::LocalVerdict => "local-verdict",
             Mutation::SingleWaveFourCounter => "single-wave-four-counter",
@@ -187,6 +194,8 @@ impl Mutation {
         match self {
             Mutation::SingleWaveFourCounter => Family::FourCounter,
             Mutation::FlushOnCapOnly => Family::Aggregated,
+            // Without the quiescence wait one spawn level suffices.
+            Mutation::NextWaveAlias => Family::EpochLoose,
             _ => Family::EpochStrict,
         }
     }
@@ -226,30 +235,39 @@ impl CheckedDetector {
 }
 
 impl WaveDetector for CheckedDetector {
-    fn on_send(&mut self) -> Parity {
+    fn on_send(&mut self) -> u32 {
         let tag = self.det.inner().on_send();
         if self.mutation == Some(Mutation::MergeEpochs) {
-            // No epoch separation: every message travels tagged Even, so
-            // receivers never flip into the odd epoch.
-            Parity::Even
+            0
         } else {
             tag
         }
     }
 
-    fn on_delivered(&mut self, tag: Parity) {
+    fn on_delivered(&mut self) {
         if self.mutation == Some(Mutation::AckCompleteConfusion) {
-            self.det.inner().on_complete(tag);
+            self.det.inner().on_complete(0);
         } else {
-            self.det.inner().on_delivered(tag);
+            self.det.inner().on_delivered();
         }
     }
 
-    fn on_receive(&mut self, tag: Parity) {
-        self.det.inner().on_receive(tag);
+    fn on_receive(&mut self) {
+        self.det.inner().on_receive();
     }
 
-    fn on_complete(&mut self, tag: Parity) {
+    fn on_complete(&mut self, tag: u32) {
+        let tag = match &self.det {
+            // Inside wave `w` (entered `w` waves, exited `w − 1`), a tag of
+            // `w + 1` aliases to `w`, as parity would have it.
+            Det::Epoch(d)
+                if self.mutation == Some(Mutation::NextWaveAlias)
+                    && d.epochs().wave() as usize > d.waves() =>
+            {
+                tag.min(d.epochs().wave())
+            }
+            _ => tag,
+        };
         self.det.inner().on_complete(tag);
     }
 
@@ -314,21 +332,14 @@ impl CheckedDetector {
         self.poison_seen
     }
 
-    /// Cumulative `[sent, delivered, received, completed]` across both
-    /// parities — wave-fold independent, so a DES replay that schedules
-    /// the same message steps must reproduce it exactly. `None` for
-    /// non-epoch families.
+    /// Cumulative `[sent, delivered, received, completed]` — independent
+    /// of waves, so a DES replay that schedules the same message steps
+    /// must reproduce it exactly. `None` for non-epoch families.
     pub fn epoch_counters(&self) -> Option<[u64; 4]> {
         match &self.det {
             Det::Epoch(d) => {
-                let s = d.epochs();
-                let (e, o) = (s.counters(Parity::Even), s.counters(Parity::Odd));
-                Some([
-                    e.sent + o.sent,
-                    e.delivered + o.delivered,
-                    e.received + o.received,
-                    e.completed + o.completed,
-                ])
+                let c = d.epochs().counters();
+                Some([c.sent, c.delivered, c.received, c.completed])
             }
             Det::Four(_) | Det::Barrier(_) => None,
         }
@@ -345,21 +356,40 @@ mod tests {
         let mut d = EpochDetector::new(true);
         assert_eq!(w.on_send(), d.on_send());
         assert_eq!(w.ready(), d.ready());
-        w.on_delivered(Parity::Even);
-        d.on_delivered(Parity::Even);
+        w.on_delivered();
+        d.on_delivered();
         assert_eq!(w.enter_wave(), d.enter_wave());
         assert_eq!(w.exit_wave([0, 0]), d.exit_wave([0, 0]));
         assert_eq!(w.waves(), d.waves());
     }
 
     #[test]
-    fn merge_epochs_strips_odd_tags() {
+    fn merge_epochs_strips_wave_tags() {
         let mut w = CheckedDetector::new(Family::EpochStrict, Some(Mutation::MergeEpochs));
-        w.enter_wave(); // detector now in the odd epoch
-        assert_eq!(w.on_send(), Parity::Even, "mutated tag must stay Even");
+        w.enter_wave(); // detector now in epoch 1
+        assert_eq!(w.on_send(), 0, "mutated tag must stay 0");
         let mut clean = CheckedDetector::new(Family::EpochStrict, None);
         clean.enter_wave();
-        assert_eq!(clean.on_send(), Parity::Odd);
+        assert_eq!(clean.on_send(), 1);
+    }
+
+    #[test]
+    fn next_wave_alias_counts_an_ahead_completion_only_inside_a_wave() {
+        let contribution_after = |mutation, inside: bool| {
+            let mut w = CheckedDetector::new(Family::EpochLoose, mutation);
+            if inside {
+                w.enter_wave();
+            }
+            w.on_receive();
+            w.on_complete(if inside { 2 } else { 1 }); // one wave ahead
+            if inside {
+                w.exit_wave([1, 0]);
+            }
+            w.enter_wave()[0]
+        };
+        assert_eq!(contribution_after(None, true), 0, "ahead: left for the next cut");
+        assert_eq!(contribution_after(Some(Mutation::NextWaveAlias), true), -1);
+        assert_eq!(contribution_after(Some(Mutation::NextWaveAlias), false), 0);
     }
 
     #[test]

@@ -248,7 +248,7 @@ mod tests {
             family: Family::EpochStrict,
             mutation: Some(Mutation::MergeEpochs),
             expect: Some(ViolationKind::Safety),
-            schedule: vec![TKey::Deliver("r0".into()), TKey::Enter(1), TKey::Close],
+            schedule: vec![TKey::Deliver("r0".into()), TKey::Enter(1), TKey::Sum, TKey::Exit(0)],
         };
         let parsed = Replay::parse(&r.to_text()).unwrap();
         assert_eq!(parsed, r);

@@ -19,8 +19,9 @@
 //! Waves are not queued. Before every pop, each ready image enters the
 //! open wave, in index order. Once every live image is in, the allreduce
 //! takes `max(1, wave_delay)`: events inside that window still run
-//! (images poll inside the collective), then the wave closes. The barrier
-//! strawman has no allreduce: it closes the instant its last image enters.
+//! (images poll inside the collective), then the wave is summed and every
+//! live image exits at once, in index order. The barrier strawman has no
+//! allreduce: it closes the instant its last image enters.
 //!
 //! When the scenario names a crash victim, the victim fail-stops just
 //! before the `crash_at_event`-th pop, and every survivor is poisoned
@@ -138,7 +139,7 @@ impl Scheduler<'_> {
             for i in 0..world.images() {
                 world.step_if_enabled(&TKey::Enter(i))?;
             }
-            if world.is_enabled(&TKey::Close) {
+            if world.is_enabled(&TKey::Sum) {
                 if world.family() != Family::Barrier {
                     let wave_end = self.clock + self.timing.wave_delay.max(1);
                     while self.engine.peek_time().is_some_and(|t| t <= wave_end) {
@@ -146,7 +147,10 @@ impl Scheduler<'_> {
                     }
                     self.clock = wave_end;
                 }
-                world.step(&TKey::Close)?;
+                world.step(&TKey::Sum)?;
+                for i in 0..world.images() {
+                    world.step_if_enabled(&TKey::Exit(i))?;
+                }
             } else if self.engine.pending() > 0 {
                 self.pop(world)?;
             } else {

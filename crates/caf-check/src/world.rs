@@ -13,10 +13,13 @@
 //! the receiver owes an ack on that link up to the named one (the
 //! runtime's `Ack { finish, count }`, with the per-message ack as its
 //! `k = 1` case); executing a message spawns its children; each image
-//! asynchronously enters a reduction wave when its detector is ready, and
-//! the wave closes (the allreduce) once every live image has entered.
-//! Images keep receiving and executing messages while a wave is open —
-//! the interleavings this creates are where epoch-parity bugs live.
+//! asynchronously enters a reduction wave when its detector is ready, the
+//! wave's sum (the allreduce) is fixed once every live image has entered,
+//! and then each image exits on its own step, as the runtime's images do
+//! when the allreduce root has the sum first. Images keep receiving and
+//! executing messages while a wave is open, and an image that has exited
+//! may enter the next wave while others are still inside this one — the
+//! interleavings this creates are where epoch-tagging bugs live.
 //!
 //! Transition identities ([`TKey`]) are path-based and schedule-stable:
 //! the `k`-th root message is `r<k>`, the `j`-th child of message `P` is
@@ -31,7 +34,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use caf_core::ids::Parity;
 use caf_core::termination::{Contribution, WaveDecision, WaveDetector};
 
 use crate::mutation::{CheckedDetector, Family, Mutation};
@@ -57,8 +59,10 @@ pub enum TKey {
     Exec(String),
     /// Image enters the open reduction wave.
     Enter(usize),
-    /// Close the wave: sum live contributions, every live image exits.
-    Close,
+    /// Fix the wave's sum of live contributions (every live image is in).
+    Sum,
+    /// Image leaves the summed wave with its decision.
+    Exit(usize),
     /// Fail-stop the scenario's victim.
     Crash(usize),
     /// Deliver the victim's death notice to one survivor.
@@ -75,7 +79,8 @@ impl fmt::Display for TKey {
             TKey::Ack(id) => write!(f, "ack {id}"),
             TKey::Exec(id) => write!(f, "exec {id}"),
             TKey::Enter(i) => write!(f, "enter {i}"),
-            TKey::Close => write!(f, "close"),
+            TKey::Sum => write!(f, "sum"),
+            TKey::Exit(i) => write!(f, "exit {i}"),
             TKey::Crash(v) => write!(f, "crash {v}"),
             TKey::Poison(i) => write!(f, "poison {i}"),
             TKey::Flush(i, d) => write!(f, "flush {i} {d}"),
@@ -97,7 +102,8 @@ impl TKey {
             "ack" => Ok(TKey::Ack(rest.trim().to_string())),
             "exec" => Ok(TKey::Exec(rest.trim().to_string())),
             "enter" => Ok(TKey::Enter(arg()?)),
-            "close" => Ok(TKey::Close),
+            "sum" => Ok(TKey::Sum),
+            "exit" => Ok(TKey::Exit(arg()?)),
             "crash" => Ok(TKey::Crash(arg()?)),
             "poison" => Ok(TKey::Poison(arg()?)),
             "flush" => {
@@ -116,7 +122,7 @@ impl TKey {
 struct Msg {
     from: usize,
     to: usize,
-    tag: Parity,
+    tag: u32,
     children: Vec<SpawnTree>,
     /// Still in the sender's aggregation buffer, not yet on the wire.
     buffered: bool,
@@ -170,8 +176,8 @@ pub enum MsgStep {
 }
 
 /// Cumulative `[sent, delivered, received, completed]` of one image right
-/// after a message step touched it (both parities summed) — the counter
-/// history the DES replay must reproduce.
+/// after a message step touched it — the counter history the DES replay
+/// must reproduce.
 pub type CounterSnapshot = (usize, [u64; 4]);
 
 /// How a finished world ended.
@@ -265,8 +271,17 @@ pub struct World {
     dets: Vec<CheckedDetector>,
     msgs: BTreeMap<String, Msg>,
     deliveries: u64,
+    /// Entered the next wave, waiting for its sum.
     entered: Vec<bool>,
     contributions: Vec<Contribution>,
+    /// The summed wave's sum, until its last live image exits.
+    summed: Option<Contribution>,
+    /// Live images still inside the summed wave.
+    inside: Vec<bool>,
+    /// Decisions of the images that have exited the summed wave.
+    decisions: Vec<(usize, WaveDecision)>,
+    /// No message was in flight when the wave was summed.
+    quiet: bool,
     alive: Vec<bool>,
     crash_victim: Option<usize>,
     crashed: bool,
@@ -305,6 +320,10 @@ impl World {
             deliveries: 0,
             entered: vec![false; n],
             contributions: vec![[0, 0]; n],
+            summed: None,
+            inside: vec![false; n],
+            decisions: Vec::new(),
+            quiet: false,
             alive: vec![true; n],
             crash_victim: scenario.crash,
             crashed: false,
@@ -333,7 +352,7 @@ impl World {
         self.n
     }
 
-    /// Waves closed so far.
+    /// Waves summed so far.
     pub fn waves(&self) -> usize {
         self.waves
     }
@@ -431,7 +450,8 @@ impl World {
         flushes.dedup();
         candidates.extend(flushes);
         candidates.extend((0..self.n).map(TKey::Enter));
-        candidates.push(TKey::Close);
+        candidates.push(TKey::Sum);
+        candidates.extend((0..self.n).map(TKey::Exit));
         candidates.extend(self.crash_victim.map(TKey::Crash));
         candidates.extend((0..self.n).map(TKey::Poison));
         candidates.retain(|k| self.is_enabled(k));
@@ -453,6 +473,8 @@ impl World {
                 *i < self.n
                     && self.alive[*i]
                     && !self.entered[*i]
+                    && !self.inside[*i]
+                    && !self.decisions.contains(&(*i, WaveDecision::Terminated))
                     && self.dets[*i].ready()
                     && (cap_only || self.buffered(*i, None) == 0)
             }
@@ -460,9 +482,10 @@ impl World {
                 0 => false,
                 k => !cap_only || k >= FLUSH_CAP,
             },
-            TKey::Close => {
+            TKey::Sum => {
                 self.alive.contains(&true) && (0..self.n).all(|i| !self.alive[i] || self.entered[i])
             }
+            TKey::Exit(i) => self.inside.get(*i) == Some(&true),
             TKey::Crash(v) => self.crash_victim == Some(*v) && !self.crashed,
             TKey::Poison(i) => *i < self.n && self.poison_pending[*i] && self.alive[*i],
         }
@@ -475,16 +498,52 @@ impl World {
             TKey::Deliver(id) | TKey::Exec(id) => self.msgs.get(id).map(|m| vec![m.to]),
             TKey::Ack(id) => self.msgs.get(id).map(|m| vec![m.from]),
             TKey::Enter(i) | TKey::Poison(i) | TKey::Flush(i, _) => Some(vec![*i]),
-            TKey::Close | TKey::Crash(_) => None,
+            TKey::Exit(i) => Some(vec![*i]),
+            TKey::Sum | TKey::Crash(_) => None,
         }
     }
 
     /// Whether two currently enabled transitions are independent (they
     /// commute and neither can disable the other): disjoint image touch
-    /// sets, neither global.
+    /// sets, neither global. Two pairs commute beyond that. An exit reads
+    /// only the sum and its detector's wave state (poison, past sums),
+    /// which no message step touches (bar the `next-wave-alias` mutant). The sum reads only wave
+    /// entries, and notes whether any message is in flight, which only a
+    /// step retiring the last one changes. An exit's verdict is the same
+    /// in either order, and taken first it sees at least as much work
+    /// outstanding. The last exit of a wave may end the run and so
+    /// disable other steps, but a finished run has nothing left to check.
     pub fn independent(&self, a: &TKey, b: &TKey) -> bool {
+        let wave_vs_msg = |w: &TKey, m: &TKey| match (w, m) {
+            (TKey::Exit(_), TKey::Deliver(_) | TKey::Ack(_) | TKey::Exec(_) | TKey::Flush(..)) => {
+                self.mutation != Some(Mutation::NextWaveAlias)
+            }
+            (TKey::Sum, TKey::Deliver(_) | TKey::Flush(..) | TKey::Poison(_)) => true,
+            (TKey::Sum, TKey::Ack(_) | TKey::Exec(_)) => !self.empties(m),
+            _ => false,
+        };
+        if wave_vs_msg(a, b) || wave_vs_msg(b, a) {
+            return true;
+        }
         match (self.touch(a), self.touch(b)) {
             (Some(ta), Some(tb)) => ta.iter().all(|i| !tb.contains(i)),
+            _ => false,
+        }
+    }
+
+    /// Whether message step `k` would retire the last message in flight.
+    fn empties(&self, k: &TKey) -> bool {
+        match k {
+            TKey::Exec(id) => {
+                let m = &self.msgs[id];
+                self.msgs.len() == 1 && m.acked && m.children.iter().all(|c| !self.alive[c.target])
+            }
+            TKey::Ack(id) => {
+                let a = &self.msgs[id];
+                let covered =
+                    |m: &Msg| m.from == a.from && m.to == a.to && m.delivery <= a.delivery;
+                self.msgs.values().all(|m| m.execed && (m.acked || (m.delivered && covered(m))))
+            }
             _ => false,
         }
     }
@@ -511,11 +570,11 @@ impl World {
     fn apply(&mut self, key: &TKey) -> Result<(), Violation> {
         match key {
             TKey::Deliver(id) => {
-                let (to, tag, clock) = {
+                let (to, clock) = {
                     let m = &self.msgs[id];
-                    (m.to, m.tag, m.clock.clone())
+                    (m.to, m.clock.clone())
                 };
-                self.dets[to].on_receive(tag);
+                self.dets[to].on_receive();
                 self.clocks[to].join(&clock);
                 self.clocks[to].tick(to);
                 debug_assert!(clock.le(&self.clocks[to]), "delivery clock must dominate send");
@@ -548,11 +607,9 @@ impl World {
                 let k = batch.len();
                 let counted = if self.mutation == Some(Mutation::AckMiscount) { k - 1 } else { k };
                 for (j, (_, mid)) in batch.iter().enumerate() {
-                    let m = self.msgs.get_mut(mid).unwrap();
-                    m.acked = true;
-                    let tag = m.tag;
+                    self.msgs.get_mut(mid).unwrap().acked = true;
                     if j < counted {
-                        self.dets[from].on_delivered(tag);
+                        self.dets[from].on_delivered();
                     }
                     self.msg_trace.push(MsgStep::Ack { id: mid.clone(), from });
                     self.snapshot(from);
@@ -581,11 +638,12 @@ impl World {
                 self.contributions[*i] = c;
                 Ok(())
             }
-            TKey::Close => self.close_wave(),
-            TKey::Crash(v) => {
-                self.crash(*v);
+            TKey::Sum => {
+                self.sum_wave();
                 Ok(())
             }
+            TKey::Exit(i) => self.exit_wave(*i),
+            TKey::Crash(v) => self.crash(*v),
             TKey::Poison(i) => {
                 let v = self.crash_victim.expect("poison without a crash");
                 self.dets[*i].poison(v);
@@ -615,8 +673,9 @@ impl World {
         }
     }
 
-    fn crash(&mut self, v: usize) {
+    fn crash(&mut self, v: usize) -> Result<(), Violation> {
         self.alive[v] = false;
+        self.inside[v] = false;
         self.crashed = true;
         // Fail-stop: in-flight traffic to or from the victim is gone;
         // messages already delivered elsewhere still execute there, and
@@ -643,53 +702,52 @@ impl World {
         for i in 0..self.n {
             self.poison_pending[i] = self.alive[i] && i != v;
         }
+        if self.summed.is_some() && !self.inside.contains(&true) {
+            // The victim was the last image inside the summed wave.
+            return self.end_wave();
+        }
+        Ok(())
     }
 
-    fn close_wave(&mut self) -> Result<(), Violation> {
+    fn sum_wave(&mut self) {
         let mut sum: Contribution = [0, 0];
-        for i in 0..self.n {
-            if self.alive[i] {
-                sum[0] += self.contributions[i][0];
-                sum[1] += self.contributions[i][1];
-            }
+        for i in (0..self.n).filter(|&i| self.alive[i]) {
+            sum[0] += self.contributions[i][0];
+            sum[1] += self.contributions[i][1];
+            self.inside[i] = true;
         }
+        self.entered = vec![false; self.n];
+        self.contributions = vec![[0, 0]; self.n];
         self.waves += 1;
-        let mut decisions: Vec<(usize, WaveDecision)> = Vec::new();
-        for i in 0..self.n {
-            if self.alive[i] {
-                decisions.push((i, self.dets[i].exit_wave(sum)));
-            }
-            self.entered[i] = false;
-            self.contributions[i] = [0, 0];
-        }
+        self.summed = Some(sum);
+        self.quiet = self.msgs.is_empty();
+    }
+
+    fn exit_wave(&mut self, i: usize) -> Result<(), Violation> {
+        let sum = self.summed.expect("exit from a summed wave");
+        let d = self.dets[i].exit_wave(sum);
+        self.inside[i] = false;
 
         // --- Oracles, against the world's own ground truth. ---
-        let outstanding = self.outstanding();
-        let clean: Vec<&(usize, WaveDecision)> =
-            decisions.iter().filter(|(_, d)| *d != WaveDecision::Poisoned).collect();
-
         // Agreement: every non-poisoned live image must reach the same
         // decision (they all saw the same sum).
-        if let Some(((i0, d0), rest)) = clean.split_first() {
-            for (i, d) in rest {
-                if d != d0 {
-                    return Err(Violation {
-                        kind: ViolationKind::Agreement,
-                        detail: format!(
-                            "wave {}: image {i0} decided {d0:?} but image {i} decided {d:?} \
-                             (sum {sum:?})",
-                            self.waves
-                        ),
-                    });
-                }
+        let first = self.decisions.iter().find(|(_, d)| *d != WaveDecision::Poisoned);
+        if let Some(&(i0, d0)) = first.filter(|_| d != WaveDecision::Poisoned) {
+            if d != d0 {
+                return Err(Violation {
+                    kind: ViolationKind::Agreement,
+                    detail: format!(
+                        "wave {}: image {i0} decided {d0:?} but image {i} decided {d:?} \
+                         (sum {sum:?})",
+                        self.waves
+                    ),
+                });
             }
         }
+        self.decisions.push((i, d));
 
-        for (i, d) in &decisions {
-            if *d != WaveDecision::Terminated {
-                continue;
-            }
-            if let Some(v) = self.dets[*i].poison_seen() {
+        if d == WaveDecision::Terminated {
+            if let Some(v) = self.dets[i].poison_seen() {
                 return Err(Violation {
                     kind: ViolationKind::Safety,
                     detail: format!(
@@ -706,6 +764,7 @@ impl World {
             // The outstanding-message invariant is therefore a crash-free
             // oracle; crash correctness is covered by the poison check
             // above and the abort/deadlock oracles.
+            let outstanding = self.outstanding();
             if !self.crashed && outstanding > 0 {
                 let pending: Vec<&String> =
                     self.msgs.iter().filter(|(_, m)| !m.execed).map(|(id, _)| id).collect();
@@ -725,7 +784,7 @@ impl World {
         if self.family.theorem1_applies()
             && !self.crashed
             && self.waves > self.theorem_bound
-            && decisions.iter().any(|(_, d)| *d == WaveDecision::Continue)
+            && d == WaveDecision::Continue
         {
             return Err(Violation {
                 kind: ViolationKind::Liveness,
@@ -737,6 +796,22 @@ impl World {
             });
         }
 
+        if d == WaveDecision::Poisoned {
+            // The finish aborts: a poisoned image leaves with the failure.
+            self.done = Some(Outcome::Aborted);
+            return Ok(());
+        }
+        if self.inside.contains(&true) {
+            return Ok(());
+        }
+        self.end_wave()
+    }
+
+    /// The last live image has left the summed wave.
+    fn end_wave(&mut self) -> Result<(), Violation> {
+        let sum = self.summed.take().expect("a summed wave");
+        let decisions = std::mem::take(&mut self.decisions);
+
         // Livelock: Continue waves with no message activity left cannot
         // make progress indefinitely. Contributions are snapshotted at
         // enter time, so up to two quiet Continues are legitimate (one
@@ -745,7 +820,7 @@ impl World {
         // forever.
         let all_continue =
             !decisions.is_empty() && decisions.iter().all(|(_, d)| *d == WaveDecision::Continue);
-        if all_continue && self.msgs.is_empty() && !self.crashed {
+        if all_continue && self.quiet && !self.crashed {
             self.quiet_continue_streak += 1;
             if self.quiet_continue_streak >= 3 {
                 return Err(Violation {
@@ -762,11 +837,7 @@ impl World {
             self.quiet_continue_streak = 0;
         }
 
-        if decisions.iter().any(|(_, d)| *d == WaveDecision::Poisoned) {
-            self.done = Some(Outcome::Aborted);
-        } else if !decisions.is_empty()
-            && decisions.iter().all(|(_, d)| *d == WaveDecision::Terminated)
-        {
+        if !decisions.is_empty() && decisions.iter().all(|(_, d)| *d == WaveDecision::Terminated) {
             self.done = Some(Outcome::Terminated);
         } else if self.waves >= self.wave_budget {
             // Out of budget without a verdict: an unfair schedule (waves
@@ -836,6 +907,19 @@ mod tests {
     }
 
     #[test]
+    fn images_exit_a_wave_one_at_a_time() {
+        let mut w = World::new(&chain_scenario(2, &[1]), Family::EpochLoose, None);
+        for k in ["enter 0", "enter 1", "sum", "exit 0"] {
+            w.step(&TKey::parse(k).unwrap()).unwrap();
+        }
+        assert!(w.is_enabled(&TKey::Enter(0)), "an exited image may enter the next wave");
+        assert!(w.is_enabled(&TKey::Deliver("r0".into())), "image 1 still receives inside");
+        w.step(&TKey::Enter(0)).unwrap();
+        assert!(!w.is_enabled(&TKey::Sum), "the next sum waits for image 1");
+        assert!(w.is_enabled(&TKey::Exit(1)));
+    }
+
+    #[test]
     fn schedules_replay_deterministically() {
         let s = chain_scenario(3, &[1, 2]);
         let mut a = World::new(&s, Family::EpochStrict, None);
@@ -862,7 +946,8 @@ mod tests {
         assert!(w.independent(&d0, &d1), "deliveries at distinct images commute");
         assert!(!w.independent(&d0, &TKey::Enter(1)), "same-image transitions conflict");
         assert!(w.independent(&d0, &TKey::Enter(2)));
-        assert!(!w.independent(&d0, &TKey::Close), "close is global");
+        assert!(w.independent(&d0, &TKey::Sum), "a delivery cannot drain the world");
+        assert!(!w.independent(&d0, &TKey::Crash(1)), "a crash is global");
     }
 
     /// Image 0 ships two messages to image 1 and a third to image 2.
@@ -959,7 +1044,8 @@ mod tests {
             TKey::Ack("r2".into()),
             TKey::Exec("r0.0.0".into()),
             TKey::Enter(3),
-            TKey::Close,
+            TKey::Sum,
+            TKey::Exit(2),
             TKey::Crash(1),
             TKey::Poison(0),
             TKey::Flush(2, 0),

@@ -11,6 +11,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use caf_check::replay::Replay;
+use caf_check::world::{Outcome, World};
 
 fn corpus_dir() -> PathBuf {
     // crates/caf-check/tests/ → workspace tests/fixtures/counterexamples
@@ -27,8 +28,8 @@ fn every_fixture_reproduces_its_violation() {
         .collect();
     entries.sort();
     assert!(
-        entries.len() >= 9,
-        "expected the full finish-protocol mutation corpus (9 files), found {}",
+        entries.len() >= 10,
+        "expected the full finish-protocol mutation corpus (10 files), found {}",
         entries.len()
     );
     for path in entries {
@@ -59,4 +60,24 @@ fn fixtures_round_trip_through_the_text_format() {
         let reparsed = Replay::parse(&replay.to_text()).expect("reparse");
         assert_eq!(reparsed, replay, "{}: serialize/parse not a fixpoint", path.display());
     }
+}
+
+/// The staggered-exit schedule that catches `next-wave-alias` is a legal
+/// schedule of the unmutated protocol: it runs without a violation (wave
+/// 2 continues with V in flight), and the run then terminates cleanly.
+#[test]
+fn next_wave_alias_schedule_is_clean_without_the_mutation() {
+    let text = fs::read_to_string(corpus_dir().join("next-wave-alias.replay")).expect("fixture");
+    let replay = Replay::parse(&text).expect("parse");
+    let mut w = World::new(&replay.scenario, replay.family, None);
+    for k in &replay.schedule {
+        w.step(k)
+            .unwrap_or_else(|v| panic!("{k}: {} violation: {}", v.kind.name(), v.detail));
+    }
+    assert_eq!(w.done, None, "wave 2 must continue");
+    while let Some(k) = w.enabled().first().cloned() {
+        w.step(&k)
+            .unwrap_or_else(|v| panic!("{k}: {} violation: {}", v.kind.name(), v.detail));
+    }
+    assert_eq!(w.done, Some(Outcome::Terminated));
 }

@@ -2,158 +2,121 @@
 //! Fig. 7).
 //!
 //! The lifetime of a `finish` block is divided into consecutively numbered
-//! *epochs*; the algorithm only distinguishes even from odd. Each image
-//! keeps one [`EpochCounters`] set per parity and a *present epoch* parity
-//! pointer. Every message carries the sender's parity at send time; the
-//! sending, delivery-acknowledgement, reception, and completion of a
-//! message are all counted under that tag's counters — this is what makes
-//! the allreduce time cut consistent without FIFO channels or global
-//! clocks.
+//! *epochs*: an image is in epoch `w` once it has entered `w` reduction
+//! waves. Every message carries its sender's epoch number at send time, and
+//! each image keeps one cumulative set of counters over the life of the
+//! block. When an image enters wave `w + 1` it contributes
+//! `sent − completed`, leaving out the completions of messages tagged
+//! `w + 1`: their sends happened after their senders entered the wave, so
+//! they belong to the next cut. That makes the allreduce time cut
+//! consistent without FIFO channels or global clocks.
 //!
-//! Transitions:
-//! * `Even → Odd` when the image enters the allreduce, or receives an
-//!   odd-tagged message;
-//! * `Odd → Even` when the image exits the allreduce, at which point the
-//!   odd counters are *folded into* the even counters (counting is
-//!   cumulative over the life of the finish block).
+//! The paper tags with the epoch parity (the number mod 2) and flips an
+//! image into the odd epoch when an odd-tagged message arrives. That is
+//! enough only when every image leaves a wave at the same moment. In the
+//! threaded runtime they do not (the allreduce root has the sum first), so
+//! an image still inside wave `w` can complete a message sent in epoch
+//! `w + 1`, and parity cannot tell it from one sent in `w − 1`. The full
+//! number can: a tag can be at most one ahead of the receiver, because
+//! nobody leaves wave `w` before everyone has entered it.
 
-use crate::ids::Parity;
-
-/// The four per-epoch counters of Fig. 7: messages this image has `sent`,
+/// The four cumulative counters of Fig. 7: messages this image has `sent`,
 /// had `delivered` remotely (acknowledged), `received`, and `completed`
 /// executing locally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochCounters {
-    /// Messages sent by this image under this parity.
+    /// Messages sent by this image.
     pub sent: u64,
     /// Of those sent, how many are acknowledged as delivered at the target.
     pub delivered: u64,
-    /// Messages received by this image under this parity.
+    /// Messages received by this image.
     pub received: u64,
     /// Of those received, how many finished executing locally.
     pub completed: u64,
 }
 
-impl EpochCounters {
-    /// Adds `other`'s counts into `self` (the odd→even fold).
-    fn absorb(&mut self, other: &EpochCounters) {
-        self.sent += other.sent;
-        self.delivered += other.delivered;
-        self.received += other.received;
-        self.completed += other.completed;
-    }
-}
-
-/// Per-image epoch state for one `finish` block: the even and odd counter
-/// sets plus the present-epoch parity pointer.
+/// Per-image epoch state for one `finish` block: the cumulative counters,
+/// the image's epoch number, and the completions tagged one epoch ahead.
 #[derive(Debug, Clone, Default)]
 pub struct EpochState {
-    even: EpochCounters,
-    odd: EpochCounters,
-    parity: Parity,
+    counts: EpochCounters,
+    /// Waves this image has entered: its present epoch, and the tag its
+    /// sends carry.
+    wave: u32,
+    /// Completions since the last wave entry whose tag is above `wave`.
+    ahead: u64,
 }
 
 impl EpochState {
-    /// Fresh state: present epoch is even (epoch 0), all counters zero.
+    /// Fresh state: epoch 0, all counters zero.
     pub fn new() -> Self {
         EpochState::default()
     }
 
-    /// Present-epoch parity.
+    /// The number of waves this image has entered.
     #[inline]
-    pub fn parity(&self) -> Parity {
-        self.parity
+    pub fn wave(&self) -> u32 {
+        self.wave
     }
 
-    /// Counter set for a parity.
+    /// The cumulative counters.
     #[inline]
-    pub fn counters(&self, parity: Parity) -> &EpochCounters {
-        match parity {
-            Parity::Even => &self.even,
-            Parity::Odd => &self.odd,
-        }
+    pub fn counters(&self) -> &EpochCounters {
+        &self.counts
     }
 
-    #[inline]
-    fn counters_mut(&mut self, parity: Parity) -> &mut EpochCounters {
-        match parity {
-            Parity::Even => &mut self.even,
-            Parity::Odd => &mut self.odd,
-        }
-    }
-
-    /// Records an outgoing message and returns the parity tag it must
-    /// carry (the sender's present epoch).
-    pub fn on_send(&mut self) -> Parity {
-        let p = self.parity;
-        self.counters_mut(p).sent += 1;
-        p
+    /// Records an outgoing message and returns the tag it must carry (the
+    /// sender's epoch number).
+    pub fn on_send(&mut self) -> u32 {
+        self.counts.sent += 1;
+        self.wave
     }
 
     /// Records the delivery acknowledgement of a message this image sent.
-    /// Counted in the *present* epoch: if the originating send has already
-    /// been folded into the even side, the ack lands on the even side too,
-    /// re-balancing `sent == delivered`; if the image is still in the odd
-    /// epoch, both sides meet at the next fold.
     pub fn on_delivered(&mut self) {
-        let p = self.parity;
-        self.counters_mut(p).delivered += 1;
+        self.counts.delivered += 1;
     }
 
-    /// Records reception of a message tagged `tag`. Receiving an
-    /// odd-tagged message first pushes this image into the odd epoch
-    /// (Fig. 7 line 32), so the message's reception and completion are
-    /// counted on the odd side of the current cut — keeping the cut
-    /// consistent. The count itself lands in the (possibly just flipped)
-    /// present epoch.
-    pub fn on_receive(&mut self, tag: Parity) {
-        if tag == Parity::Odd {
-            self.parity = Parity::Odd;
+    /// Records reception of a message.
+    pub fn on_receive(&mut self) {
+        self.counts.received += 1;
+    }
+
+    /// Records local completion of a received message tagged `tag`. A tag
+    /// above this image's epoch was sent after its sender entered the wave
+    /// this image has yet to enter, so the next contribution leaves it out.
+    pub fn on_complete(&mut self, tag: u32) {
+        self.counts.completed += 1;
+        if tag > self.wave {
+            self.ahead += 1;
         }
-        let p = self.parity;
-        self.counters_mut(p).received += 1;
-    }
-
-    /// Records local completion of a received message, in the present
-    /// epoch.
-    pub fn on_complete(&mut self) {
-        let p = self.parity;
-        self.counters_mut(p).completed += 1;
     }
 
     /// The wait condition of Fig. 7 line 4: "a process waits until all
     /// messages it sent were received and all spawned functions received
     /// completed execution before the process performs a new sum
-    /// reduction." The condition is over cumulative totals (both
-    /// parities): it is a throttle that bounds the number of waves by
+    /// reduction." It is a throttle that bounds the number of waves by
     /// `L + 1` (Theorem 1, Fig. 18); the consistent cut itself comes from
-    /// the even-side contribution in [`EpochState::enter_wave`].
+    /// [`EpochState::enter_wave`].
     pub fn ready_for_wave(&self) -> bool {
-        self.even.sent + self.odd.sent == self.even.delivered + self.odd.delivered
-            && self.even.received + self.odd.received == self.even.completed + self.odd.completed
+        let c = &self.counts;
+        c.sent == c.delivered && c.received == c.completed
     }
 
-    /// Enters the allreduce: flips into the odd epoch (if not already
-    /// there) and returns this image's contribution to the sum,
-    /// `even.sent − even.completed` (Fig. 7 lines 6–8).
+    /// Enters the next wave: returns this image's contribution to the sum,
+    /// `sent − completed` without the completions tagged ahead (Fig. 7
+    /// lines 6–8), and moves into the next epoch.
     pub fn enter_wave(&mut self) -> i64 {
-        self.parity = Parity::Odd;
-        self.even.sent as i64 - self.even.completed as i64
+        let contribution = self.counts.sent as i64 - (self.counts.completed - self.ahead) as i64;
+        self.ahead = 0;
+        self.wave += 1;
+        contribution
     }
 
-    /// Exits the allreduce: folds the odd counters into the even counters,
-    /// zeroes the odd set, and returns to the even epoch (Fig. 7
-    /// lines 15–26).
-    pub fn exit_wave(&mut self) {
-        let odd = std::mem::take(&mut self.odd);
-        self.even.absorb(&odd);
-        self.parity = Parity::Even;
-    }
-
-    /// Sum of messages this image has sent minus completed, over both
-    /// parities — used by invariant checks in tests.
+    /// Messages this image has sent minus completed — used by invariant
+    /// checks in tests.
     pub fn local_imbalance(&self) -> i64 {
-        (self.even.sent + self.odd.sent) as i64 - (self.even.completed + self.odd.completed) as i64
+        self.counts.sent as i64 - self.counts.completed as i64
     }
 }
 
@@ -165,65 +128,52 @@ mod tests {
     fn fresh_state_is_ready_and_balanced() {
         let s = EpochState::new();
         assert!(s.ready_for_wave());
-        assert_eq!(s.parity(), Parity::Even);
+        assert_eq!(s.wave(), 0);
         assert_eq!(s.local_imbalance(), 0);
     }
 
     #[test]
-    fn send_tags_with_present_parity() {
+    fn send_tags_with_the_epoch_number() {
         let mut s = EpochState::new();
-        assert_eq!(s.on_send(), Parity::Even);
+        assert_eq!(s.on_send(), 0);
         assert!(!s.ready_for_wave()); // sent=1, delivered=0
         s.on_delivered();
         assert!(s.ready_for_wave());
-        // Entering a wave flips to odd; sends are now odd-tagged.
+        // Entering a wave moves into the next epoch; sends are tagged 1.
         let contrib = s.enter_wave();
         assert_eq!(contrib, 1); // sent 1, completed 0
-        assert_eq!(s.on_send(), Parity::Odd);
+        assert_eq!(s.on_send(), 1);
     }
 
     #[test]
-    fn odd_message_reception_flips_parity() {
+    fn receptions_must_complete_before_readiness() {
         let mut s = EpochState::new();
-        assert_eq!(s.parity(), Parity::Even);
-        s.on_receive(Parity::Odd);
-        assert_eq!(s.parity(), Parity::Odd);
-        // An uncompleted reception blocks wave readiness (cumulative wait
-        // condition), whichever side it was counted on.
+        s.on_receive();
         assert!(!s.ready_for_wave());
-        s.on_complete();
-        assert!(s.ready_for_wave());
-        // Odd-side counts are folded into the even side at wave exit.
-        s.enter_wave();
-        s.exit_wave();
-        assert_eq!(s.counters(Parity::Even).received, 1);
-        assert_eq!(s.counters(Parity::Even).completed, 1);
-        assert_eq!(s.counters(Parity::Odd).received, 0);
+        s.on_complete(0);
         assert!(s.ready_for_wave());
     }
 
     #[test]
-    fn even_message_reception_does_not_flip() {
+    fn a_completion_tagged_ahead_waits_for_the_next_cut() {
         let mut s = EpochState::new();
-        s.on_receive(Parity::Even);
-        assert_eq!(s.parity(), Parity::Even);
-        assert!(!s.ready_for_wave());
-        s.on_complete();
-        assert!(s.ready_for_wave());
+        s.on_receive();
+        s.on_complete(1); // its sender is already in epoch 1
+        assert_eq!(s.enter_wave(), 0, "left out of wave 1");
+        assert_eq!(s.enter_wave(), -1, "counted in wave 2");
     }
 
     #[test]
-    fn fold_accumulates_cumulatively() {
+    fn counts_accumulate_across_waves() {
         let mut s = EpochState::new();
-        s.on_send(); // even
+        s.on_send(); // epoch 0
         s.on_delivered();
         s.enter_wave();
-        s.on_send(); // odd
+        s.on_send(); // epoch 1
         s.on_delivered();
-        s.exit_wave();
-        assert_eq!(s.counters(Parity::Even).sent, 2);
-        assert_eq!(s.counters(Parity::Even).delivered, 2);
-        // Contribution of next wave is cumulative sent − completed.
+        assert_eq!(s.counters().sent, 2);
+        assert_eq!(s.counters().delivered, 2);
+        // Contribution of the next wave is cumulative sent − completed.
         assert_eq!(s.enter_wave(), 2);
     }
 
@@ -232,8 +182,8 @@ mod tests {
         let mut s = EpochState::new();
         s.on_send();
         assert_eq!(s.local_imbalance(), 1);
-        s.on_receive(Parity::Even);
-        s.on_complete();
+        s.on_receive();
+        s.on_complete(0);
         assert_eq!(s.local_imbalance(), 0); // 1 sent − 1 completed
     }
 }

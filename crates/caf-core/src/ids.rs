@@ -103,43 +103,9 @@ impl fmt::Display for EventId {
     }
 }
 
-/// Parity of a termination-detection epoch (paper §III-A2).
-///
-/// The interval between a `finish` block's start and end is divided into
-/// epochs numbered from zero; the algorithm only distinguishes even from
-/// odd. An image moves `Even → Odd` when it enters the allreduce or when it
-/// receives a message tagged `Odd`; it moves `Odd → Even` when it exits the
-/// allreduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Parity {
-    /// Even-numbered epoch: counters here feed the next sum reduction.
-    #[default]
-    Even,
-    /// Odd-numbered epoch: activity concurrent with an in-flight reduction.
-    Odd,
-}
-
-impl Parity {
-    /// The opposite parity.
-    #[inline]
-    pub fn flip(self) -> Parity {
-        match self {
-            Parity::Even => Parity::Odd,
-            Parity::Odd => Parity::Even,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parity_flip_round_trips() {
-        assert_eq!(Parity::Even.flip(), Parity::Odd);
-        assert_eq!(Parity::Odd.flip(), Parity::Even);
-        assert_eq!(Parity::Even.flip().flip(), Parity::Even);
-    }
 
     #[test]
     fn display_forms() {

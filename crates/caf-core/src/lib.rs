@@ -4,7 +4,7 @@
 //! asynchronous-operations reproduction (Yang, Murthy & Mellor-Crummey,
 //! IPDPS 2013):
 //!
-//! * [`ids`] — image/team/finish/event identifiers and epoch [`ids::Parity`];
+//! * [`ids`] — image/team/finish/event identifiers;
 //! * [`config`] — the interconnect cost model and runtime configuration;
 //! * [`fault`] — seeded deterministic fault injection (drops, duplicates,
 //!   delay spikes, stragglers, fail-stop crashes), the retry policy that
@@ -14,8 +14,8 @@
 //!   filtering;
 //! * [`topology`] — teams, `team_split`, binomial trees, dissemination
 //!   rounds, hypercube lifeline neighbours;
-//! * [`epoch`] — the even/odd epoch counters of the `finish` termination
-//!   detector;
+//! * [`epoch`] — the wave-numbered epoch counters of the `finish`
+//!   termination detector;
 //! * [`termination`] — the paper's detection algorithm plus the baselines
 //!   it is compared against (`caf-check` exercises them, exhaustively and
 //!   on seeded timed schedules);
@@ -52,6 +52,6 @@ pub use failure::{FailureDetectorState, FailureEvent, FailureParams, PeerHealth}
 pub use fault::{
     CrashFault, CumAck, FaultDecision, FaultPlan, RetryPolicy, SeqTracker, StallWindow,
 };
-pub use ids::{EventId, FinishId, ImageId, Parity, TeamId, TeamRank};
+pub use ids::{EventId, FinishId, ImageId, TeamId, TeamRank};
 pub use topology::{BinomialTree, Team};
 pub use trace::{TraceEvent, TraceRecorder};

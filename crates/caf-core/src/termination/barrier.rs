@@ -12,7 +12,6 @@
 //! binary.
 
 use super::{Contribution, WaveDecision, WaveDetector};
-use crate::ids::Parity;
 
 /// Per-image state of the barrier-based detector.
 ///
@@ -47,21 +46,21 @@ impl BarrierDetector {
 }
 
 impl WaveDetector for BarrierDetector {
-    fn on_send(&mut self) -> Parity {
+    fn on_send(&mut self) -> u32 {
         self.sent += 1;
-        Parity::Even
+        self.waves as u32
     }
 
-    fn on_delivered(&mut self, _tag: Parity) {
+    fn on_delivered(&mut self) {
         self.delivered += 1;
     }
 
     /// Arrival of a shipped function (it begins executing).
-    fn on_receive(&mut self, _tag: Parity) {
+    fn on_receive(&mut self) {
         self.executing += 1;
     }
 
-    fn on_complete(&mut self, _tag: Parity) {
+    fn on_complete(&mut self, _tag: u32) {
         assert!(self.executing > 0);
         self.executing -= 1;
     }
@@ -114,18 +113,18 @@ mod tests {
     #[test]
     fn own_sends_block_until_delivered() {
         let mut d = BarrierDetector::new();
-        let tag = d.on_send();
+        d.on_send();
         assert!(!d.locally_done());
-        d.on_delivered(tag);
+        d.on_delivered();
         assert!(d.locally_done());
     }
 
     #[test]
     fn executing_function_blocks() {
         let mut d = BarrierDetector::new();
-        d.on_receive(Parity::Even);
+        d.on_receive();
         assert!(!d.locally_done());
-        d.on_complete(Parity::Even);
+        d.on_complete(0);
         assert!(d.locally_done());
     }
 
@@ -155,8 +154,8 @@ mod tests {
     #[test]
     fn transitive_spawn_is_invisible() {
         let mut p = BarrierDetector::new();
-        let tag = p.on_send(); // p ships f1 to q
-        p.on_delivered(tag);
+        p.on_send(); // p ships f1 to q
+        p.on_delivered();
         assert!(p.locally_done()); // p would enter the barrier here,
                                    // regardless of what f1 does at q.
     }

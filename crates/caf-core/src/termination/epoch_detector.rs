@@ -3,7 +3,6 @@
 
 use super::{Contribution, WaveDecision, WaveDetector};
 use crate::epoch::EpochState;
-use crate::ids::Parity;
 
 /// Per-image state of the paper's algorithm.
 ///
@@ -37,20 +36,20 @@ impl EpochDetector {
 }
 
 impl WaveDetector for EpochDetector {
-    fn on_send(&mut self) -> Parity {
+    fn on_send(&mut self) -> u32 {
         self.state.on_send()
     }
 
-    fn on_delivered(&mut self, _tag: Parity) {
+    fn on_delivered(&mut self) {
         self.state.on_delivered();
     }
 
-    fn on_receive(&mut self, tag: Parity) {
-        self.state.on_receive(tag);
+    fn on_receive(&mut self) {
+        self.state.on_receive();
     }
 
-    fn on_complete(&mut self, _tag: Parity) {
-        self.state.on_complete();
+    fn on_complete(&mut self, tag: u32) {
+        self.state.on_complete(tag);
     }
 
     fn ready(&self) -> bool {
@@ -64,7 +63,6 @@ impl WaveDetector for EpochDetector {
     }
 
     fn exit_wave(&mut self, reduced: Contribution) -> WaveDecision {
-        self.state.exit_wave();
         self.waves += 1;
         if self.poisoned.is_some() {
             WaveDecision::Poisoned
@@ -125,8 +123,8 @@ mod tests {
         let mut d = EpochDetector::new(false);
         d.on_send();
         d.on_send();
-        d.on_receive(Parity::Even);
-        d.on_complete(Parity::Even);
+        d.on_receive();
+        d.on_complete(0);
         assert_eq!(d.enter_wave(), [1, 0]); // 2 sent − 1 completed
     }
 
@@ -146,12 +144,59 @@ mod tests {
         assert_eq!(d.poisoned_by(), Some(2));
     }
 
+    /// Images leave a wave at different times: the allreduce root has the
+    /// sum first. Image A ships X to B; B enters wave 1 idle, X lands, A
+    /// enters, and wave 1 sums to 1. A leaves first and enters wave 2.
+    /// Still inside wave 1, B runs X, which ships Y to A; A runs Y inside
+    /// wave 2, and Y ships Z and V to B. Z lands and runs at B before B
+    /// leaves wave 1. B then enters wave 2 with V still in flight, so
+    /// wave 2 must not terminate. (Tagged by parity, it summed to 1 − 1.)
+    #[test]
+    fn a_staggered_wave_exit_does_not_terminate_with_work_in_flight() {
+        let (mut a, mut b) = (EpochDetector::new(true), EpochDetector::new(true));
+        // 1. X: A → B, with B already inside wave 1.
+        let x = a.on_send();
+        assert!(b.ready());
+        let b1 = b.enter_wave();
+        b.on_receive();
+        a.on_delivered();
+        assert!(a.ready());
+        let a1 = a.enter_wave();
+        let sum1 = [a1[0] + b1[0], 0];
+        assert_eq!(sum1, [1, 0]);
+        // 2. The root A leaves wave 1 and enters wave 2.
+        assert_eq!(a.exit_wave(sum1), WaveDecision::Continue);
+        assert!(a.ready());
+        let a2 = a.enter_wave();
+        // 3. B, still inside wave 1, runs X, which ships Y to A.
+        let y = b.on_send();
+        b.on_complete(x);
+        // 4. A runs Y inside wave 2; Y ships Z and V to B.
+        a.on_receive();
+        b.on_delivered();
+        let z = a.on_send();
+        let _v = a.on_send();
+        a.on_complete(y);
+        // 5. Z lands and runs at B, still inside wave 1. B then leaves
+        //    wave 1 and enters wave 2 while V is in flight.
+        b.on_receive();
+        a.on_delivered();
+        b.on_complete(z);
+        assert_eq!(b.exit_wave(sum1), WaveDecision::Continue);
+        assert!(b.ready());
+        let b2 = b.enter_wave();
+        let sum2 = [a2[0] + b2[0], 0];
+        assert_eq!(sum2, [1, 0], "V is outstanding");
+        assert_eq!(a.exit_wave(sum2), WaveDecision::Continue);
+        assert_eq!(b.exit_wave(sum2), WaveDecision::Continue);
+    }
+
     #[test]
     fn receptions_must_complete_before_readiness() {
         let mut d = EpochDetector::new(true);
-        d.on_receive(Parity::Even);
+        d.on_receive();
         assert!(!d.ready());
-        d.on_complete(Parity::Even);
+        d.on_complete(0);
         assert!(d.ready());
     }
 }

@@ -9,7 +9,6 @@
 //! epoch algorithm.
 
 use super::{Contribution, WaveDecision, WaveDetector};
-use crate::ids::Parity;
 
 /// Per-image four-counter state.
 #[derive(Debug, Clone, Default)]
@@ -30,20 +29,18 @@ impl FourCounterDetector {
 }
 
 impl WaveDetector for FourCounterDetector {
-    fn on_send(&mut self) -> Parity {
+    fn on_send(&mut self) -> u32 {
         self.sent += 1;
-        // The four-counter algorithm has no epoch notion; tag all traffic
-        // Even so it interoperates with parity-tagged transports.
-        Parity::Even
+        self.waves as u32
     }
 
-    fn on_delivered(&mut self, _tag: Parity) {}
+    fn on_delivered(&mut self) {}
 
-    fn on_receive(&mut self, _tag: Parity) {
+    fn on_receive(&mut self) {
         self.received += 1;
     }
 
-    fn on_complete(&mut self, _tag: Parity) {
+    fn on_complete(&mut self, _tag: u32) {
         self.completed += 1;
     }
 
@@ -126,7 +123,7 @@ mod tests {
     #[test]
     fn poison_aborts_even_a_stable_balanced_wave() {
         let mut d = FourCounterDetector::new();
-        d.on_receive(Parity::Even); // never completed: not ready
+        d.on_receive(); // never completed: not ready
         assert!(!d.ready());
         d.poison(1);
         assert!(d.ready());
@@ -140,9 +137,9 @@ mod tests {
     #[test]
     fn pending_reception_blocks_readiness() {
         let mut d = FourCounterDetector::new();
-        d.on_receive(Parity::Even);
+        d.on_receive();
         assert!(!d.ready());
-        d.on_complete(Parity::Even);
+        d.on_complete(0);
         assert!(d.ready());
     }
 }

@@ -2,7 +2,7 @@
 //! baseline algorithms the paper compares against (§V).
 //!
 //! * [`EpochDetector`] — the paper's algorithm (Fig. 7): cumulative
-//!   even/odd epoch counters, a local quiescence precondition, and
+//!   counters over wave-numbered epochs, a local quiescence precondition, and
 //!   repeated synchronous team allreduces of `sent − completed`. Its
 //!   `wait_for_quiescence` switch turns the precondition off, yielding the
 //!   "algorithm w/o upper bound" that Fig. 18 shows needs ~2× the rounds.
@@ -32,8 +32,6 @@ pub use centralized::{CentralizedDetector, CentralizedHome, VectorReport};
 pub use epoch_detector::EpochDetector;
 pub use four_counter::FourCounterDetector;
 
-use crate::ids::Parity;
-
 /// Outcome of one reduction wave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WaveDecision {
@@ -57,14 +55,16 @@ pub type Contribution = [i64; 2];
 /// waves. The same instance is reused across all waves of one `finish`
 /// block.
 pub trait WaveDetector {
-    /// Records an outgoing message; returns the parity tag it must carry.
-    fn on_send(&mut self) -> Parity;
-    /// Delivery acknowledgement for a message this image sent with `tag`.
-    fn on_delivered(&mut self, tag: Parity);
-    /// A message tagged `tag` arrived at this image.
-    fn on_receive(&mut self, tag: Parity);
+    /// Records an outgoing message; returns the wave tag it must carry.
+    /// Only [`EpochDetector`] reads tags: it tags with the number of waves
+    /// its image has entered. The others return their wave count.
+    fn on_send(&mut self) -> u32;
+    /// Delivery acknowledgement for a message this image sent.
+    fn on_delivered(&mut self);
+    /// A message arrived at this image.
+    fn on_receive(&mut self);
     /// A received message tagged `tag` finished executing locally.
-    fn on_complete(&mut self, tag: Parity);
+    fn on_complete(&mut self, tag: u32);
     /// Whether this image may enter the next reduction wave now.
     fn ready(&self) -> bool;
     /// Enters a wave, returning this image's contribution to the sum.

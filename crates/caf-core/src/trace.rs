@@ -21,22 +21,20 @@
 
 use std::sync::Mutex;
 
-use crate::ids::Parity;
-
 /// One protocol event, as seen by the termination detector of the image
 /// that recorded it. `finish` identifies the dynamic finish block as
 /// `(team id, per-team sequence)` so traces with nested or back-to-back
 /// blocks can be validated per block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// `image` sent a message under the finish block, tagged `parity`.
+    /// `image` sent a message under the finish block, tagged `wave`.
     Send {
         /// Sending image (global rank).
         image: usize,
         /// Dynamic finish block: `(team id, per-team finish sequence)`.
         finish: (u64, u64),
-        /// Epoch parity the message carries.
-        parity: Parity,
+        /// Wave tag the message carries: the waves its sender had entered.
+        wave: u32,
     },
     /// A counted delivery acknowledgement arrived back at sender `image`:
     /// `count` of its messages were delivered.
@@ -48,14 +46,12 @@ pub enum TraceEvent {
         /// Deliveries the acknowledgement covers.
         count: u64,
     },
-    /// `image` received a `parity`-tagged message.
+    /// `image` received a message.
     Receive {
         /// Receiving image (global rank).
         image: usize,
         /// Dynamic finish block.
         finish: (u64, u64),
-        /// Epoch parity the message carried.
-        parity: Parity,
     },
     /// A received message finished executing at `image`.
     Complete {
@@ -63,8 +59,8 @@ pub enum TraceEvent {
         image: usize,
         /// Dynamic finish block.
         finish: (u64, u64),
-        /// Epoch parity the message carried.
-        parity: Parity,
+        /// Wave tag the message carried.
+        wave: u32,
     },
     /// `image` entered a reduction wave contributing `contribution`.
     EnterWave {
@@ -173,8 +169,8 @@ mod tests {
     fn records_in_order() {
         let r = TraceRecorder::new();
         assert!(r.is_empty());
-        r.record(TraceEvent::Send { image: 0, finish: (0, 0), parity: Parity::Even });
-        r.record(TraceEvent::Receive { image: 1, finish: (0, 0), parity: Parity::Even });
+        r.record(TraceEvent::Send { image: 0, finish: (0, 0), wave: 0 });
+        r.record(TraceEvent::Receive { image: 1, finish: (0, 0) });
         assert_eq!(r.len(), 2);
         let evs = r.snapshot();
         assert_eq!(evs[0].image(), 0);
@@ -189,10 +185,10 @@ mod tests {
     fn accessors_cover_every_variant() {
         let f = (3, 7);
         let evs = [
-            TraceEvent::Send { image: 1, finish: f, parity: Parity::Odd },
+            TraceEvent::Send { image: 1, finish: f, wave: 1 },
             TraceEvent::Delivered { image: 2, finish: f, count: 3 },
-            TraceEvent::Receive { image: 3, finish: f, parity: Parity::Even },
-            TraceEvent::Complete { image: 4, finish: f, parity: Parity::Even },
+            TraceEvent::Receive { image: 3, finish: f },
+            TraceEvent::Complete { image: 4, finish: f, wave: 0 },
             TraceEvent::EnterWave { image: 5, finish: f, contribution: [1, 0] },
             TraceEvent::ExitWave { image: 6, finish: f, sum: [0, 0], terminated: true },
             TraceEvent::Poison { image: 7, finish: f, victim: 0 },

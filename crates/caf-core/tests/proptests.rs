@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use caf_core::cofence::{CofenceSpec, LocalAccess, Pass};
 use caf_core::fault::{FaultDecision, FaultPlan, RetryPolicy, SeqTracker};
-use caf_core::ids::{Parity, TeamRank};
+use caf_core::ids::TeamRank;
 use caf_core::model::{validate_execution, Execution, Stmt};
 use caf_core::rng::SplitMix64;
 use caf_core::termination::{EpochDetector, FourCounterDetector, WaveDetector};
@@ -245,7 +245,7 @@ proptest! {
             let _ = d.on_send();
         }
         for _ in 0..acked {
-            d.on_delivered(Parity::Even);
+            d.on_delivered();
         }
         if acked < k {
             prop_assert!(!d.ready(), "ready with {} unacked sends", k - acked);
@@ -355,12 +355,12 @@ fn diff_wave_verdict<D: WaveDetector>(
 ) -> Result<usize, String> {
     use caf_core::termination::WaveDecision;
     let mut bank: Vec<D> = (0..images).map(|_| fresh()).collect();
-    let mut tags: Vec<Option<Parity>> = vec![None; msgs.len()];
+    let mut tags: Vec<Option<u32>> = vec![None; msgs.len()];
     for step in trace {
         match *step {
             DiffStep::Send(i) => tags[i] = Some(bank[msgs[i].0].on_send()),
-            DiffStep::Deliver(i) => bank[msgs[i].1].on_receive(tags[i].unwrap()),
-            DiffStep::Ack(i) => bank[msgs[i].0].on_delivered(tags[i].unwrap()),
+            DiffStep::Deliver(i) => bank[msgs[i].1].on_receive(),
+            DiffStep::Ack(i) => bank[msgs[i].0].on_delivered(),
             DiffStep::Exec(i) => bank[msgs[i].1].on_complete(tags[i].unwrap()),
         }
     }
@@ -435,9 +435,9 @@ fn diff_divergence(case: &DiffCase, alive: &[usize]) -> Option<String> {
             DiffStep::Send(i) => {
                 barrier[msgs[i].0].on_send();
             }
-            DiffStep::Deliver(i) => barrier[msgs[i].1].on_receive(Parity::Even),
-            DiffStep::Ack(i) => barrier[msgs[i].0].on_delivered(Parity::Even),
-            DiffStep::Exec(i) => barrier[msgs[i].1].on_complete(Parity::Even),
+            DiffStep::Deliver(i) => barrier[msgs[i].1].on_receive(),
+            DiffStep::Ack(i) => barrier[msgs[i].0].on_delivered(),
+            DiffStep::Exec(i) => barrier[msgs[i].1].on_complete(0),
         }
     }
     if let Some(i) = (0..n).find(|&i| !barrier[i].locally_done()) {

@@ -103,14 +103,13 @@ pub fn plan_from_trace(events: &[TraceEvent]) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caf_core::ids::Parity;
 
     fn send(image: usize, finish: (u64, u64)) -> TraceEvent {
-        TraceEvent::Send { image, finish, parity: Parity::Even }
+        TraceEvent::Send { image, finish, wave: 0 }
     }
 
     fn recv(image: usize, finish: (u64, u64)) -> TraceEvent {
-        TraceEvent::Receive { image, finish, parity: Parity::Even }
+        TraceEvent::Receive { image, finish }
     }
 
     #[test]

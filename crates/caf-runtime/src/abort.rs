@@ -19,7 +19,7 @@ use std::fmt;
 use std::time::Duration;
 
 use caf_core::fault::FIRST_INCARNATION;
-use caf_core::ids::{FinishId, ImageId, Parity};
+use caf_core::ids::{FinishId, ImageId};
 use caf_core::termination::WaveDetector;
 use caf_core::trace::TraceEvent;
 use caf_net::FabricTotals;
@@ -37,7 +37,7 @@ use crate::watchdog::WaitGuard;
 pub(crate) struct AbortUnwind;
 
 /// Snapshot of one `finish` block's termination detector at abort time.
-/// Counters are cumulative over both epoch parities.
+/// Counters are cumulative over the life of the block.
 #[derive(Debug, Clone)]
 pub struct FinishDiag {
     /// Which finish block.
@@ -346,14 +346,13 @@ impl Image {
             .finish_frames
             .iter()
             .map(|(fid, frame)| {
-                let even = frame.detector.epochs().counters(Parity::Even);
-                let odd = frame.detector.epochs().counters(Parity::Odd);
+                let c = frame.detector.epochs().counters();
                 FinishDiag {
                     finish: *fid,
-                    sent: even.sent + odd.sent,
-                    delivered: even.delivered + odd.delivered,
-                    received: even.received + odd.received,
-                    completed: even.completed + odd.completed,
+                    sent: c.sent,
+                    delivered: c.delivered,
+                    received: c.received,
+                    completed: c.completed,
                     waves: frame.detector.waves(),
                 }
             })

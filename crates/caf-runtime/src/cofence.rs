@@ -14,8 +14,6 @@
 //! memory-model checker (`caf_core::model`) and validated there.
 
 use caf_core::cofence::{CofenceSpec, Pass};
-use caf_core::ids::Parity;
-use caf_core::termination::WaveDetector;
 
 use crate::completion::Stage;
 use crate::image::Image;
@@ -63,20 +61,10 @@ impl Image {
         st.pending_scopes.last().expect("scope stack never empty").len()
     }
 
-    /// Sum of `sent − completed` over both epochs of the innermost active
-    /// finish block, if any — test/metric hook into the detector.
+    /// `sent − completed` of the innermost active finish block, if any —
+    /// test/metric hook into the detector.
     pub fn finish_local_imbalance(&self) -> Option<i64> {
         let fid = self.st.borrow().ctx_stack.last().copied().flatten()?;
-        Some(self.with_frame(fid, |d| {
-            let even = d.epochs().counters(Parity::Even);
-            let odd = d.epochs().counters(Parity::Odd);
-            (even.sent + odd.sent) as i64 - (even.completed + odd.completed) as i64
-        }))
-    }
-
-    /// Waves used so far by the innermost active finish (test hook).
-    pub fn finish_waves_so_far(&self) -> Option<usize> {
-        let fid = self.st.borrow().ctx_stack.last().copied().flatten()?;
-        Some(self.with_frame(fid, |d| d.waves()))
+        Some(self.with_frame(fid, |d| d.epochs().local_imbalance()))
     }
 }

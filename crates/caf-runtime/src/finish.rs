@@ -51,7 +51,6 @@ impl Image {
         self.st.borrow_mut().ctx_stack.pop();
 
         // Termination-detection loop (Fig. 7).
-        let mut waves = 0usize;
         loop {
             self.wait_until("finish", || self.with_frame(fid, |d| d.ready()));
             let contribution = self.with_frame(fid, |d| d.enter_wave());
@@ -61,7 +60,6 @@ impl Image {
                 contribution,
             });
             let sum = self.allreduce(team, contribution, |a, b| [a[0] + b[0], a[1] + b[1]]);
-            waves += 1;
             let decision = self.with_frame(fid, |d| d.exit_wave(sum));
             self.trace(|| TraceEvent::ExitWave {
                 image: self.id().index(),
@@ -83,12 +81,12 @@ impl Image {
         }
         {
             let mut st = self.st.borrow_mut();
-            st.last_finish_waves = waves;
             // Drop the frame. A straggler delivery ack can recreate an
             // empty frame after this (only in the no-upper-bound variant,
             // which doesn't wait for acks); that costs one map entry and
             // is harmless.
-            st.finish_frames.remove(&fid);
+            let frame = st.finish_frames.remove(&fid).expect("every wave ran on this frame");
+            st.last_finish_waves = frame.detector.waves();
         }
         result
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use caf_core::cofence::LocalAccess;
-use caf_core::ids::{EventId, FinishId, ImageId, Parity};
+use caf_core::ids::{EventId, FinishId, ImageId};
 use caf_core::termination::{EpochDetector, WaveDetector};
 use caf_core::topology::Team;
 use caf_core::trace::TraceEvent;
@@ -196,7 +196,7 @@ impl Image {
         match msg {
             Msg::Batch(ams) => self.receive(ams, more_due),
             Msg::Ack { finish, count } => {
-                self.with_frame(finish, |f| (0..count).for_each(|_| f.on_delivered(Parity::Even)));
+                self.with_frame(finish, |f| (0..count).for_each(|_| f.on_delivered()));
                 self.trace(|| TraceEvent::Delivered {
                     image: self.me.index(),
                     finish: Image::trace_fid(finish),
@@ -231,11 +231,10 @@ impl Image {
             // Count reception and owe the sender a delivery ack (drives
             // its `delivered` counter in the finish detector).
             if let Some(tag) = am.finish {
-                self.with_frame(tag.id, |f| f.on_receive(tag.parity));
+                self.with_frame(tag.id, |f| f.on_receive());
                 self.trace(|| TraceEvent::Receive {
                     image: self.me.index(),
                     finish: Image::trace_fid(tag.id),
-                    parity: tag.parity,
                 });
                 let owed = &mut self.st.borrow_mut().owed_acks;
                 match owed.iter_mut().find(|(s, f, _)| *s == am.sender && *f == tag.id) {
@@ -278,11 +277,11 @@ impl Image {
             self.notify_event_id(ev);
         }
         if let Some(tag) = am.finish {
-            self.with_frame(tag.id, |f| f.on_complete(tag.parity));
+            self.with_frame(tag.id, |f| f.on_complete(tag.wave));
             self.trace(|| TraceEvent::Complete {
                 image: self.me.index(),
                 finish: Image::trace_fid(tag.id),
-                parity: tag.parity,
+                wave: tag.wave,
             });
         }
     }
@@ -307,13 +306,13 @@ impl Image {
     /// its epoch tag (counts the send). `None` outside any finish.
     pub(crate) fn am_tag(&self) -> Option<FinishTag> {
         let fid = self.st.borrow().ctx_stack.last().copied().flatten()?;
-        let parity = self.with_frame(fid, |d| d.on_send());
+        let wave = self.with_frame(fid, |d| d.on_send());
         self.trace(|| TraceEvent::Send {
             image: self.me.index(),
             finish: Image::trace_fid(fid),
-            parity,
+            wave,
         });
-        Some(FinishTag { id: fid, parity })
+        Some(FinishTag { id: fid, wave })
     }
 
     /// Sends an active message carrying an already-counted finish tag,

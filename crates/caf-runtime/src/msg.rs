@@ -6,7 +6,7 @@
 //!   frame: an image thread's per-destination aggregation, or a single
 //!   AM from a communication thread. Each [`Am`] is a closure executed on
 //!   the target image's thread, carrying its `finish` attribution (id +
-//!   epoch parity) and an optional completion event, and is one logical
+//!   wave tag) and an optional completion event, and is one logical
 //!   message to the finish detector. Function shipping, the data plane of
 //!   `copy_async`, and asynchronous collective stages are all active
 //!   messages — which is exactly why the paper's footnote 1 can treat
@@ -19,7 +19,7 @@
 
 use std::any::Any;
 
-use caf_core::ids::{EventId, FinishId, ImageId, Parity, TeamId};
+use caf_core::ids::{EventId, FinishId, ImageId, TeamId};
 
 use crate::image::Image;
 
@@ -27,13 +27,14 @@ use crate::image::Image;
 pub type AmFn = Box<dyn FnOnce(&Image) + Send>;
 
 /// Finish attribution carried by a message: which dynamic finish block it
-/// belongs to and the sender's epoch parity at send time.
+/// belongs to and the sender's wave count at send time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FinishTag {
     /// The finish block this message is counted under.
     pub id: FinishId,
-    /// Sender's present-epoch parity (Fig. 7's odd/even message tagging).
-    pub parity: Parity,
+    /// Waves the sender had entered when it sent the message (Fig. 7's
+    /// epoch tag; the paper carries only its parity).
+    pub wave: u32,
 }
 
 /// An active message.

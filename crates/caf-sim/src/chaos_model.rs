@@ -43,7 +43,6 @@ use caf_core::fault::{
     CumAck, FaultDecision, FaultPlan, Frame, LinkAction, LinkMachine, RetryPolicy, ACK_BYTES,
     FIRST_INCARNATION,
 };
-use caf_core::ids::Parity;
 use caf_core::rng::SplitMix64;
 use caf_core::termination::WaveDecision;
 use caf_des::{Engine, SimNet};
@@ -168,7 +167,7 @@ pub struct ChaosSimReport {
 #[derive(Debug, Clone, Copy)]
 enum Payload {
     /// An asynchronous spawn, counted by the termination detector.
-    Spawn { tag: Parity },
+    Spawn { tag: u32 },
     /// A death notice — control traffic outside the finish epochs.
     Down { victim: usize, incarnation: u64 },
 }
@@ -185,7 +184,7 @@ enum Ev {
     /// sender of the `to → from` link).
     Ack { from: usize, to: usize, ack: CumAck },
     /// A delivered spawn's handler finishes at `img`.
-    HandlerDone { img: usize, tag: Parity },
+    HandlerDone { img: usize, tag: u32 },
     /// The `from → to` link's retry deadline `at` falls due. Stale, and
     /// ignored, once the link's machine has moved its deadline.
     RetryWake { from: usize, to: usize, at: u64 },
@@ -578,7 +577,7 @@ impl ChaosSim {
                         _ if !fresh => self.report.dups_suppressed += 1,
                         Payload::Spawn { tag } => {
                             self.report.delivered += 1;
-                            self.fsim.on_receive(to, tag);
+                            self.fsim.on_receive(to);
                             self.schedule_live(self.cfg.work_ns, Ev::HandlerDone { img: to, tag });
                         }
                         Payload::Down { victim, incarnation } => {

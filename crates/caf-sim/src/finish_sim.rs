@@ -4,11 +4,10 @@
 //! machine the threaded runtime uses — and models the synchronous team
 //! allreduce: a wave opens as images become eligible (idle, queue drained,
 //! detector-ready) and closes `allreduce_cost(p)` after the last image
-//! enters; every image receives the same sum. Messages delivered while a
-//! wave is open are counted in the odd epoch by the detector itself, so
+//! enters; every image receives the same sum. Each message carries its
+//! sender's wave tag and the detector itself places it in the cut, so
 //! the consistent-cut arithmetic is identical to the real runtime's.
 
-use caf_core::ids::Parity;
 use caf_core::termination::{EpochDetector, WaveDecision, WaveDetector};
 
 /// Per-`finish`-block wave coordinator over `p` simulated images.
@@ -54,18 +53,19 @@ impl FinishSim {
         }
     }
 
-    /// Records a send by `img`; returns the message's epoch tag.
-    pub fn on_send(&mut self, img: usize) -> Parity {
+    /// Records a send by `img`; returns the message's wave tag.
+    pub fn on_send(&mut self, img: usize) -> u32 {
         self.detectors[img].on_send()
     }
 
-    /// Records delivery of a `tag`-tagged message at `img`.
-    pub fn on_receive(&mut self, img: usize, tag: Parity) {
-        self.detectors[img].on_receive(tag);
+    /// Records delivery of a message at `img`.
+    pub fn on_receive(&mut self, img: usize) {
+        self.detectors[img].on_receive();
     }
 
-    /// Records completion of a received message's handler at `img`.
-    pub fn on_complete(&mut self, img: usize, tag: Parity) {
+    /// Records completion of a received `tag`-tagged message's handler at
+    /// `img`.
+    pub fn on_complete(&mut self, img: usize, tag: u32) {
         self.detectors[img].on_complete(tag);
     }
 
@@ -73,7 +73,7 @@ impl FinishSim {
     /// One per message: the DES keeps the paper's per-message ack cost
     /// model, where the threaded runtime counts acks per drain.
     pub fn on_delivered(&mut self, img: usize) {
-        self.detectors[img].on_delivered(Parity::Even);
+        self.detectors[img].on_delivered();
     }
 
     /// Whether `img`'s detector permits joining the next wave.
@@ -219,12 +219,11 @@ mod tests {
         assert!(!f.try_enter(1, 0));
         assert!(!f.try_enter(0, 0));
         // Message lands & completes at 1; ack returns to 0.
-        f.on_receive(1, tag);
+        f.on_receive(1);
         f.on_complete(1, tag);
         f.on_delivered(0);
         assert!(f.try_enter(0, 5), "now ready; wave closes");
-        // Image 1 entered before the completion was counted in its even
-        // epoch? It entered at t=0 with contribution 0; image 0
+        // Image 1 entered before the completion was counted? It entered at t=0 with contribution 0; image 0
         // contributes sent−completed = 1 → sum ≠ 0 → continue… unless
         // image 1's counts landed pre-entry. Either way the protocol
         // must terminate within two waves.

@@ -118,7 +118,7 @@ pub fn run_pc(cfg: &PcConfig, variant: SyncVariant) -> PcResult {
                 for tag in &tags {
                     // Receiver identity doesn't affect timing; pick one.
                     let dst = 1 + (rng.next_below((cfg.images - 1).max(1) as u64) as usize);
-                    fsim.on_receive(dst.min(cfg.images - 1), *tag);
+                    fsim.on_receive(dst.min(cfg.images - 1));
                     fsim.on_complete(dst.min(cfg.images - 1), *tag);
                     fsim.on_delivered(0);
                 }

@@ -90,7 +90,7 @@ enum Ev {
     /// Image tries to issue its next update.
     Issue(usize),
     /// A shipped update begins executing at its target.
-    Exec { at: usize, from: usize, tag: caf_core::ids::Parity },
+    Exec { at: usize, from: usize, tag: u32 },
     /// Delivery acknowledgement back at the sender.
     Ack { to: usize },
     /// The open wave completes.
@@ -176,7 +176,7 @@ pub fn run_ra_fs_sim(cfg: &RaSimConfig) -> RaSimResult {
             }
             Ev::Exec { at, from, tag } => {
                 imgs[at].inbox -= 1;
-                fsim.on_receive(at, tag);
+                fsim.on_receive(at);
                 fsim.on_complete(at, tag);
                 let ack = cfg.net.delivery_delay(8, &mut rng);
                 eng.schedule(ack, Ev::Ack { to: from });

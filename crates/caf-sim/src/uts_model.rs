@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use caf_core::ids::{Parity, TeamRank};
+use caf_core::ids::TeamRank;
 use caf_core::rng::SplitMix64;
 use caf_core::topology::hypercube_neighbors;
 use caf_des::{Engine, SimNet};
@@ -106,7 +106,7 @@ enum Kind {
 enum Ev {
     Compute(usize),
     Exhausted(usize),
-    Deliver { to: usize, from: usize, tag: Parity, kind: Kind },
+    Deliver { to: usize, from: usize, tag: u32, kind: Kind },
     Ack { to: usize },
     WaveDone,
 }
@@ -293,7 +293,7 @@ pub fn run_uts_sim(cfg: UtsSimConfig) -> UtsSimResult {
             }
             Ev::Exhausted(img) => m.on_exhausted(&mut eng, img),
             Ev::Deliver { to, from, tag, kind } => {
-                m.fsim.on_receive(to, tag);
+                m.fsim.on_receive(to);
                 // Delivery acknowledgement back to the sender.
                 let ack_delay = if from == to {
                     m.cfg.net.local_delay()

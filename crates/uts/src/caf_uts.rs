@@ -307,6 +307,26 @@ mod tests {
         assert_eq!(out.per_image.len(), images);
     }
 
+    /// Contention harness for an early `finish`: 2-image traversals of
+    /// `geo_fixed(4.0, 8, 19)` under the default runtime, counting those
+    /// that lose nodes. Run it by hand with a second copy beside it, so
+    /// image threads are preempted inside finish waves:
+    /// `cargo test -p uts --release -- --ignored --nocapture contention`.
+    #[test]
+    #[ignore = "contention harness; run in release beside a second copy"]
+    fn no_traversal_loses_nodes_under_contention() {
+        let spec = TreeSpec::geo_fixed(4.0, 8, 19);
+        let expect = count_tree(&spec).nodes;
+        let runs = 3000;
+        let lost = (0..runs)
+            .filter(|_| {
+                run_uts(2, RuntimeConfig::default(), UtsConfig::new(spec)).total_nodes != expect
+            })
+            .count();
+        println!("{lost} of {runs} traversals of {expect} nodes lost nodes");
+        assert_eq!(lost, 0);
+    }
+
     #[test]
     fn single_image_matches_sequential() {
         check(1, TreeSpec::geo_fixed(3.0, 5, 19));

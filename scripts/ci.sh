@@ -23,7 +23,7 @@ echo "== model-checker smoke (p=3, depth=2) =="
 # seconds-fast; scripts/soak.sh runs the uncapped p=5 depth=4 sweep.
 cargo build --release -p caf-check --quiet
 ./target/release/caf-check suite --images 3 --depth 2 --crash-scenarios \
-    --max-states 200000 --quiet
+    --max-states 300000 --quiet
 
 echo "== seeded protocol mutations (every one must be caught) =="
 ./target/release/caf-check mutate

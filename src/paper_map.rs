@@ -57,7 +57,10 @@
 //! [`caf_core::termination::EpochDetector`] over
 //! [`caf_core::epoch::EpochState`], with Theorem 1's `L+1` bound checked
 //! by `caf-check` over every bounded schedule and property-tested on its
-//! seeded timed schedules. The §V baselines are
+//! seeded timed schedules. Messages carry the sender's full wave number
+//! where the paper carries its parity: images leave a wave at different
+//! times, and parity would alias wave `w + 1` with `w − 1` (DESIGN.md §5,
+//! decision 3). The §V baselines are
 //! [`caf_core::termination::FourCounterDetector`],
 //! [`caf_core::termination::CentralizedDetector`], and the deliberately
 //! broken [`caf_core::termination::BarrierDetector`] (Fig. 5).

@@ -18,12 +18,7 @@ use caf_runtime::{CommMode, CopyEvents, NetworkModel, Runtime, RuntimeConfig};
 fn run(mode: CommMode, iters: u64, words: usize) -> f64 {
     let cfg = RuntimeConfig {
         comm_mode: mode,
-        network: NetworkModel {
-            // Unbounded inboxes: Inline mode may not combine with
-            // bounded-inbox flow control (see CommMode docs).
-            inbox_capacity: None,
-            ..NetworkModel::slow_cluster()
-        },
+        network: NetworkModel::slow_cluster(),
         ..RuntimeConfig::default()
     };
     let p = 4;

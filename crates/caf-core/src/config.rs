@@ -31,8 +31,10 @@ pub struct NetworkModel {
     /// the user work the handler performs.
     pub handler_overhead: Duration,
     /// Soft bound on the number of undelivered messages queued at one
-    /// target inbox. Senders exceeding it experience backpressure stalls
-    /// (models GASNet flow control — the Fig. 14 large-bunch anomaly).
+    /// target inbox. Active messages an image thread initiates wait for
+    /// credit, draining their own inbox meanwhile (models GASNet flow
+    /// control — the Fig. 14 large-bunch anomaly); replies and
+    /// communication-thread injections are admitted but still count.
     /// `None` disables backpressure.
     pub inbox_capacity: Option<usize>,
 }
@@ -105,12 +107,8 @@ pub enum CommMode {
     /// The initiating thread itself snapshots the source buffer before
     /// `copy_async` returns (GASNet-like): initiation already implies local
     /// data completion, so `cofence` degenerates to a no-op for copies.
-    ///
-    /// Restriction: may not be combined with a bounded
-    /// [`NetworkModel::inbox_capacity`] — inline data-plane sends stall
-    /// the image thread under backpressure without draining its inbox,
-    /// which can deadlock the whole team. The runtime rejects the
-    /// combination at launch.
+    /// The data-plane sends skip flow control in both modes, so a bounded
+    /// [`NetworkModel::inbox_capacity`] never stalls them.
     Inline,
 }
 

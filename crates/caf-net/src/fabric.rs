@@ -9,10 +9,14 @@
 //! acknowledgements, event notifications, collective stages — everything
 //! above this layer is just a message.
 //!
-//! Backpressure: when a target inbox holds more than
-//! `inbox_capacity` undelivered messages, the sender parks on the inbox's
-//! space condvar (woken by drains) — modelling GASNet flow control, which
-//! the paper suspects behind the Fig. 14 large-bunch anomaly.
+//! Backpressure: while a target inbox holds `inbox_capacity` or more
+//! undelivered messages, [`Fabric::try_send_frame`] refuses the frame —
+//! modelling GASNet flow control, which the paper suspects behind the
+//! Fig. 14 large-bunch anomaly. The fabric never parks a sender: only a
+//! thread that can drain its own inbox while it waits (an image thread)
+//! sends under credit, and it retries from its own wait loop. Everything
+//! else goes through [`Fabric::send_unthrottled`] and still counts in
+//! the target's depth.
 //!
 //! Frames are not messages. [`Fabric::try_send_frame`] puts one frame
 //! carrying `count` logical messages on the wire (the runtime's
@@ -61,12 +65,6 @@ use crate::inbox::Inbox;
 use crate::reliable::{Reliable, Wire};
 use crate::stats::FabricStats;
 
-/// Longest a sender parked under backpressure in [`Fabric::send`] waits
-/// before it re-probes the target's credit. A drain wakes it at once;
-/// the timeout only bounds a missed wakeup or an abort, and keeps the
-/// parked sender pumping its retransmit timers.
-const BACKPRESSURE_REPROBE: Duration = Duration::from_micros(100);
-
 /// The fault schedule plus the reliable layer answering it.
 struct Chaos<M> {
     plan: FaultPlan,
@@ -100,9 +98,6 @@ pub struct Fabric<M> {
     crashed: Vec<AtomicBool>,
     /// When each crash fired — the base for detection-latency reporting.
     crashed_at: Vec<Mutex<Option<Instant>>>,
-    /// Set by [`Fabric::halt`]: releases senders parked under backpressure
-    /// so their threads can be joined.
-    halted: AtomicBool,
 }
 
 impl<M: Send> Fabric<M> {
@@ -145,7 +140,6 @@ impl<M: Send> Fabric<M> {
             failure: None,
             crashed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             crashed_at: (0..n).map(|_| Mutex::new(None)).collect(),
-            halted: AtomicBool::new(false),
         }
     }
 
@@ -215,58 +209,29 @@ impl<M: Send> Fabric<M> {
         self.chaos.as_ref().map_or(0, |c| c.reliable.backlog(image))
     }
 
-    /// Aborts the fabric: flow control stops refusing senders
-    /// (over-capacity sends are admitted immediately) and every image is
-    /// poked awake. Used by the runtime when tearing down after a
-    /// detected stall — communication threads blocked in [`Fabric::send`]
-    /// must be joinable. Irreversible.
-    pub fn halt(&self) {
-        self.halted.store(true, Ordering::Release);
-        for inbox in &self.inboxes {
-            inbox.poke();
-        }
-    }
-
     /// Flow-control admission: refused only while `to`'s bounded inbox is
     /// full. Self-sends are exempt (the sender is its inbox's only
-    /// drainer), as is all traffic once the fabric is halted, and traffic
-    /// with a crashed endpoint, which the wire-level crash drop eats.
+    /// drainer), as is traffic with a crashed endpoint, which the
+    /// wire-level crash drop eats.
     fn admits(&self, from: ImageId, to: ImageId) -> bool {
         match self.model.inbox_capacity {
             Some(cap) if from != to => {
-                self.inboxes[to.index()].len() < cap
-                    || self.halted.load(Ordering::Acquire)
-                    || self.is_crashed(to)
-                    || self.is_crashed(from)
+                self.inboxes[to.index()].len() < cap || self.is_crashed(to) || self.is_crashed(from)
             }
             _ => true,
         }
     }
 
-    /// Sends `msg` with a simulated payload of `payload_bytes` from `from`
-    /// to `to`. Blocks the caller under backpressure. Local (self) sends
-    /// still traverse the model's loopback (zero latency, injection cost
-    /// only) so semantics don't change between local and remote targets.
-    pub fn send(&self, from: ImageId, to: ImageId, payload_bytes: usize, msg: M) {
-        while !self.admits(from, to) {
-            self.stats.note_backpressure_stall();
-            self.pump(from);
-            let cap = self.model.inbox_capacity.expect("only a bounded inbox refuses");
-            self.inboxes[to.index()].wait_space_until(cap, Instant::now() + BACKPRESSURE_REPROBE);
-        }
-        self.inject(from, to, payload_bytes, 1, msg);
-    }
-
     /// Attempts to send one frame carrying `count` logical messages in
     /// `payload_bytes` bytes under flow control, without blocking:
-    /// returns the frame back when [`Fabric::send`] would park. Callers
-    /// that can make progress while refused (an image thread draining its
-    /// own inbox — GASNet's poll-while-blocked rule for requests) should
-    /// loop on this instead of [`Fabric::send`], whose parked stall can
-    /// deadlock if every potential drainer blocks simultaneously. The
-    /// frame counts as `count` messages and one frame, weighs `count` in
-    /// the target's inbox depth, and advances the wire sequence by
-    /// `count`, which must be at least 1.
+    /// returns the frame back while the target has no credit. The caller
+    /// must be able to make progress while refused (an image thread
+    /// draining its own inbox — GASNet's poll-while-blocked rule for
+    /// requests) and retries from its own wait loop. The frame counts as
+    /// `count` messages and one frame, weighs `count` in the target's
+    /// inbox depth, and advances the wire sequence by `count`, which must
+    /// be at least 1. Self-sends traverse the model's loopback (zero
+    /// latency, injection cost only), as every send does.
     pub fn try_send_frame(
         &self,
         from: ImageId,
@@ -284,12 +249,17 @@ impl<M: Send> Fabric<M> {
         Ok(())
     }
 
-    /// Sends without flow control. For *reply-class* traffic only —
-    /// delivery acknowledgements, event notifications, completion
-    /// advances, collective control hops. GASNet gives AM replies the
-    /// same exemption: a handler must be able to reply without blocking,
-    /// otherwise two images whose inboxes are both full of requests
-    /// deadlock exchanging acknowledgements.
+    /// Sends one message without flow control; it still counts in the
+    /// target's inbox depth, so senders under credit see the pressure.
+    /// For two kinds of traffic. *Reply-class* traffic — delivery
+    /// acknowledgements, event notifications, completion advances,
+    /// collective control hops: GASNet gives AM replies the same
+    /// exemption, since a handler must be able to reply without blocking,
+    /// or two images whose inboxes are both full of requests deadlock
+    /// exchanging acknowledgements. And every injection by a thread that
+    /// cannot drain an inbox while it waits (a communication thread): its
+    /// task queue is unbounded anyway, so parking it on credit would only
+    /// move the backlog from the inbox to that queue.
     pub fn send_unthrottled(&self, from: ImageId, to: ImageId, payload_bytes: usize, msg: M) {
         self.inject(from, to, payload_bytes, 1, msg);
     }
@@ -521,7 +491,7 @@ mod tests {
     #[test]
     fn instant_network_delivers_immediately() {
         let f: Arc<Fabric<u32>> = Fabric::new(2, NetworkModel::instant(), false);
-        f.send(img(0), img(1), 8, 99);
+        f.send_unthrottled(img(0), img(1), 8, 99);
         assert_eq!(poll(&f, img(1)), Some(99));
         assert_eq!(poll(&f, img(0)), None);
     }
@@ -530,7 +500,7 @@ mod tests {
     fn latency_withholds_delivery() {
         let model = NetworkModel { latency: Duration::from_millis(30), ..NetworkModel::instant() };
         let f: Arc<Fabric<&str>> = Fabric::new(2, model, false);
-        f.send(img(0), img(1), 0, "hi");
+        f.send_unthrottled(img(0), img(1), 0, "hi");
         assert_eq!(poll(&f, img(1)), None, "message must not be visible early");
         let got = recv(&f, img(1), Instant::now() + Duration::from_secs(2));
         assert_eq!(got, Some("hi"));
@@ -540,15 +510,15 @@ mod tests {
     fn self_sends_skip_wire_latency() {
         let model = NetworkModel { latency: Duration::from_secs(3600), ..NetworkModel::instant() };
         let f: Arc<Fabric<u8>> = Fabric::new(2, model, false);
-        f.send(img(1), img(1), 0, 5);
+        f.send_unthrottled(img(1), img(1), 0, 5);
         assert_eq!(poll(&f, img(1)), Some(5));
     }
 
     #[test]
     fn stats_count_messages_and_bytes() {
         let f: Arc<Fabric<u8>> = Fabric::new(2, NetworkModel::instant(), false);
-        f.send(img(0), img(1), 100, 1);
-        f.send(img(0), img(1), 20, 2);
+        f.send_unthrottled(img(0), img(1), 100, 1);
+        f.send_unthrottled(img(0), img(1), 20, 2);
         assert_eq!(f.stats().snapshot().messages, 2);
         assert_eq!(f.stats().snapshot().bytes, 120);
     }
@@ -562,7 +532,7 @@ mod tests {
         let t = f.stats().snapshot();
         assert_eq!((t.messages, t.frames, t.bytes), (k as u64, 1, 320));
         assert_eq!(f.inbox_depth(img(1)), k, "the inbox is weighted by the frame's count");
-        f.send(img(0), img(1), 16, 8);
+        f.send_unthrottled(img(0), img(1), 16, 8);
         assert_eq!((f.stats().snapshot().messages, f.stats().snapshot().frames), (6, 2));
         assert_eq!(f.inbox_depth(img(1)), k + 1);
         assert_eq!(poll(&f, img(1)), Some(7));
@@ -591,45 +561,21 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_blocks_sender_until_receiver_drains() {
-        let model = NetworkModel { inbox_capacity: Some(2), ..NetworkModel::instant() };
-        let f = Fabric::new(2, model, false);
-        f.send(img(0), img(1), 0, 0u8);
-        f.send(img(0), img(1), 0, 1u8);
-        assert_eq!(f.inbox_depth(img(1)), 2);
-        // A third send stalls until the receiver pops one message.
-        let f2 = Arc::clone(&f);
-        let sender = std::thread::spawn(move || {
-            f2.send(img(0), img(1), 0, 2u8);
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!sender.is_finished(), "sender should be stalled");
-        assert_eq!(poll(&f, img(1)), Some(0));
-        sender.join().unwrap();
-        assert!(f.stats().snapshot().backpressure_stalls > 0);
-        assert_eq!(poll(&f, img(1)), Some(1));
-        assert_eq!(poll(&f, img(1)), Some(2));
-    }
-
-    #[test]
-    fn try_send_admits_whatever_send_admits() {
+    fn unthrottled_sends_pass_the_credit_and_count_in_the_depth() {
         let model = NetworkModel { inbox_capacity: Some(1), ..NetworkModel::instant() };
         let f: Arc<Fabric<u8>> = Fabric::new(3, model, false);
-        f.send(img(0), img(2), 0, 1); // fills image 2's capacity-1 inbox
-        assert_eq!(f.try_send_frame(img(0), img(2), 0, 1, 2), Err(2), "full inbox refuses");
+        f.send_unthrottled(img(0), img(2), 0, 1); // takes image 2's one credit
+        f.send_unthrottled(img(0), img(2), 0, 2);
+        assert_eq!(f.inbox_depth(img(2)), 2, "admitted past the credit, and counted");
+        assert_eq!(f.try_send_frame(img(0), img(2), 0, 1, 3), Err(3), "full inbox refuses");
+        assert_eq!(f.stats().snapshot().backpressure_stalls, 1);
         f.mark_crashed(img(1));
         assert_eq!(
-            f.try_send_frame(img(1), img(2), 0, 1, 3),
+            f.try_send_frame(img(1), img(2), 0, 1, 4),
             Ok(()),
             "a dead sender is never refused"
         );
         assert_eq!(f.stats().snapshot().crash_drops, 1, "its message dies on the wire");
-        f.halt();
-        assert_eq!(
-            f.try_send_frame(img(0), img(2), 0, 1, 4),
-            Ok(()),
-            "halted fabric admits, as send does"
-        );
         assert_eq!(f.inbox_depth(img(2)), 2);
     }
 
@@ -642,7 +588,7 @@ mod tests {
         let model = NetworkModel { latency: Duration::from_millis(4), ..NetworkModel::instant() };
         let f: Arc<Fabric<u32>> = Fabric::new(2, model, true);
         for i in 0..32 {
-            f.send(img(0), img(1), 0, i);
+            f.send_unthrottled(img(0), img(1), 0, i);
         }
         let deadline = Instant::now() + Duration::from_secs(2);
         let mut order = Vec::new();
@@ -697,7 +643,7 @@ mod tests {
         let f = faulty(2, plan, RetryPolicy::aggressive());
         let total = 200u32;
         for i in 0..total {
-            f.send(img(0), img(1), 4, i);
+            f.send_unthrottled(img(0), img(1), 4, i);
         }
         let deadline = Instant::now() + Duration::from_secs(20);
         let mut got = Vec::new();
@@ -728,7 +674,7 @@ mod tests {
         let plan = FaultPlan::none(9).with_dup(1.0); // duplicate everything
         let f = faulty(2, plan, RetryPolicy::aggressive());
         for i in 0..50 {
-            f.send(img(0), img(1), 0, i);
+            f.send_unthrottled(img(0), img(1), 0, i);
         }
         let got = drain_reliable(&f, img(1), 50, Duration::from_secs(10));
         let mut sorted = got.clone();
@@ -751,7 +697,7 @@ mod tests {
         };
         let horizon = retry.exhaustion_horizon();
         let f = faulty(2, plan, retry);
-        f.send(img(0), img(1), 0, 7);
+        f.send_unthrottled(img(0), img(1), 0, 7);
         assert_eq!(f.retry_backlog(img(0)), 1);
         let deadline = Instant::now() + horizon * 4 + Duration::from_millis(50);
         while f.stats().snapshot().retries_exhausted == 0 {
@@ -774,7 +720,7 @@ mod tests {
             max_retries: 4,
         };
         let f = faulty(2, plan, retry);
-        f.send(img(0), img(1), 0, 11);
+        f.send_unthrottled(img(0), img(1), 0, 11);
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut surfaced = Vec::new();
         while f.stats().snapshot().retries_exhausted == 0 {
@@ -800,7 +746,7 @@ mod tests {
         let f = faulty(2, FaultPlan::none(21), retry.clone());
         let k = 8;
         for i in 0..k {
-            f.send(img(0), img(1), 4, i);
+            f.send_unthrottled(img(0), img(1), 4, i);
         }
         assert_eq!(
             drain_reliable(&f, img(1), k as usize, Duration::from_secs(5)).len(),
@@ -818,7 +764,7 @@ mod tests {
         let f = faulty(3, FaultPlan::none(22), RetryPolicy::default());
         let k = 16;
         for i in 0..k {
-            f.send(img(0), img(1), 4, i);
+            f.send_unthrottled(img(0), img(1), 4, i);
         }
         assert_eq!(
             drain_reliable(&f, img(1), k as usize, Duration::from_secs(5)).len(),
@@ -829,8 +775,8 @@ mod tests {
         assert_eq!(f.retry_backlog(img(0)), 0, "the one ack retires all {k} frames");
         // Two inbound links: one ack each, however the drain interleaves.
         for i in 0..k {
-            f.send(img(0), img(1), 4, i);
-            f.send(img(2), img(1), 4, i);
+            f.send_unthrottled(img(0), img(1), 4, i);
+            f.send_unthrottled(img(2), img(1), 4, i);
         }
         assert_eq!(drain_reliable(&f, img(1), 2 * k as usize, Duration::from_secs(5)).len(), 32);
         assert_eq!(f.stats().snapshot().acks, 3);
@@ -842,12 +788,12 @@ mod tests {
     #[test]
     fn reverse_traffic_piggybacks_the_owed_ack() {
         let f = faulty(3, FaultPlan::none(23), RetryPolicy::default());
-        f.send(img(0), img(1), 4, 10);
-        f.send(img(2), img(1), 4, 20); // keeps image 1's drain going
+        f.send_unthrottled(img(0), img(1), 4, 10);
+        f.send_unthrottled(img(2), img(1), 4, 20); // keeps image 1's drain going
         assert_eq!(poll(&f, img(1)), Some(10));
         // Image 1 answers before its drain ends, so its ack is still owed.
-        f.send(img(1), img(0), 4, 11);
-        f.send(img(1), img(0), 4, 12);
+        f.send_unthrottled(img(1), img(0), 4, 11);
+        f.send_unthrottled(img(1), img(0), 4, 12);
         assert_eq!(poll(&f, img(0)), Some(11));
         assert_eq!(f.retry_backlog(img(0)), 0, "the reply carried the ack");
         assert_eq!(f.stats().snapshot().acks, 0, "no standalone ack frame was sent");
@@ -863,7 +809,7 @@ mod tests {
             RetryPolicy { ack_timeout: Duration::from_secs(1), ..RetryPolicy::default() },
         );
         let t0 = Instant::now();
-        f.send(img(0), img(1), 0, 3);
+        f.send_unthrottled(img(0), img(1), 0, 3);
         assert_eq!(poll(&f, img(1)), None, "stalled image must not see the message yet");
         let got = recv(&f, img(1), t0 + Duration::from_secs(5));
         assert_eq!(got, Some(3));
@@ -937,7 +883,7 @@ mod tests {
         );
         // Image 1's message is in flight when image 0 learns of its death
         // (e.g. from an ImageDown broadcast).
-        f.send(img(1), img(0), 4, 77);
+        f.send_unthrottled(img(1), img(0), 4, 77);
         f.mark_peer_dead(img(0), 1, 1);
         let got = recv(&f, img(0), Instant::now() + Duration::from_millis(200));
         assert_eq!(got, None, "posthumous payload must not surface");
@@ -956,16 +902,13 @@ mod tests {
             RetryPolicy::default(),
             Some(FailureParams::default()),
         );
-        f.send(img(0), img(1), 0, 1); // fills the capacity-1 inbox
+        assert_eq!(f.try_send_frame(img(0), img(1), 0, 1, 1), Ok(())); // fills the capacity-1 inbox
         f.mark_crashed(img(1));
-        let t0 = Instant::now();
-        f.send(img(0), img(1), 0, 2); // must admit-and-drop, not park
-        assert!(t0.elapsed() < Duration::from_secs(1), "sender parked on a dead drainer");
-        assert!(f.stats().snapshot().crash_drops > 0);
         assert!(
-            f.try_send_frame(img(0), img(1), 0, 1, 3).is_ok(),
-            "try_send_frame must admit-and-drop too"
+            f.try_send_frame(img(0), img(1), 0, 1, 2).is_ok(),
+            "try_send_frame must admit-and-drop, not refuse"
         );
+        assert!(f.stats().snapshot().crash_drops > 0);
     }
 
     #[test]
@@ -987,7 +930,7 @@ mod tests {
         // Learned from a broadcast.
         let f: Arc<Fabric<u32>> = pair(Some(FailureParams::default()));
         for i in 0..3 {
-            f.send(img(0), img(1), 0, i);
+            f.send_unthrottled(img(0), img(1), 0, i);
         }
         assert_eq!(f.retry_backlog(img(0)), 3);
         f.mark_peer_dead(img(0), 1, 1);
@@ -998,7 +941,7 @@ mod tests {
         // Confirmed by image 0's own detector (image 1 falls silent).
         let f: Arc<Fabric<u32>> = pair(Some(FailureParams::aggressive()));
         for i in 0..3 {
-            f.send(img(0), img(1), 0, i);
+            f.send_unthrottled(img(0), img(1), 0, i);
         }
         let deadline = Instant::now() + Duration::from_secs(10);
         while f.poll_failures(img(0)).is_empty() {
@@ -1043,7 +986,7 @@ mod tests {
         };
         let f: Arc<Fabric<u32>> =
             Fabric::with_chaos(2, NetworkModel::instant(), false, plan, retry, Some(params));
-        f.send(img(0), img(1), 0, 9);
+        f.send_unthrottled(img(0), img(1), 0, 9);
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut downs = Vec::new();
         while downs.is_empty() {
@@ -1072,7 +1015,7 @@ mod tests {
                 None,
             );
             for i in 0..100 {
-                f.send(img(0), img(1), 0, i);
+                f.send_unthrottled(img(0), img(1), 0, i);
             }
             (f.stats().snapshot().wire_drops, f.stats().snapshot().wire_dups)
         };

@@ -3,8 +3,11 @@
 //! Each image owns one inbox. Messages are stamped with a delivery
 //! deadline when sent; [`Inbox::try_pop_due`] only surfaces a message once
 //! its deadline has passed, which is how the fabric models wire latency
-//! without dedicating a thread to the network. Blocked receivers park on a
-//! condvar with a timeout at the earliest pending deadline.
+//! without dedicating a thread to the network. Blocked receivers park on
+//! the inbox's one condvar with a timeout at the earliest pending
+//! deadline. Senders never park here: flow control is a non-blocking
+//! depth check ([`Inbox::len`]), and a refused image thread drains its
+//! own inbox until the target has credit.
 //!
 //! Every entry carries a *weight*: the number of logical messages its
 //! frame holds. The queue depth that flow control reads is the sum of the
@@ -52,9 +55,6 @@ struct Inner<M> {
 pub struct Inbox<M> {
     inner: Mutex<Inner<M>>,
     arrived: Condvar,
-    /// Notified on every pop, so senders parked on flow control wake the
-    /// moment space frees instead of sleep-polling.
-    space: Condvar,
     /// Weighted queue depth mirror, maintained under `inner`'s lock but
     /// readable without it — `len()` is on senders' flow-control fast
     /// path.
@@ -73,7 +73,6 @@ impl<M> Inbox<M> {
         Inbox {
             inner: Mutex::new(Inner { heap: BinaryHeap::new(), seq: 0, depth: 0 }),
             arrived: Condvar::new(),
-            space: Condvar::new(),
             len: AtomicUsize::new(0),
         }
     }
@@ -103,30 +102,10 @@ impl<M> Inbox<M> {
             let more_due = inner.heap.peek().is_some_and(|t| t.deliver_at <= now);
             inner.depth -= weight;
             self.len.store(inner.depth, Ordering::Release);
-            drop(inner);
-            self.space.notify_all();
             Some((msg, weight, more_due))
         } else {
             None
         }
-    }
-
-    /// Parks the caller until the weighted depth drops below `cap`, a drain
-    /// notification arrives, or `deadline` passes. Returns whether space
-    /// is available. Senders loop on this under flow control; the timeout
-    /// guards against missed wakeups and lets callers re-check abort
-    /// conditions periodically.
-    pub fn wait_space_until(&self, cap: usize, deadline: Instant) -> bool {
-        if self.len() < cap {
-            return true;
-        }
-        let mut inner = self.inner.lock();
-        while inner.depth >= cap {
-            if self.space.wait_until(&mut inner, deadline).timed_out() {
-                return inner.depth < cap;
-            }
-        }
-        true
     }
 
     /// Wakes any receiver parked in [`Inbox::wait_activity`] without
@@ -135,9 +114,6 @@ impl<M> Inbox<M> {
     /// re-evaluates its wait predicate promptly.
     pub fn poke(&self) {
         self.arrived.notify_all();
-        // Senders parked on flow control also re-check (a poke may mean
-        // the runtime is aborting and they must stop waiting for space).
-        self.space.notify_all();
     }
 
     /// Parks until *something happens*: a message arrives, [`Inbox::poke`]
@@ -157,16 +133,13 @@ impl<M> Inbox<M> {
     }
 
     /// Discards every queued message, due or not, returning how many
-    /// logical messages were dropped. Wakes senders parked on flow control so a teardown after
-    /// a detected failure never leaves a thread blocked on space that the
-    /// (now absent) receiver would have had to free.
+    /// logical messages were dropped.
     pub fn drain(&self) -> usize {
         let mut inner = self.inner.lock();
         let n = std::mem::take(&mut inner.depth);
         inner.heap.clear();
         self.len.store(0, Ordering::Release);
         drop(inner);
-        self.space.notify_all();
         self.arrived.notify_all();
         n
     }
@@ -269,31 +242,6 @@ mod tests {
         inbox.push(t, 3, 'c');
         assert_eq!(inbox.drain(), 4, "drain reports logical messages");
         assert!(inbox.is_empty());
-    }
-
-    #[test]
-    fn wait_space_wakes_promptly_on_drain() {
-        let inbox = std::sync::Arc::new(Inbox::new());
-        let t = Instant::now();
-        inbox.push(t, 1, 0u8);
-        inbox.push(t, 1, 1u8);
-        let waiter = {
-            let inbox = inbox.clone();
-            std::thread::spawn(move || {
-                // Far deadline: only a drain notification can end this early.
-                let ok = inbox.wait_space_until(2, Instant::now() + Duration::from_secs(10));
-                (ok, Instant::now())
-            })
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(inbox.try_pop_due(), Some((0, 1, true)));
-        let drained_at = Instant::now();
-        let (ok, woke_at) = waiter.join().unwrap();
-        assert!(ok, "space must be observed");
-        assert!(
-            woke_at.saturating_duration_since(drained_at) < Duration::from_secs(5),
-            "waiter should wake on the drain notification, not the deadline"
-        );
     }
 
     #[test]

@@ -65,7 +65,7 @@ proptest! {
         };
         let f: Arc<Fabric<u64>> = Fabric::new(5, model, non_fifo);
         for (i, &(from, bytes)) in sends.iter().enumerate() {
-            f.send(ImageId(from), ImageId(4), bytes, i as u64);
+            f.send_unthrottled(ImageId(from), ImageId(4), bytes, i as u64);
         }
         let mut got = drain(&f, ImageId(4), sends.len());
         got.sort_unstable();
@@ -84,7 +84,7 @@ proptest! {
         };
         let f: Arc<Fabric<u64>> = Fabric::new(2, model, false);
         for i in 0..count as u64 {
-            f.send(ImageId(0), ImageId(1), 8, i);
+            f.send_unthrottled(ImageId(0), ImageId(1), 8, i);
         }
         let got = drain(&f, ImageId(1), count);
         prop_assert_eq!(got, (0..count as u64).collect::<Vec<_>>());
@@ -100,7 +100,7 @@ proptest! {
                 let f = Arc::clone(&f);
                 std::thread::spawn(move || {
                     for i in 0..per_sender as u64 {
-                        f.send(ImageId(s), ImageId(3), 8, (s as u64) << 32 | i);
+                        f.send_unthrottled(ImageId(s), ImageId(3), 8, (s as u64) << 32 | i);
                     }
                 })
             })
@@ -158,7 +158,7 @@ proptest! {
         };
         let f: Arc<Fabric<u64>> = Fabric::with_chaos(4, model, non_fifo, plan, retry, None);
         for (i, &(from, bytes)) in sends.iter().enumerate() {
-            f.send(ImageId(from), ImageId(3), bytes, i as u64);
+            f.send_unthrottled(ImageId(from), ImageId(3), bytes, i as u64);
         }
         let deadline = Instant::now() + Duration::from_secs(30);
         let mut got = Vec::with_capacity(sends.len());

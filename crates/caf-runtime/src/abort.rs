@@ -6,10 +6,12 @@
 //! hub registers a confirmed *death*. Either way every image reacts the
 //! same. Each blocking construct polls `Image::check_abort`, which runs
 //! the one abort routine: poison open finish epochs if a death is
-//! registered, halt the fabric, poke every inbox, file one
-//! [`ImageReport`], and unwind with the one payload `AbortUnwind`.
-//! Once any image unwinds that way, `Runtime::try_launch` takes the
-//! verdict from shared state: a registered death gives
+//! registered, poke every inbox, file one [`ImageReport`], and unwind
+//! with the one payload `AbortUnwind`. `Shared::aborting` is the one home
+//! of "the launch is coming down": a comm thread parked on a predicate
+//! event reads it too, so the unwinding image can join it. Once any image
+//! unwinds, `Runtime::try_launch` takes the verdict from shared state: a
+//! registered death gives
 //! [`RuntimeError::ImageFailed`], otherwise the latched watchdog gives
 //! [`RuntimeError::Stalled`]. A death outranks a stall, because
 //! survivors stall only since the dead image stopped participating.
@@ -28,7 +30,7 @@ use crate::failure::FailureHub;
 use crate::image::{Image, CTRL_BYTES};
 use crate::msg::Msg;
 use crate::runtime::Shared;
-use crate::watchdog::WaitGuard;
+use crate::watchdog::{WaitGuard, Watchdog};
 
 /// Panic payload of every image thread that leaves the launch early:
 /// survivors aborting, and a dead image's own thread. Delivered via
@@ -195,6 +197,17 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
+impl Shared {
+    /// Whether the launch is coming down: a death is registered, or the
+    /// watchdog has latched a stall. Image threads act on it in
+    /// [`Image::check_abort`]; a communication thread waiting on a
+    /// predicate event gives its task up.
+    pub(crate) fn aborting(&self) -> bool {
+        self.failure.as_ref().is_some_and(FailureHub::poisoned)
+            || self.watchdog.as_ref().is_some_and(Watchdog::stalled)
+    }
+}
+
 /// The launch's verdict once some image unwound with [`AbortUnwind`]: a
 /// registered death, else the latched stall.
 pub(crate) fn verdict(shared: &Shared) -> RuntimeError {
@@ -232,7 +245,8 @@ impl Image {
     /// first observer owns the team-wide `ImageDown` broadcast); a crash
     /// fault aimed at *this* image fail-stops its thread silently, as
     /// fail-stop demands: survivors must detect the death, the victim
-    /// does not announce it.
+    /// does not announce it. Any image then aborts once
+    /// [`Shared::aborting`] holds.
     pub(crate) fn check_abort(&self, construct: &'static str, waiting: Option<&WaitGuard<'_>>) {
         let fabric = &self.shared.fabric;
         if let Some(hub) = &self.shared.failure {
@@ -244,26 +258,20 @@ impl Image {
                     self.broadcast_down(down.peer, down.incarnation);
                 }
             }
-            if hub.poisoned() {
-                self.abort(construct);
-            }
         }
-        if waiting.is_some_and(|w| w.observe(self.progress_fingerprint())) {
+        if waiting.is_some_and(|w| w.observe(self.progress_fingerprint())) || self.shared.aborting()
+        {
             self.abort(construct);
         }
     }
 
     /// The abort routine: poisons every open finish epoch when a death is
-    /// registered (their waves can never close with a dead member),
-    /// releases the whole team, files this image's report, and unwinds.
+    /// registered (their waves can never close with a dead member), wakes
+    /// the whole team, files this image's report, and unwinds.
     fn abort(&self, construct: &'static str) -> ! {
         if let Some(down) = self.shared.failure.as_ref().and_then(FailureHub::down) {
             self.poison_open_finishes(down.peer);
         }
-        // Halt first: flow control stops parking senders, so the comm
-        // thread (joined when `self.pump` drops during unwind) and peers
-        // blocked in sends all become runnable.
-        self.shared.fabric.halt();
         for i in 0..self.shared.n {
             self.shared.fabric.poke(ImageId(i));
         }
@@ -276,8 +284,8 @@ impl Image {
     /// never join their waves.
     pub(crate) fn poison_open_finishes(&self, victim: usize) {
         let mut st = self.st.borrow_mut();
-        for (fid, frame) in st.finish_frames.iter_mut() {
-            frame.detector.poison(victim);
+        for (fid, detector) in st.finish_frames.iter_mut() {
+            detector.poison(victim);
             self.trace(|| TraceEvent::Poison {
                 image: self.id().index(),
                 finish: Image::trace_fid(*fid),
@@ -345,15 +353,15 @@ impl Image {
         let mut finishes: Vec<FinishDiag> = st
             .finish_frames
             .iter()
-            .map(|(fid, frame)| {
-                let c = frame.detector.epochs().counters();
+            .map(|(fid, detector)| {
+                let c = detector.epochs().counters();
                 FinishDiag {
                     finish: *fid,
                     sent: c.sent,
                     delivered: c.delivered,
                     received: c.received,
                     completed: c.completed,
-                    waves: frame.detector.waves(),
+                    waves: detector.waves(),
                 }
             })
             .collect();

@@ -31,6 +31,7 @@ use crate::completion::{Completion, Stage};
 use crate::event::Event;
 use crate::image::Image;
 use crate::msg::{AmFn, Msg};
+use crate::runtime::Shared;
 
 /// Request-message nominal size (descriptor only, no data).
 const REQ_BYTES: usize = 48;
@@ -107,6 +108,18 @@ impl<T: Clone + Send + 'static> Sink<T> {
             Sink::Arr(arr, offset) => arr.write(*offset, data),
         }
     }
+}
+
+/// Waits on the communication thread for a copy's predicate event, if
+/// any. Returns `false`, giving the task up, if the launch comes down
+/// first: the notifier may be dead, and the unwinding image joins this
+/// thread.
+fn await_pre(shared: &Shared, pre: Option<Event>) -> bool {
+    pre.is_none_or(|p| {
+        shared.event_tables[p.owner().index()]
+            .cell(p.id.slot)
+            .consume_unless(|| shared.aborting())
+    })
 }
 
 impl Image {
@@ -227,8 +240,8 @@ impl Image {
         let comp_task = Arc::clone(&comp);
         let (src_ev, dest_ev) = (ev.src, ev.dest);
         self.pump.submit(move || {
-            if let Some(p) = pre_task {
-                shared.event_tables[me.index()].cell(p.id.slot).block_consume();
+            if !await_pre(&shared, pre_task) {
+                return;
             }
             let data = read();
             let comp_dst = Arc::clone(&comp_task);
@@ -293,8 +306,8 @@ impl Image {
         let nbytes = src.range.len() * std::mem::size_of::<T>();
         let src_owner = src.image;
         self.pump.submit(move || {
-            if let Some(p) = pre_task {
-                shared.event_tables[me.index()].cell(p.id.slot).block_consume();
+            if !await_pre(&shared, pre_task) {
+                return;
             }
             let request: AmFn = Box::new(move |owner: &Image| {
                 let data = owner.with_co_read(&src);

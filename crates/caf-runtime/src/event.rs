@@ -15,9 +15,14 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use caf_core::ids::{EventId, ImageId};
 use parking_lot::Mutex;
+
+/// How often a communication thread parked on a predicate event re-checks
+/// whether it should give up.
+const GIVE_UP_POLL: Duration = Duration::from_millis(1);
 
 /// One event cell: a notification counter with a condvar so threads that
 /// are allowed to block outright (communication threads waiting on a
@@ -47,15 +52,20 @@ impl EventCell {
         }
     }
 
-    /// Blocks the calling thread until a notification can be consumed.
-    /// For communication threads only — the owning image must keep making
-    /// progress and therefore polls with `try_consume` instead.
-    pub fn block_consume(&self) {
+    /// Blocks the calling thread until it consumes a notification
+    /// (`true`) or `give_up` holds, polled every [`GIVE_UP_POLL`]
+    /// (`false`). For communication threads only — the owning image must
+    /// keep making progress and therefore polls with `try_consume`.
+    pub fn consume_unless(&self, give_up: impl Fn() -> bool) -> bool {
         let mut c = self.count.lock();
         while *c == 0 {
-            self.posted.wait(&mut c);
+            if give_up() {
+                return false;
+            }
+            self.posted.wait_until(&mut c, Instant::now() + GIVE_UP_POLL);
         }
         *c -= 1;
+        true
     }
 
     /// Current notification count (for tests/metrics).
@@ -115,6 +125,7 @@ impl CoEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn notify_then_consume() {
@@ -126,6 +137,23 @@ mod tests {
         assert!(c.try_consume());
         assert!(c.try_consume());
         assert!(!c.try_consume());
+    }
+
+    #[test]
+    fn consume_unless_gives_up_without_consuming() {
+        let c = std::sync::Arc::new(EventCell::default());
+        let polls = AtomicUsize::new(0);
+        assert!(!c.consume_unless(|| polls.fetch_add(1, Ordering::Relaxed) >= 3));
+        assert_eq!(polls.load(Ordering::Relaxed), 4, "re-checked while parked");
+        let notifier = {
+            let c = c.clone();
+            std::thread::spawn(move || c.notify())
+        };
+        assert!(c.consume_unless(|| false), "a notification ends the wait");
+        notifier.join().unwrap();
+        assert_eq!(c.count(), 0);
+        c.notify();
+        assert!(c.consume_unless(|| true), "a posted notification wins over giving up");
     }
 
     #[test]

@@ -85,8 +85,8 @@ impl Image {
             // empty frame after this (only in the no-upper-bound variant,
             // which doesn't wait for acks); that costs one map entry and
             // is harmless.
-            let frame = st.finish_frames.remove(&fid).expect("every wave ran on this frame");
-            st.last_finish_waves = frame.detector.waves();
+            let detector = st.finish_frames.remove(&fid).expect("every wave ran on this frame");
+            st.last_finish_waves = detector.waves();
         }
         result
     }

@@ -24,7 +24,7 @@ use crate::completion::Completion;
 use crate::event::{CoEvent, Event};
 use crate::msg::{Am, AmFn, FinishTag, Msg};
 use crate::runtime::Shared;
-use crate::state::{FinishFrame, ImageState, PendingOp};
+use crate::state::{ImageState, PendingOp};
 
 /// Nominal wire size of a shipped-function header (descriptor + closure
 /// environment lower bound) for the cost model.
@@ -286,8 +286,8 @@ impl Image {
         }
     }
 
-    /// Runs `f` on the finish frame for `fid`, creating it if this is the
-    /// first time this image hears of that block.
+    /// Runs `f` on the termination detector of finish `fid`, creating it
+    /// if this is the first time this image hears of that block.
     pub(crate) fn with_frame<R>(
         &self,
         fid: FinishId,
@@ -295,11 +295,7 @@ impl Image {
     ) -> R {
         let mut st = self.st.borrow_mut();
         let wq = self.shared.cfg.finish_wait_quiescence;
-        let frame = st
-            .finish_frames
-            .entry(fid)
-            .or_insert_with(|| FinishFrame { detector: EpochDetector::new(wq) });
-        f(&mut frame.detector)
+        f(st.finish_frames.entry(fid).or_insert_with(|| EpochDetector::new(wq)))
     }
 
     /// Current finish attribution for newly initiated operations, plus
@@ -317,7 +313,9 @@ impl Image {
 
     /// Sends an active message carrying an already-counted finish tag,
     /// as a one-AM [`Msg::Batch`]. Callable from communication threads
-    /// (takes no image state).
+    /// (takes no image state), so it skips flow control: a communication
+    /// thread cannot drain an inbox while it waits for credit. The frame
+    /// still counts in the target's inbox depth.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_prepared_am(
         shared: &Shared,
@@ -329,7 +327,7 @@ impl Image {
         user: bool,
         func: AmFn,
     ) {
-        shared.fabric.send(
+        shared.fabric.send_unthrottled(
             from,
             target,
             payload_bytes,
@@ -387,10 +385,11 @@ impl Image {
     /// Puts the AMs buffered for `target` on the wire as one frame,
     /// *polling while flow-controlled*. A request send that merely slept
     /// under backpressure could deadlock (every image blocked sending,
-    /// nobody draining); like GASNet's blocking AM requests, we keep
-    /// serving our own inbox until the target has credit.
+    /// nobody draining); like GASNet's blocking AM requests, a refused
+    /// frame waits in [`Image::wait_until`], which keeps serving this
+    /// image's inbox until the target has credit.
     fn flush_to(&self, target: ImageId) {
-        let (mut msg, bytes, count) = {
+        let (mut frame, bytes, count) = {
             let mut st = self.st.borrow_mut();
             let buf = &mut st.out[target.index()];
             let count = buf.ams.len();
@@ -398,24 +397,20 @@ impl Image {
                 return;
             }
             let ams = std::mem::replace(&mut buf.ams, Vec::with_capacity(count));
-            (Msg::Batch(ams), std::mem::take(&mut buf.bytes), count)
+            (Some(Msg::Batch(ams)), std::mem::take(&mut buf.bytes), count)
         };
-        let mut waiting = None;
-        loop {
+        let mut sent = || {
+            let msg = frame.take().expect("the frame is sent once");
             match self.shared.fabric.try_send_frame(self.me, target, bytes, count, msg) {
-                Ok(()) => break,
+                Ok(()) => true,
                 Err(back) => {
-                    msg = back;
-                    if waiting.is_none() {
-                        waiting =
-                            self.shared.watchdog.as_ref().map(|w| w.enter_wait(self.me.index()));
-                    }
-                    self.check_abort("send", waiting.as_ref());
-                    if !self.progress() {
-                        self.shared.fabric.wait_activity(self.me, Instant::now() + MAX_PARK);
-                    }
+                    frame = Some(back);
+                    false
                 }
             }
+        };
+        if !sent() {
+            self.wait_until("send", sent);
         }
     }
 

@@ -95,17 +95,6 @@ impl Runtime {
         F: Fn(&Image) -> R + Send + Sync,
     {
         assert!(n > 0, "at least one image required");
-        // Inline communication runs copy data-plane sends on the image
-        // thread with a sleeping backpressure stall; combined with a
-        // bounded inbox, every image can end up asleep in a send with
-        // nobody draining. Dedicated comm threads (the default) or an
-        // unbounded inbox avoid the cycle.
-        assert!(
-            !(cfg.comm_mode == caf_core::config::CommMode::Inline
-                && cfg.network.inbox_capacity.is_some()),
-            "CommMode::Inline requires inbox_capacity: None (see CommMode docs); \
-             use CommMode::DedicatedThread with bounded inboxes"
-        );
         // A fault plan or failure detection routes all traffic through the
         // ack/retry sublayer; otherwise the wire is lossless and the
         // fabric stays raw.

@@ -19,15 +19,6 @@ use crate::completion::Completion;
 use crate::event::Event;
 use crate::msg::{Am, CollKey};
 
-/// Detector state for one dynamic `finish` block on this image. Frames
-/// are created lazily: a message belonging to finish `F` can arrive before
-/// this image has entered `F` (paper Fig. 5 is exactly that race), so
-/// reception must be able to materialize the frame.
-pub(crate) struct FinishFrame {
-    /// The paper's termination detector for this block.
-    pub detector: EpochDetector,
-}
-
 /// An implicitly completed asynchronous operation awaiting local data
 /// completion, tracked for `cofence`.
 pub(crate) struct PendingOp {
@@ -62,8 +53,11 @@ pub(crate) struct OutBuf {
 
 /// All single-thread mutable state of one image.
 pub(crate) struct ImageState {
-    /// Per-finish detector frames (lazily created).
-    pub finish_frames: HashMap<FinishId, FinishFrame>,
+    /// The paper's termination detector of each dynamic `finish` block
+    /// this image knows of. Created lazily: a message belonging to finish
+    /// `F` can arrive before this image has entered `F` (paper Fig. 5 is
+    /// exactly that race), so reception must be able to materialize it.
+    pub finish_frames: HashMap<FinishId, EpochDetector>,
     /// Delivery acks owed per (sender, finish), not yet flushed as a
     /// counted [`crate::msg::Msg::Ack`]. Short: one entry per sender and
     /// finish seen since the last flush.

@@ -67,6 +67,11 @@ impl Watchdog {
         self.window
     }
 
+    /// Whether a stall has been declared (latched).
+    pub(crate) fn stalled(&self) -> bool {
+        self.stalled.load(Ordering::Acquire)
+    }
+
     /// Marks `image` as blocked for the guard's lifetime.
     pub(crate) fn enter_wait(&self, image: usize) -> WaitGuard<'_> {
         if self.depth[image].fetch_add(1, Ordering::AcqRel) == 0 {
@@ -85,7 +90,7 @@ impl Watchdog {
     /// (now) stalled. A stall is declared only when every *live* image is
     /// blocked and the fingerprint has been flat for the full window.
     pub(crate) fn observe(&self, fingerprint: u64) -> bool {
-        if self.stalled.load(Ordering::Acquire) {
+        if self.stalled() {
             return true;
         }
         let now = Instant::now();

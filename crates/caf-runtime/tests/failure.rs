@@ -5,13 +5,13 @@
 //! measured, and each survivor's parting construct named.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use caf_core::config::RuntimeConfig;
 use caf_core::failure::FailureParams;
 use caf_core::fault::{FaultPlan, RetryPolicy};
-use caf_runtime::{Runtime, RuntimeError};
+use caf_runtime::{CommMode, CopyEvents, LocalArray, Runtime, RuntimeError};
 
 /// Heartbeat detection is wall-clock sensitive: several of these tests
 /// launching 4+ image threads each *concurrently* can oversubscribe the
@@ -248,6 +248,48 @@ fn event_wait_on_a_dead_notifier_unblocks() {
                 obs.contains(&(0, "event_wait")),
                 "survivor must report the construct it was parked in: {r}"
             );
+        }
+        other => panic!("expected ImageFailed, got {other:?}"),
+    }
+}
+
+/// A communication thread parked on a predicated copy's `preE`, whose
+/// notifier died, must not hang the launch. The survivor unwinds out of
+/// its `cofence`, and dropping its communication engine joins that
+/// thread, so the thread gives its task up once the launch is coming
+/// down. The launch runs on its own thread so a hang fails this test
+/// instead of stalling the suite.
+#[test]
+fn comm_thread_waiting_on_a_dead_notifiers_pre_event_unblocks() {
+    let _serial = serialize();
+    let mut cfg = failure_cfg(0xFA15);
+    cfg.comm_mode = CommMode::DedicatedThread;
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let out: Result<Vec<()>, RuntimeError> = Runtime::try_launch(2, cfg, |img| {
+            let w = img.world();
+            let a = img.coarray(&w, 1, 0u64);
+            let pre = img.coevent().on(img.image(0));
+            if img.id().index() == 1 {
+                // It would have notified image 0's `pre` remotely.
+                panic!("the notifier dies first");
+            }
+            let src = LocalArray::new(vec![7u64]);
+            let ev = CopyEvents { pre: Some(pre), ..CopyEvents::none() };
+            img.copy_async_from(a.slice(img.image(1), 0..1), &src, 0..1, ev);
+            img.cofence();
+            unreachable!("the copy's predicate is never posted");
+        });
+        let _ = tx.send(out);
+    });
+    let out = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("launch hung: the comm thread still waits on a dead notifier's preE");
+    match out {
+        Err(RuntimeError::ImageFailed(r)) => {
+            assert_eq!(r.image, 1, "the panicking notifier is the victim: {r}");
+            let obs: Vec<_> = r.observers.iter().map(|o| (o.image, o.construct)).collect();
+            assert_eq!(obs, vec![(0, "cofence")], "the survivor aborts in its cofence: {r}");
         }
         other => panic!("expected ImageFailed, got {other:?}"),
     }

@@ -667,6 +667,60 @@ fn backpressure_does_not_deadlock_ack_cycles() {
     assert_eq!(counts.iter().sum::<u64>(), (n * 200) as u64);
 }
 
+/// Inline communication with a bounded inbox runs. The copy data plane,
+/// which Inline mode sends from the image thread, skips flow control as
+/// it does on a communication thread, and spawns wait for credit while
+/// draining. So the spawn storm above, implicit puts and an
+/// event-completed copy all land, to exact counts.
+#[test]
+fn inline_comm_with_a_bounded_inbox_runs() {
+    let cfg = RuntimeConfig {
+        comm_mode: CommMode::Inline,
+        network: NetworkModel { inbox_capacity: Some(8), ..NetworkModel::instant() },
+        ..RuntimeConfig::default()
+    };
+    let n = 4;
+    let out = Runtime::launch(n, cfg, |img| {
+        let w = img.world();
+        let me = img.id().index();
+        let hits = img.coarray(&w, 1, 0u64);
+        // One slot per (sender, put): every put lands in a slot of its own.
+        let puts = img.coarray(&w, n * 50, 0u64);
+        let src = img.coarray(&w, 4, 0u64);
+        src.with_local(img.id(), |seg| seg.fill(me as u64 + 1));
+        let dst = img.coarray(&w, 4, 0u64);
+        let ce = img.coevent();
+        img.finish(&w, |img| {
+            for i in 0..200 {
+                let t = img.image((me + 1 + i % (n - 1)) % n);
+                let h = hits.clone();
+                img.spawn(t, move |peer| {
+                    h.with_local(peer.id(), |seg| seg[0] += 1);
+                });
+                if i % 4 == 0 {
+                    let slot = me * 50 + i / 4;
+                    img.put_async(puts.slice(t, slot..slot + 1), vec![1]);
+                }
+            }
+        });
+        let next = img.image((me + 1) % n);
+        img.copy_async(
+            dst.slice(next, 0..4),
+            src.slice(img.id(), 0..4),
+            CopyEvents::on_dest(ce.on(next)),
+        );
+        img.event_wait(ce.on(img.id()));
+        let put_sum: u64 = puts.read(img.id(), 0..n * 50).iter().sum();
+        (hits.read(img.id(), 0..1)[0], put_sum, dst.read(img.id(), 0..4))
+    });
+    assert_eq!(out.iter().map(|o| o.0).sum::<u64>(), (n * 200) as u64, "every spawn ran once");
+    assert_eq!(out.iter().map(|o| o.1).sum::<u64>(), (n * 50) as u64, "every put landed once");
+    for (me, (_, _, got)) in out.iter().enumerate() {
+        let prev = (me + n - 1) % n;
+        assert_eq!(got, &vec![prev as u64 + 1; 4], "image {me} holds image {prev}'s copy");
+    }
+}
+
 // ----------------------------------------------------------------------
 // Memory-model hooks
 // ----------------------------------------------------------------------

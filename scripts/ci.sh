@@ -55,8 +55,11 @@ lint_golden_tier tests/fixtures/lints
 lint_golden_tier examples/plans
 
 echo "== figure goldens (seeded figure binaries reproduce exactly) =="
+# fig14_bunch_size and fig18_allreduce_rounds are DES-only (about 45 s and
+# 25 s); fig13_randomaccess stays out because its second table times the
+# threaded runtime.
 cargo build --release -p bench --quiet --bin fig05_barrier_failure --bin ablation_detectors \
-    --bin ablation_failure_detection
+    --bin ablation_failure_detection --bin fig14_bunch_size --bin fig18_allreduce_rounds
 for golden in tests/fixtures/figures/*.golden; do
     bin="$(basename "$golden" .golden)"
     if ! diff <("./target/release/$bin") "$golden" >/dev/null; then

@@ -75,6 +75,7 @@ pub struct UtsOutcome {
 }
 
 /// Per-image work-stealing state, shared with handlers through an `Arc`.
+#[derive(Default)]
 struct ImgUts {
     queue: Vec<Node>,
     /// Images whose lifelines are currently registered here.
@@ -87,24 +88,32 @@ struct ImgUts {
     active: bool,
 }
 
+impl ImgUts {
+    /// Pops the next node. An empty queue ends the work loop, so `active`
+    /// is set in the same critical section as the pop that decides it.
+    fn pop_or_idle(&mut self) -> Option<Node> {
+        let node = self.queue.pop();
+        self.active = node.is_some();
+        node
+    }
+
+    /// A chunk for the oldest registered lifeline, if the queue has
+    /// excess work.
+    fn lifeline_chunk(&mut self, cfg: &UtsConfig) -> Option<(ImageId, Vec<Node>)> {
+        if self.lifelines.is_empty() || self.queue.len() < cfg.lifeline_push_min {
+            return None;
+        }
+        let waiter = self.lifelines.remove(0);
+        let take = cfg.steal_chunk.min(self.queue.len() / 2).max(1);
+        Some((waiter, self.queue.drain(..take).collect()))
+    }
+}
+
 type SharedUts = Arc<Vec<Mutex<ImgUts>>>;
 
 /// Runs the parallel traversal over `images` process images.
 pub fn run_uts(images: usize, rt: RuntimeConfig, cfg: UtsConfig) -> UtsOutcome {
-    let shared: SharedUts = Arc::new(
-        (0..images)
-            .map(|_| {
-                Mutex::new(ImgUts {
-                    queue: Vec::new(),
-                    lifelines: Vec::new(),
-                    count: 0,
-                    steals: 0,
-                    pushes_received: 0,
-                    active: false,
-                })
-            })
-            .collect(),
-    );
+    let shared: SharedUts = Arc::new((0..images).map(|_| Mutex::default()).collect());
     let cfg = Arc::new(cfg);
     let per_image = Runtime::launch(images, rt, |img| {
         let st = Arc::clone(&shared);
@@ -194,29 +203,36 @@ fn deliver_work(
 /// The Fig. 15 main loop: drain the queue (feeding lifelines along the
 /// way), then one steal attempt, then lifeline registration, then return
 /// to the enclosing finish wait.
+///
+/// A node costs one critical section: count it, append its children, then
+/// either take a chunk for a lifeline or pop the next node. A progress
+/// poll or a lifeline chunk adds one more, in [`feed_lifelines`].
 fn work_loop(img: &Image, st: &SharedUts, cfg: &Arc<UtsConfig>) {
     let me = img.id().index();
-    st[me].lock().active = true;
+    let mut next = st[me].lock().pop_or_idle();
     let mut children = Vec::new();
     let mut since_progress = 0usize;
-    loop {
-        let node = st[me].lock().queue.pop();
-        let Some(node) = node else { break };
+    while let Some(node) = next {
         children.clear();
         cfg.spec.expand_into(&node, &mut children);
-        {
+        since_progress += 1;
+        let poll = since_progress >= cfg.progress_interval;
+        let give = {
             let mut s = st[me].lock();
             s.count += 1;
             s.queue.append(&mut children);
-        }
-        since_progress += 1;
-        if since_progress >= cfg.progress_interval {
+            let give = s.lifeline_chunk(cfg);
+            next = if give.is_none() && !poll { s.pop_or_idle() } else { None };
+            give
+        };
+        if poll {
             since_progress = 0;
             img.progress(); // stay receptive to steals
         }
-        feed_lifelines(img, st, cfg);
+        if poll || give.is_some() {
+            next = feed_lifelines(img, st, cfg, give);
+        }
     }
-    st[me].lock().active = false;
 
     // One steal attempt (paper: n = 1), fire-and-forget.
     let n = img.num_images();
@@ -276,22 +292,26 @@ fn work_loop(img: &Image, st: &SharedUts, cfg: &Arc<UtsConfig>) {
     }
 }
 
-/// Pushes chunks to registered lifeline waiters while the local queue has
-/// excess work (paper §IV-C2c: work sharing via lifelines).
-fn feed_lifelines(img: &Image, st: &SharedUts, cfg: &Arc<UtsConfig>) {
+/// Delivers `give`, then pushes chunks to registered lifeline waiters
+/// while the local queue has excess work (paper §IV-C2c: work sharing via
+/// lifelines). Returns the next node, popped in the critical section that
+/// finds nothing more to give.
+fn feed_lifelines(
+    img: &Image,
+    st: &SharedUts,
+    cfg: &Arc<UtsConfig>,
+    mut give: Option<(ImageId, Vec<Node>)>,
+) -> Option<Node> {
     let me = img.id().index();
     loop {
-        let give = {
-            let mut s = st[me].lock();
-            if s.lifelines.is_empty() || s.queue.len() < cfg.lifeline_push_min {
-                break;
-            }
-            let waiter = s.lifelines.remove(0);
-            let take = cfg.steal_chunk.min(s.queue.len() / 2).max(1);
-            let nodes: Vec<Node> = s.queue.drain(..take).collect();
-            (waiter, nodes)
-        };
-        deliver_work(img, st, cfg, give.0, give.1, true);
+        if let Some((waiter, nodes)) = give {
+            deliver_work(img, st, cfg, waiter, nodes, true);
+        }
+        let mut s = st[me].lock();
+        give = s.lifeline_chunk(cfg);
+        if give.is_none() {
+            return s.pop_or_idle();
+        }
     }
 }
 
@@ -348,6 +368,37 @@ mod tests {
             4,
             TreeSpec { kind: crate::tree::TreeKind::Binomial { b0: 50, q: 0.12, m: 8 }, seed: 42 },
         );
+    }
+
+    /// Lifeline feeding in the work loop: images 1–3 start idle with
+    /// lifelines registered on image 0, which holds the root, so work can
+    /// leave image 0 only when its work loop feeds a lifeline.
+    #[test]
+    fn lifelines_are_fed() {
+        let spec = TreeSpec::geo_fixed(4.0, 6, 19);
+        let expect = count_tree(&spec).nodes;
+        let cfg = Arc::new(UtsConfig::new(spec));
+        let mut pushes = 0;
+        for _ in 0..3 {
+            let st: SharedUts = Arc::new((0..4).map(|_| Mutex::default()).collect());
+            {
+                let mut s = st[0].lock();
+                s.queue.push(spec.root());
+                s.lifelines = (1..4).map(ImageId).collect();
+            }
+            let per_image = Runtime::launch(4, RuntimeConfig::testing(), |img| {
+                img.finish(&img.world(), |img| {
+                    if img.id().index() == 0 {
+                        work_loop(img, &st, &cfg);
+                    }
+                });
+                let s = st[img.id().index()].lock();
+                (s.count, s.pushes_received)
+            });
+            assert_eq!(per_image.iter().map(|x| x.0).sum::<u64>(), expect);
+            pushes += per_image.iter().map(|x| x.1).sum::<u64>();
+        }
+        assert!(pushes > 0, "no lifeline was fed in 3 traversals");
     }
 
     #[test]

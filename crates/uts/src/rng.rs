@@ -1,11 +1,15 @@
 //! The UTS splittable random stream (the benchmark's "BRG SHA-1" RNG).
 //!
-//! Every tree node carries a 20-byte state (a SHA-1 digest). The root
-//! state hashes a fixed 16-byte prefix plus the big-endian seed; child
-//! `i`'s state hashes the parent's 20 bytes plus big-endian `i`. A node's
-//! random value is its last four state bytes, masked to 31 bits. This
-//! matches `rng/brg_sha1.c` of the official UTS distribution — validated
-//! end-to-end by reproducing the published T1 node count (4,130,071).
+//! Every tree node carries a 20-byte state (a SHA-1 digest). Child `i`'s
+//! state hashes the parent's 20 bytes plus big-endian `i`, and a node's
+//! random value is its last four state bytes, masked to 31 bits. The root
+//! state here is `spawn(0)` of the 20 bytes `0, 1, …, 15 ‖ BE(seed)`, so
+//! T1 enumerates 1,100,557 nodes, not the published 4,130,071. The
+//! reference `rng_init` of `rng/brg_sha1.c` instead hashes the 20 bytes
+//! `00×16 ‖ BE(seed)`; a root built that way enumerates exactly the
+//! published T1 (4,130,071 nodes, depth 10, 3,305,118 leaves). `init` is
+//! kept as it is, because every pinned tree, golden and figure in the
+//! workspace is built from it (EXPERIMENTS.md, "Workload fidelity").
 
 use crate::sha1::Sha1;
 

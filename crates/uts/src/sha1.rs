@@ -60,15 +60,22 @@ impl Sha1 {
         }
     }
 
-    /// Finishes, producing the 20-byte digest.
+    /// Finishes, producing the 20-byte digest. The tail block is padded
+    /// in one pass (`0x80`, zeros, the bit length); a tail longer than 55
+    /// bytes leaves no room for the length and takes a second block.
     pub fn finish(mut self) -> [u8; 20] {
         let bit_len = self.len * 8;
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0; 64];
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buf;
+        self.compress(&block);
         let mut out = [0u8; 20];
         for (i, w) in self.h.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
@@ -76,40 +83,62 @@ impl Sha1 {
         out
     }
 
+    /// One block: four 20-round stages over a 16-word circular schedule.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
+        let mut w = [0u32; 16];
+        for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *wi = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        let mut s = self.h;
+        stage(&mut s, &mut w, 0, 0x5A82_7999, |b, c, d| d ^ (b & (c ^ d)));
+        stage(&mut s, &mut w, 20, 0x6ED9_EBA1, |b, c, d| b ^ c ^ d);
+        stage(&mut s, &mut w, 40, 0x8F1B_BCDC, |b, c, d| (b & c) | (d & (b | c)));
+        stage(&mut s, &mut w, 60, 0xCA62_C1D6, |b, c, d| b ^ c ^ d);
+        for (h, v) in self.h.iter_mut().zip(s) {
+            *h = h.wrapping_add(v);
         }
-        let [mut a, mut b, mut c, mut d, mut e] = self.h;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let t = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = t;
-        }
-        self.h[0] = self.h[0].wrapping_add(a);
-        self.h[1] = self.h[1].wrapping_add(b);
-        self.h[2] = self.h[2].wrapping_add(c);
-        self.h[3] = self.h[3].wrapping_add(d);
-        self.h[4] = self.h[4].wrapping_add(e);
     }
+}
+
+/// Rounds `first..first + 20` with boolean function `f` and constant `k`.
+/// A round adds into `e` and rotates `b`, so five rounds with the words
+/// renamed put every word back in its place and nothing is moved.
+#[inline(always)]
+fn stage(
+    s: &mut [u32; 5],
+    w: &mut [u32; 16],
+    first: usize,
+    k: u32,
+    f: impl Fn(u32, u32, u32) -> u32,
+) {
+    let [mut a, mut b, mut c, mut d, mut e] = *s;
+    let mut round = |a: u32, b: &mut u32, c: u32, d: u32, e: &mut u32, i: usize| {
+        *e = e
+            .wrapping_add(a.rotate_left(5))
+            .wrapping_add(f(*b, c, d))
+            .wrapping_add(k)
+            .wrapping_add(schedule(w, i));
+        *b = b.rotate_left(30);
+    };
+    for i in (first..first + 20).step_by(5) {
+        round(a, &mut b, c, d, &mut e, i);
+        round(e, &mut a, b, c, &mut d, i + 1);
+        round(d, &mut e, a, b, &mut c, i + 2);
+        round(c, &mut d, e, a, &mut b, i + 3);
+        round(b, &mut c, d, e, &mut a, i + 4);
+    }
+    *s = [a, b, c, d, e];
+}
+
+/// Schedule word `i`. From round 16 on it overwrites `w[i % 16]`, the
+/// word of round `i - 16`, which no later round reads.
+#[inline(always)]
+fn schedule(w: &mut [u32; 16], i: usize) -> u32 {
+    if i >= 16 {
+        w[i & 15] =
+            (w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i & 15]).rotate_left(1);
+    }
+    w[i & 15]
 }
 
 /// One-shot digest of `data`.
@@ -140,6 +169,21 @@ mod tests {
             hex(&sha1(b"The quick brown fox jumps over the lazy dog")),
             "2fd4e1c67a2d28fced849ee1bb76e7391b93eb12"
         );
+    }
+
+    /// The lengths UTS hashes: a 24-byte spawn input (the seed-19 root,
+    /// `0x80` at byte 24) and the reference `rng_init`'s 20-byte input
+    /// `00×16 ‖ BE(seed)`. Digests from an independent SHA-1 (Python's
+    /// `hashlib`).
+    #[test]
+    fn uts_input_length_vectors() {
+        let mut spawn_input: Vec<u8> = (0u8..16).collect();
+        spawn_input.extend(19i32.to_be_bytes());
+        spawn_input.extend(0i32.to_be_bytes());
+        assert_eq!(hex(&sha1(&spawn_input)), "e4a7feeaecd928d2546e101ba9f0ef9bb453da44");
+        let mut init_input = vec![0u8; 16];
+        init_input.extend(19i32.to_be_bytes());
+        assert_eq!(hex(&sha1(&init_input)), "c6988ab70cc9559ae4d6cba254e29a845a85f86b");
     }
 
     /// One million 'a's — the classic long-message vector.

@@ -12,8 +12,10 @@
 //!   `m` children with probability `q` and none otherwise.
 //!
 //! The standard workloads (T1, T1L, T1WL, T2, T3) are provided as
-//! constructors; T1's published size (4,130,071 nodes) validates the
-//! whole generator stack.
+//! constructors. Their parameters are the published ones, but the root
+//! state differs from the reference `rng_init` (see [`crate::rng`]), so
+//! the trees have the published distribution, not the published sizes:
+//! T1 here is 1,100,557 nodes, against the published 4,130,071.
 
 use crate::rng::UtsRng;
 
@@ -72,8 +74,8 @@ pub struct Node {
 }
 
 impl TreeSpec {
-    /// The published T1 workload: `-t 1 -a 3 -d 10 -b 4 -r 19`;
-    /// 4,130,071 nodes, depth 10.
+    /// The T1 workload: `-t 1 -a 3 -d 10 -b 4 -r 19`, published at
+    /// 4,130,071 nodes; 1,100,557 here, depth 10 (see the module doc).
     pub fn t1() -> Self {
         TreeSpec {
             kind: TreeKind::Geometric { b0: 4.0, gen_mx: 10, shape: GeoShape::Fixed },
@@ -81,7 +83,7 @@ impl TreeSpec {
         }
     }
 
-    /// T1L: `-t 1 -a 3 -d 13 -b 4 -r 29`; 102,181,082 nodes.
+    /// T1L: `-t 1 -a 3 -d 13 -b 4 -r 29`, published at 102,181,082 nodes.
     pub fn t1l() -> Self {
         TreeSpec {
             kind: TreeKind::Geometric { b0: 4.0, gen_mx: 13, shape: GeoShape::Fixed },
@@ -99,8 +101,8 @@ impl TreeSpec {
         }
     }
 
-    /// T3: a binomial workload `-t 0 -b 2000 -q 0.124875 -m 8 -r 42`
-    /// (4,112,897 nodes).
+    /// T3: a binomial workload `-t 0 -b 2000 -q 0.124875 -m 8 -r 42`,
+    /// published at 4,112,897 nodes.
     pub fn t3() -> Self {
         TreeSpec { kind: TreeKind::Binomial { b0: 2000, q: 0.124_875, m: 8 }, seed: 42 }
     }

@@ -17,6 +17,9 @@ cargo build --locked --workspace --all-targets
 echo "== test =="
 cargo test --workspace --quiet
 
+echo "== UTS T1 determinism pin (1,100,557 nodes; under a second in release) =="
+cargo test -p uts --release --quiet -- --ignored t1_distribution_and_determinism
+
 echo "== model-checker smoke (p=3, depth=2) =="
 # Time-boxed: the state cap truncates the two families that blow past it
 # at this bound (honest truncation, not a pass), keeping the smoke tier
@@ -56,7 +59,7 @@ lint_golden_tier examples/plans
 
 echo "== figure goldens (seeded figure binaries reproduce exactly) =="
 # fig14_bunch_size and fig18_allreduce_rounds are DES-only (about 45 s and
-# 25 s); fig13_randomaccess stays out because its second table times the
+# 10 s); fig13_randomaccess stays out because its second table times the
 # threaded runtime.
 cargo build --release -p bench --quiet --bin fig05_barrier_failure --bin ablation_detectors \
     --bin ablation_failure_detection --bin fig14_bunch_size --bin fig18_allreduce_rounds

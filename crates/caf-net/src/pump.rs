@@ -19,7 +19,8 @@ use std::thread::JoinHandle;
 
 pub use caf_core::config::CommMode;
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A communication task: a source snapshot plus injection, run once.
+pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
 enum Backend {
     Inline,
@@ -63,11 +64,6 @@ impl CommPump {
             }
         }
     }
-
-    /// Whether a dedicated communication thread is in use.
-    pub fn is_offloaded(&self) -> bool {
-        matches!(self.backend, Backend::Thread { .. })
-    }
 }
 
 impl Drop for CommPump {
@@ -100,13 +96,11 @@ mod tests {
             h.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hit.load(Ordering::SeqCst), 1, "inline task must run before return");
-        assert!(!pump.is_offloaded());
     }
 
     #[test]
     fn thread_mode_runs_asynchronously_in_order() {
         let pump = CommPump::new(CommMode::DedicatedThread, 3);
-        assert!(pump.is_offloaded());
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
         for i in 0..100 {
             let log = log.clone();

@@ -7,11 +7,10 @@
 //! same. Each blocking construct polls `Image::check_abort`, which runs
 //! the one abort routine: poison open finish epochs if a death is
 //! registered, poke every inbox, file one [`ImageReport`], and unwind
-//! with the one payload `AbortUnwind`. `Shared::aborting` is the one home
-//! of "the launch is coming down": a comm thread parked on a predicate
-//! event reads it too, so the unwinding image can join it. Once any image
-//! unwinds, `Runtime::try_launch` takes the verdict from shared state: a
-//! registered death gives
+//! with the one payload `AbortUnwind`. Only image threads read "the launch
+//! is coming down"; no other thread waits on anything an image may never
+//! post. Once any image unwinds, `Runtime::try_launch` takes the verdict
+//! from shared state: a registered death gives
 //! [`RuntimeError::ImageFailed`], otherwise the latched watchdog gives
 //! [`RuntimeError::Stalled`]. A death outranks a stall, because
 //! survivors stall only since the dead image stopped participating.
@@ -197,17 +196,6 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-impl Shared {
-    /// Whether the launch is coming down: a death is registered, or the
-    /// watchdog has latched a stall. Image threads act on it in
-    /// [`Image::check_abort`]; a communication thread waiting on a
-    /// predicate event gives its task up.
-    pub(crate) fn aborting(&self) -> bool {
-        self.failure.as_ref().is_some_and(FailureHub::poisoned)
-            || self.watchdog.as_ref().is_some_and(Watchdog::stalled)
-    }
-}
-
 /// The launch's verdict once some image unwound with [`AbortUnwind`]: a
 /// registered death, else the latched stall.
 pub(crate) fn verdict(shared: &Shared) -> RuntimeError {
@@ -245,8 +233,9 @@ impl Image {
     /// first observer owns the team-wide `ImageDown` broadcast); a crash
     /// fault aimed at *this* image fail-stops its thread silently, as
     /// fail-stop demands: survivors must detect the death, the victim
-    /// does not announce it. Any image then aborts once
-    /// [`Shared::aborting`] holds.
+    /// does not announce it. Any image then aborts once the launch is
+    /// coming down: a death is registered, or the watchdog has latched a
+    /// stall.
     pub(crate) fn check_abort(&self, construct: &'static str, waiting: Option<&WaitGuard<'_>>) {
         let fabric = &self.shared.fabric;
         if let Some(hub) = &self.shared.failure {
@@ -259,7 +248,9 @@ impl Image {
                 }
             }
         }
-        if waiting.is_some_and(|w| w.observe(self.progress_fingerprint())) || self.shared.aborting()
+        if waiting.is_some_and(|w| w.observe(self.progress_fingerprint()))
+            || self.shared.failure.as_ref().is_some_and(FailureHub::poisoned)
+            || self.shared.watchdog.as_ref().is_some_and(Watchdog::stalled)
         {
             self.abort(construct);
         }

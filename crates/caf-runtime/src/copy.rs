@@ -19,6 +19,12 @@
 //! `preE` must be owned by the initiating image; `srcE`/`destE` may live
 //! anywhere (they are notified from the image where the respective
 //! condition becomes true, exactly as the paper allows).
+//!
+//! `preE` is a trigger, not a wait. Initiation consumes a posted `preE`
+//! and submits the copy's task as usual; otherwise the task parks on the
+//! event cell, and the notify that posts `preE` dispatches it on the
+//! owner's communication engine. So initiation returns at once in both
+//! comm modes, and an unposted `preE` holds up only its own copy.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -31,7 +37,6 @@ use crate::completion::{Completion, Stage};
 use crate::event::Event;
 use crate::image::Image;
 use crate::msg::{AmFn, Msg};
-use crate::runtime::Shared;
 
 /// Request-message nominal size (descriptor only, no data).
 const REQ_BYTES: usize = 48;
@@ -108,18 +113,6 @@ impl<T: Clone + Send + 'static> Sink<T> {
             Sink::Arr(arr, offset) => arr.write(*offset, data),
         }
     }
-}
-
-/// Waits on the communication thread for a copy's predicate event, if
-/// any. Returns `false`, giving the task up, if the launch comes down
-/// first: the notifier may be dead, and the unwinding image joins this
-/// thread.
-fn await_pre(shared: &Shared, pre: Option<Event>) -> bool {
-    pre.is_none_or(|p| {
-        shared.event_tables[p.owner().index()]
-            .cell(p.id.slot)
-            .consume_unless(|| shared.aborting())
-    })
 }
 
 impl Image {
@@ -203,19 +196,17 @@ impl Image {
         }
     }
 
-    /// Resolves the predicate event: inline mode must poll on the image
-    /// thread (blocking would deadlock progress); offloaded mode hands the
-    /// wait to the communication thread. Returns the event the comm task
-    /// should still block on, if any.
-    fn resolve_pre(&self, pre: Option<Event>) -> Option<Event> {
-        let p = pre?;
+    /// Submits a copy's communication task once its predicate event is
+    /// triggered: now, if it has none or one is posted (consuming it),
+    /// else when a later notify of `pre` hands the parked task out.
+    fn submit_after(&self, pre: Option<Event>, task: impl FnOnce() + Send + 'static) {
+        let Some(p) = pre else {
+            return self.pump.submit(task);
+        };
         assert_eq!(p.owner(), self.id(), "preE must be owned by the initiating image");
-        if self.pump.is_offloaded() {
-            Some(p)
-        } else {
-            let cell = self.shared.event_tables[self.id().index()].cell(p.id.slot);
-            self.wait_until("copy", || cell.try_consume());
-            None
+        let cell = self.shared.event_tables[self.id().index()].cell(p.id.slot);
+        if let Some(task) = cell.consume_or_park(Box::new(task)) {
+            self.pump.submit(task);
         }
     }
 
@@ -234,15 +225,11 @@ impl Image {
             let access = if dst_is_local { LocalAccess::READ_WRITE } else { LocalAccess::READ };
             self.register_pending(Arc::clone(&comp), access);
         }
-        let pre_task = self.resolve_pre(ev.pre);
         let tag = self.am_tag();
         let shared = Arc::clone(&self.shared);
         let comp_task = Arc::clone(&comp);
         let (src_ev, dest_ev) = (ev.src, ev.dest);
-        self.pump.submit(move || {
-            if !await_pre(&shared, pre_task) {
-                return;
-            }
+        self.submit_after(ev.pre, move || {
             let data = read();
             let comp_dst = Arc::clone(&comp_task);
             let func: AmFn = Box::new(move |img: &Image| {
@@ -274,7 +261,10 @@ impl Image {
                 shared.fabric.poke(me);
             }
             if let Some(e) = src_ev {
-                crate::image::notify_event_from(&shared, me, e.id);
+                // This thread is the pump: a task parked on `e` runs here.
+                if let Some(task) = crate::image::notify_event_from(&shared, me, e.id) {
+                    task();
+                }
             }
         });
         AsyncOp { completion: comp }
@@ -298,17 +288,13 @@ impl Image {
             // Third-party copy: no local buffers, nothing for cofence.
             comp.advance(Stage::LocalData);
         }
-        let pre_task = self.resolve_pre(ev.pre);
         let tag = self.am_tag();
         let shared = Arc::clone(&self.shared);
         let comp_req = Arc::clone(&comp);
         let (src_ev, dest_ev) = (ev.src, ev.dest);
         let nbytes = src.range.len() * std::mem::size_of::<T>();
         let src_owner = src.image;
-        self.pump.submit(move || {
-            if !await_pre(&shared, pre_task) {
-                return;
-            }
+        self.submit_after(ev.pre, move || {
             let request: AmFn = Box::new(move |owner: &Image| {
                 let data = owner.with_co_read(&src);
                 if let Some(e) = src_ev {

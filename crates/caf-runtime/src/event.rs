@@ -4,79 +4,87 @@
 //! and pair-wise coordination. An event cell lives in exactly one image's
 //! event table but can be notified from anywhere: a local notify
 //! increments the counter directly; a remote notify travels as a fabric
-//! message handled by the owner's progress engine. `event_wait` blocks the
-//! owning image until the count is positive, then consumes one
+//! message handled by the owner's progress engine. `event_wait` polls the
+//! owning image's progress until the count is positive, then consumes one
 //! notification (counting semantics, so producers can run ahead).
 //!
+//! A predicated copy whose `preE` is not yet posted parks its
+//! communication task on the cell. The next notify hands the oldest
+//! parked task out instead of raising the count, and the notifying thread
+//! (the owner's image thread or communication thread) dispatches it. No
+//! thread ever blocks on a cell.
+//!
 //! `event_notify` has release semantics and `event_wait` acquire semantics
-//! (§III-B4); in this runtime that ordering is inherited from the
-//! lock/condvar pair guarding each cell plus the in-order handling of
-//! fabric messages.
+//! (§III-B4); in this runtime that ordering is inherited from the lock
+//! guarding each cell plus the in-order handling of fabric messages.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use caf_core::ids::{EventId, ImageId};
+use caf_net::pump::Task;
 use parking_lot::Mutex;
 
-/// How often a communication thread parked on a predicate event re-checks
-/// whether it should give up.
-const GIVE_UP_POLL: Duration = Duration::from_millis(1);
-
-/// One event cell: a notification counter with a condvar so threads that
-/// are allowed to block outright (communication threads waiting on a
-/// predicate event `preE`) can park on it. The owning image itself never
-/// blocks here — it uses its progress-polling wait loop.
-#[derive(Debug, Default)]
+/// One event cell: a notification count, and the communication tasks of
+/// predicated copies waiting for it, oldest first. While a task is parked
+/// the count is 0, because a notify hands the task out instead.
+#[derive(Default)]
 pub struct EventCell {
-    count: Mutex<u64>,
-    posted: parking_lot::Condvar,
+    state: Mutex<CellState>,
+}
+
+#[derive(Default)]
+struct CellState {
+    count: u64,
+    parked: VecDeque<Task>,
 }
 
 impl EventCell {
-    /// Adds one notification.
-    pub fn notify(&self) {
-        *self.count.lock() += 1;
-        self.posted.notify_all();
+    /// Adds one notification, or hands out the oldest parked task, which
+    /// the caller must dispatch on the owner's communication engine.
+    #[must_use = "a handed-out task must be dispatched"]
+    pub fn notify(&self) -> Option<Task> {
+        let mut s = self.state.lock();
+        let task = s.parked.pop_front();
+        if task.is_none() {
+            s.count += 1;
+        }
+        task
     }
 
     /// Consumes one notification if available.
     pub fn try_consume(&self) -> bool {
-        let mut c = self.count.lock();
-        if *c > 0 {
-            *c -= 1;
+        let mut s = self.state.lock();
+        if s.count > 0 {
+            s.count -= 1;
             true
         } else {
             false
         }
     }
 
-    /// Blocks the calling thread until it consumes a notification
-    /// (`true`) or `give_up` holds, polled every [`GIVE_UP_POLL`]
-    /// (`false`). For communication threads only — the owning image must
-    /// keep making progress and therefore polls with `try_consume`.
-    pub fn consume_unless(&self, give_up: impl Fn() -> bool) -> bool {
-        let mut c = self.count.lock();
-        while *c == 0 {
-            if give_up() {
-                return false;
-            }
-            self.posted.wait_until(&mut c, Instant::now() + GIVE_UP_POLL);
+    /// Gives `task` back to run now if it consumes a notification;
+    /// otherwise parks it until a [`EventCell::notify`] hands it out.
+    #[must_use = "a returned task must be dispatched"]
+    pub fn consume_or_park(&self, task: Task) -> Option<Task> {
+        let mut s = self.state.lock();
+        if s.count > 0 {
+            s.count -= 1;
+            return Some(task);
         }
-        *c -= 1;
-        true
+        s.parked.push_back(task);
+        None
     }
 
     /// Current notification count (for tests/metrics).
     pub fn count(&self) -> u64 {
-        *self.count.lock()
+        self.state.lock().count
     }
 }
 
 /// One image's table of event cells, indexed by slot. Shared (`Sync`)
 /// because the owner's comm thread and the progress engine both touch it.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct EventTable {
     slots: Mutex<HashMap<u64, Arc<EventCell>>>,
 }
@@ -87,6 +95,13 @@ impl EventTable {
     /// (the same out-of-order-arrival issue `finish` frames have).
     pub fn cell(&self, slot: u64) -> Arc<EventCell> {
         Arc::clone(self.slots.lock().entry(slot).or_default())
+    }
+
+    /// Drops every cell, and with them every task still parked. A parked
+    /// task holds the launch's shared state, which holds this table, so
+    /// the launch calls this once its threads have joined.
+    pub(crate) fn clear(&self) {
+        self.slots.lock().clear();
     }
 }
 
@@ -125,14 +140,13 @@ impl CoEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn notify_then_consume() {
         let c = EventCell::default();
         assert!(!c.try_consume());
-        c.notify();
-        c.notify();
+        assert!(c.notify().is_none());
+        assert!(c.notify().is_none());
         assert_eq!(c.count(), 2);
         assert!(c.try_consume());
         assert!(c.try_consume());
@@ -140,27 +154,32 @@ mod tests {
     }
 
     #[test]
-    fn consume_unless_gives_up_without_consuming() {
-        let c = std::sync::Arc::new(EventCell::default());
-        let polls = AtomicUsize::new(0);
-        assert!(!c.consume_unless(|| polls.fetch_add(1, Ordering::Relaxed) >= 3));
-        assert_eq!(polls.load(Ordering::Relaxed), 4, "re-checked while parked");
-        let notifier = {
-            let c = c.clone();
-            std::thread::spawn(move || c.notify())
+    fn notify_hands_parked_tasks_out_oldest_first() {
+        let c = EventCell::default();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let task = |i: u32| -> Task {
+            let log = Arc::clone(&log);
+            Box::new(move || log.lock().push(i))
         };
-        assert!(c.consume_unless(|| false), "a notification ends the wait");
-        notifier.join().unwrap();
+        assert!(c.consume_or_park(task(1)).is_none(), "nothing posted: the task parks");
+        assert!(c.consume_or_park(task(2)).is_none());
+        assert!(!c.try_consume(), "parked tasks hold no notification");
+        for _ in 0..2 {
+            c.notify().expect("a notify hands out a parked task")();
+            assert_eq!(c.count(), 0, "a handed-out task takes the notification");
+        }
+        assert_eq!(*log.lock(), vec![1, 2], "FIFO hand-out");
+        assert!(c.notify().is_none(), "with nothing parked a notify is counted");
+        assert_eq!(c.count(), 1);
+        assert!(c.consume_or_park(task(3)).is_some(), "a posted notification runs it now");
         assert_eq!(c.count(), 0);
-        c.notify();
-        assert!(c.consume_unless(|| true), "a posted notification wins over giving up");
     }
 
     #[test]
     fn table_creates_cells_lazily_and_stably() {
         let t = EventTable::default();
         let a = t.cell(7);
-        a.notify();
+        assert!(a.notify().is_none());
         let b = t.cell(7);
         assert_eq!(b.count(), 1, "same underlying cell");
         assert_eq!(t.cell(8).count(), 0);

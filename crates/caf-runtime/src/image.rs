@@ -17,6 +17,7 @@ use caf_core::ids::{EventId, FinishId, ImageId};
 use caf_core::termination::{EpochDetector, WaveDetector};
 use caf_core::topology::Team;
 use caf_core::trace::TraceEvent;
+use caf_net::pump::Task;
 use caf_net::CommPump;
 
 use crate::coarray::Coarray;
@@ -204,7 +205,9 @@ impl Image {
                 });
             }
             Msg::EventNotify { slot } => {
-                self.shared.event_tables[self.me.index()].cell(slot).notify();
+                if let Some(task) = self.shared.event_tables[self.me.index()].cell(slot).notify() {
+                    self.pump.submit(task);
+                }
             }
             Msg::Coll(c) => {
                 let prev = self.st.borrow_mut().coll_buf.insert(c.key, c.payload);
@@ -489,7 +492,9 @@ impl Image {
     }
 
     pub(crate) fn notify_event_id(&self, id: EventId) {
-        notify_event_from(&self.shared, self.me, id);
+        if let Some(task) = notify_event_from(&self.shared, self.me, id) {
+            self.pump.submit(task);
+        }
     }
 
     /// Blocks (with progress) until `ev` has been posted, consuming one
@@ -596,11 +601,14 @@ impl Image {
 
 /// Notifies an event cell from `from`'s perspective: locally when `from`
 /// owns it (with a poke so a parked owner re-checks), via the fabric
-/// otherwise. Callable from communication threads.
-pub(crate) fn notify_event_from(shared: &Shared, from: ImageId, id: EventId) {
+/// otherwise. Callable from communication threads. Returns the task a
+/// local notify hands out, for the caller to dispatch on `from`'s
+/// communication engine.
+pub(crate) fn notify_event_from(shared: &Shared, from: ImageId, id: EventId) -> Option<Task> {
     if id.owner == from {
-        shared.event_tables[from.index()].cell(id.slot).notify();
+        let task = shared.event_tables[from.index()].cell(id.slot).notify();
         shared.fabric.poke(from);
+        task
     } else {
         shared.fabric.send_unthrottled(
             from,
@@ -608,6 +616,7 @@ pub(crate) fn notify_event_from(shared: &Shared, from: ImageId, id: EventId) {
             CTRL_BYTES,
             Msg::EventNotify { slot: id.slot },
         );
+        None
     }
 }
 

@@ -147,6 +147,10 @@ impl Runtime {
                 .collect();
             handles.into_iter().map(|h| h.join()).collect()
         });
+        // Every thread has joined. A task still parked on an event (its
+        // `preE` never posted) holds `shared`, so drop them all here, or
+        // the launch's state would keep itself alive.
+        shared.event_tables.iter().for_each(EventTable::clear);
         let mut out = Vec::with_capacity(n);
         let mut aborted = false;
         for r in joined {

@@ -5,9 +5,12 @@
 //! and with latency and reordering enabled.
 
 use caf_runtime::{
-    AsyncCollEvents, CommMode, CopyEvents, NetworkModel, Pass, Runtime, RuntimeConfig, TeamRank,
+    AsyncCollEvents, CommMode, CopyEvents, LocalArray, NetworkModel, Pass, Runtime, RuntimeConfig,
+    TeamRank,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn cfg_fast() -> RuntimeConfig {
@@ -202,6 +205,87 @@ fn predicated_copy_waits_for_pre_event() {
             assert_eq!(a.read(img.id(), 0..1), vec![42]);
         }
         img.barrier(&w);
+    });
+}
+
+/// Runs `launch` on its own thread and waits at most 30 s for it, so a
+/// hang fails the test (with `hang` as the message) instead of stalling
+/// the suite.
+fn within<R: Send + 'static>(hang: &str, launch: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(launch());
+    });
+    match rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(r) => r,
+        Err(RecvTimeoutError::Timeout) => panic!("launch hung: {hang}"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the launch panicked"),
+    }
+}
+
+#[test]
+fn unposted_pre_event_holds_up_only_its_own_copy() {
+    within("a copy queued behind one whose preE is never posted", || {
+        Runtime::launch(2, cfg_threaded(), |img| {
+            let w = img.world();
+            let a = img.coarray(&w, 2, 0u8);
+            if img.id().index() == 0 {
+                a.with_local(img.id(), |seg| seg.copy_from_slice(&[1, 2]));
+                let never = CopyEvents { pre: Some(img.event()), ..CopyEvents::none() };
+                img.copy_async(a.slice(img.image(1), 0..1), a.slice(img.id(), 0..1), never);
+                let later = img.copy_async(
+                    a.slice(img.image(1), 1..2),
+                    a.slice(img.id(), 1..2),
+                    CopyEvents::none(),
+                );
+                img.wait_local_op(&later);
+            }
+            img.barrier(&w);
+            if img.id().index() == 1 {
+                assert_eq!(a.read(img.id(), 0..2), vec![0, 2], "only the later copy ran");
+            }
+        })
+    });
+}
+
+#[test]
+fn launch_returns_with_a_pre_event_never_posted() {
+    let sentinel = Arc::new(());
+    let held = Arc::clone(&sentinel);
+    let out = within("the comm thread still waits on an unposted preE", move || {
+        Runtime::try_launch(1, cfg_threaded(), move |img| {
+            let a = img.coarray(&img.world(), 1, Arc::new(()));
+            let src = LocalArray::new(vec![Arc::clone(&held)]);
+            let ev = CopyEvents { pre: Some(img.event()), ..CopyEvents::none() };
+            img.copy_async_from(a.slice(img.id(), 0..1), &src, 0..1, ev);
+        })
+    });
+    assert!(out.is_ok(), "no watchdog and no failure: the launch cannot fail");
+    assert_eq!(Arc::strong_count(&sentinel), 1, "the parked copy, and its source, are dropped");
+}
+
+#[test]
+fn inline_copy_with_pre_event_returns_at_once() {
+    within("Inline initiation waited for its preE", || {
+        Runtime::launch(2, cfg_fast(), |img| {
+            let w = img.world();
+            let a = img.coarray(&w, 1, 0u8);
+            let ce = img.coevent();
+            if img.id().index() == 0 {
+                let pre = img.event();
+                a.with_local(img.id(), |seg| seg[0] = 42);
+                let ev = CopyEvents { pre: Some(pre), dest: Some(ce.on(img.image(1))), src: None };
+                let op = img.copy_async(a.slice(img.image(1), 0..1), a.slice(img.id(), 0..1), ev);
+                assert!(!op.local_data_complete(), "the source is not read before preE posts");
+                img.event_notify(pre);
+                assert!(op.local_data_complete(), "the notifying thread ran the copy");
+                img.wait_local_op(&op);
+            } else {
+                img.event_wait(ce.on(img.id()));
+                assert_eq!(a.read(img.id(), 0..1), vec![42]);
+            }
+            img.barrier(&w);
+        })
     });
 }
 

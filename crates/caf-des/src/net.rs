@@ -12,8 +12,8 @@ pub struct SimNet {
     pub latency_ns: u64,
     /// Sender-side injection overhead.
     pub injection_ns: u64,
-    /// Per-payload-byte cost (fixed-point: nanoseconds × 1024 per byte).
-    pub byte_cost_mils: u64,
+    /// Per-payload-byte cost.
+    pub byte_cost_ns: u64,
     /// Target-side handler overhead.
     pub handler_ns: u64,
     /// Maximum extra pseudo-random skew per message (0 = FIFO-ish).
@@ -28,7 +28,7 @@ impl SimNet {
         SimNet {
             latency_ns,
             injection_ns: m.injection_overhead.as_nanos() as u64,
-            byte_cost_mils: (m.byte_cost.as_nanos() as u64) * 1024,
+            byte_cost_ns: m.byte_cost.as_nanos() as u64,
             handler_ns: m.handler_overhead.as_nanos() as u64,
             jitter_ns: if non_fifo { latency_ns / 2 } else { 0 },
         }
@@ -43,7 +43,7 @@ impl SimNet {
     /// using `rng` for jitter (pass a per-model seeded stream for
     /// determinism).
     pub fn delivery_delay(&self, bytes: usize, rng: &mut SplitMix64) -> u64 {
-        let wire = self.latency_ns + (bytes as u64 * self.byte_cost_mils) / 1024;
+        let wire = self.latency_ns + bytes as u64 * self.byte_cost_ns;
         let jitter = if self.jitter_ns > 0 { rng.next_below(self.jitter_ns) } else { 0 };
         self.injection_ns + wire + jitter + self.handler_ns
     }
@@ -70,7 +70,7 @@ mod tests {
         let net = SimNet {
             latency_ns: 1000,
             injection_ns: 0,
-            byte_cost_mils: 1024, // 1 ns/byte
+            byte_cost_ns: 1,
             handler_ns: 0,
             jitter_ns: 0,
         };
@@ -84,7 +84,7 @@ mod tests {
         let net = SimNet {
             latency_ns: 100,
             injection_ns: 0,
-            byte_cost_mils: 0,
+            byte_cost_ns: 0,
             handler_ns: 0,
             jitter_ns: 50,
         };
@@ -100,7 +100,7 @@ mod tests {
         let net = SimNet {
             latency_ns: 1000,
             injection_ns: 0,
-            byte_cost_mils: 0,
+            byte_cost_ns: 0,
             handler_ns: 0,
             jitter_ns: 0,
         };

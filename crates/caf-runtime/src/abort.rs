@@ -27,7 +27,7 @@ use caf_net::FabricTotals;
 
 use crate::failure::FailureHub;
 use crate::image::{Image, CTRL_BYTES};
-use crate::msg::Msg;
+use crate::msg::AmFn;
 use crate::runtime::Shared;
 use crate::watchdog::{WaitGuard, Watchdog};
 
@@ -290,12 +290,14 @@ impl Image {
     /// wire broadcast keeps the protocol honest under message loss).
     fn broadcast_down(&self, image: usize, incarnation: u64) {
         for i in (0..self.shared.n).filter(|&i| i != self.id().index() && i != image) {
-            self.shared.fabric.send_unthrottled(
-                self.id(),
-                ImageId(i),
-                CTRL_BYTES,
-                Msg::ImageDown { image, incarnation },
-            );
+            let down: AmFn = Box::new(move |img: &Image| {
+                if let Some(hub) = &img.shared.failure {
+                    hub.post(image, incarnation, None);
+                    img.shared.fabric.mark_peer_dead(img.id(), image, incarnation);
+                    img.poison_open_finishes(image);
+                }
+            });
+            Image::send_unbuffered(&self.shared, self.id(), ImageId(i), CTRL_BYTES, None, down);
         }
     }
 

@@ -30,6 +30,7 @@ use crate::completion::{Completion, Stage};
 use crate::copy::AsyncOp;
 use crate::event::Event;
 use crate::image::Image;
+use crate::msg::AmFn;
 use crate::state::{AsyncReg, ImageState};
 
 /// Events accepted by asynchronous collectives.
@@ -167,23 +168,21 @@ impl Image {
                 // (Fig. 9 line 5's guarantee).
                 let data = co.read(me, range.clone());
                 let nbytes = data.len() * std::mem::size_of::<T>();
+                let hop = BcastHop { team, coarray: co, range, root, seq, data };
                 for (child, tag) in children.into_iter().zip(tags) {
-                    let target = team.image_of(child);
-                    let (team2, co2, range2, data2) =
-                        (team.clone(), co.clone(), range.clone(), data.clone());
-                    let func: crate::msg::AmFn = Box::new(move |img: &Image| {
-                        bcast_deliver(img, team2, co2, range2, root, seq, data2, me);
-                    });
-                    Image::send_prepared_am(&shared, me, target, nbytes, tag, None, false, func);
+                    let target = hop.team.image_of(child);
+                    let hop = hop.clone();
+                    let func: AmFn = Box::new(move |img: &Image| bcast_deliver(img, hop, me));
+                    Image::send_unbuffered(&shared, me, target, nbytes, tag, func);
                 }
                 // Record local-data completion on the image thread (we
                 // cannot touch image state from the comm thread): a tiny
                 // uncounted self-AM flips data_done, which fires the
                 // completion cell and srcE through with_inst.
-                let mark: crate::msg::AmFn = Box::new(move |img: &Image| {
+                let mark: AmFn = Box::new(move |img: &Image| {
                     img.with_inst(key, |inst| inst.data_done = true);
                 });
-                Image::send_prepared_am(&shared, me, me, 0, None, None, false, mark);
+                Image::send_unbuffered(&shared, me, me, 0, None, mark);
             });
         } else {
             self.with_inst(key, |inst| {
@@ -271,8 +270,6 @@ impl Image {
                 self.send_am(
                     target,
                     16,
-                    false,
-                    None,
                     Box::new(move |img: &Image| {
                         img.with_inst(key, |inst| inst.red_buf.push(total));
                         let rank = team2.rank_of(img.id()).expect("tree member");
@@ -288,43 +285,37 @@ impl Image {
     }
 }
 
-/// Participant-side delivery of one asynchronous-broadcast hop: write the
-/// segment, acknowledge the parent (its pair-wise communication with us is
-/// complete), forward to our subtree, and record arrival.
-#[allow(clippy::too_many_arguments)]
-fn bcast_deliver<T: Clone + Send + 'static>(
-    img: &Image,
+/// One hop of an asynchronous broadcast: the data, where it lands on
+/// every member, and the tree it travels down.
+#[derive(Clone)]
+struct BcastHop<T> {
     team: Team,
     coarray: Coarray<T>,
     range: Range<usize>,
     root: TeamRank,
     seq: u64,
     data: Vec<T>,
-    parent: ImageId,
-) {
-    let key = (team.id(), seq);
-    coarray.write(img.id(), range.start, &data);
-    img.send_am(parent, 0, false, None, Box::new(move |p: &Image| p.async_child_ack(key)));
-    let my_rank = team.rank_of(img.id()).expect("broadcast member");
-    let tree = BinomialTree::new(team.size(), root);
-    let children = tree.children(my_rank);
+}
+
+/// Participant-side delivery of one asynchronous-broadcast hop: write the
+/// segment, acknowledge the parent (its pair-wise communication with us is
+/// complete), forward to our subtree, and record arrival.
+fn bcast_deliver<T: Clone + Send + 'static>(img: &Image, hop: BcastHop<T>, parent: ImageId) {
+    let key = (hop.team.id(), hop.seq);
+    hop.coarray.write(img.id(), hop.range.start, &hop.data);
+    img.send_am(parent, 0, Box::new(move |p: &Image| p.async_child_ack(key)));
+    let my_rank = hop.team.rank_of(img.id()).expect("broadcast member");
+    let children = BinomialTree::new(hop.team.size(), hop.root).children(my_rank);
     img.with_inst(key, |inst| {
         inst.acks_remaining = Some(children.len());
         inst.data_done = true;
     });
     let me = img.id();
-    let nbytes = data.len() * std::mem::size_of::<T>();
+    let nbytes = hop.data.len() * std::mem::size_of::<T>();
     for child in children {
-        let target = team.image_of(child);
-        let (team2, co2, range2, data2) =
-            (team.clone(), coarray.clone(), range.clone(), data.clone());
-        img.send_am(
-            target,
-            nbytes,
-            false,
-            None,
-            Box::new(move |i: &Image| bcast_deliver(i, team2, co2, range2, root, seq, data2, me)),
-        );
+        let target = hop.team.image_of(child);
+        let hop = hop.clone();
+        img.send_am(target, nbytes, Box::new(move |i: &Image| bcast_deliver(i, hop, me)));
     }
 }
 
@@ -345,13 +336,11 @@ fn red_distribute(img: &Image, key: (TeamId, u64), team: Team, my_rank: TeamRank
         img.send_am(
             target,
             16,
-            false,
-            None,
             Box::new(move |i: &Image| {
                 let rank = team2.rank_of(i.id()).expect("tree member");
                 red_distribute(i, key, team2.clone(), rank, total);
                 // Acknowledge receipt to the parent for its localE.
-                i.send_am(me, 0, false, None, Box::new(move |p: &Image| p.async_child_ack(key)));
+                i.send_am(me, 0, Box::new(move |p: &Image| p.async_child_ack(key)));
             }),
         );
     }

@@ -2,13 +2,13 @@
 //!
 //! CAF 2.0 teams are isolated collective domains (§II-A purpose *c*).
 //! Every collective here is SPMD-matched: each member must call the same
-//! collectives on a team in the same order. Hops travel as
-//! [`crate::msg::Msg::Coll`] messages keyed by a per-team call sequence
-//! number, so a hop arriving before its receiver has entered the
-//! collective is buffered, and an image blocked inside a collective keeps
-//! executing incoming active messages — the property `finish` relies on
-//! (shipped functions must keep landing while teammates sit in the
-//! termination allreduce).
+//! collectives on a team in the same order. Each hop is an uncounted
+//! active message that files its payload in the receiver's buffer under
+//! a per-team call sequence number, so a hop arriving before its
+//! receiver has entered the collective waits there, and an image blocked
+//! inside a collective keeps executing incoming active messages — the
+//! property `finish` relies on (shipped functions must keep landing while
+//! teammates sit in the termination allreduce).
 //!
 //! Algorithms: dissemination barrier (`O(log p)` rounds), binomial-tree
 //! broadcast/reduce/gather, reduce+broadcast allreduce, direct scatter and
@@ -20,7 +20,7 @@ use caf_core::ids::{TeamId, TeamRank};
 use caf_core::topology::{dissemination_peers, BinomialTree, Team};
 
 use crate::image::Image;
-use crate::msg::{CollKey, CollMsg, Msg};
+use crate::msg::{AmFn, CollKey};
 use crate::state::ImageState;
 
 /// Tag bases distinguishing stages within one collective call.
@@ -48,15 +48,14 @@ impl Image {
     fn coll_send<T: Any + Send>(&self, team: &Team, seq: u64, tg: u32, to: TeamRank, payload: T) {
         let key = CollKey { team: team.id(), seq, tag: tg, from: self.my_rank(team).0 };
         let bytes = std::mem::size_of::<T>() + 16;
+        let hop: AmFn = Box::new(move |img: &Image| {
+            let prev = img.st.borrow_mut().coll_buf.insert(key, Box::new(payload));
+            debug_assert!(prev.is_none(), "duplicate collective hop {key:?}");
+        });
         // Collective hops are bounded control traffic; exempting them
         // from flow control (like acks) avoids deadlocking a barrier
         // against a data-plane burst that filled the inbox.
-        self.shared.fabric.send_unthrottled(
-            self.id(),
-            team.image_of(to),
-            bytes,
-            Msg::Coll(CollMsg { key, payload: Box::new(payload) }),
-        );
+        Image::send_unbuffered(&self.shared, self.id(), team.image_of(to), bytes, None, hop);
     }
 
     fn coll_take<T: Any + Send>(

@@ -30,13 +30,14 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use caf_core::cofence::LocalAccess;
+use caf_core::ids::ImageId;
 use parking_lot::Mutex;
 
 use crate::coarray::{CoSlice, Coarray, LocalArray};
 use crate::completion::{Completion, Stage};
 use crate::event::Event;
 use crate::image::Image;
-use crate::msg::{AmFn, Msg};
+use crate::msg::AmFn;
 
 /// Request-message nominal size (descriptor only, no data).
 const REQ_BYTES: usize = 48;
@@ -95,12 +96,12 @@ impl AsyncOp {
 
 /// Where arriving copy data lands: a coarray segment or a local array.
 enum Sink<T> {
-    Co(Coarray<T>, usize, caf_core::ids::ImageId),
+    Co(Coarray<T>, usize, ImageId),
     Arr(LocalArray<T>, usize),
 }
 
 impl<T: Clone + Send + 'static> Sink<T> {
-    fn image(&self, me: caf_core::ids::ImageId) -> caf_core::ids::ImageId {
+    fn image(&self, me: ImageId) -> ImageId {
         match self {
             Sink::Co(_, _, img) => *img,
             Sink::Arr(..) => me,
@@ -113,6 +114,32 @@ impl<T: Clone + Send + 'static> Sink<T> {
             Sink::Arr(arr, offset) => arr.write(*offset, data),
         }
     }
+}
+
+/// The data AM of a copy, run on the destination image: lands `data` in
+/// `sink`, notifies `destE`, and completes the initiator `me`'s operation —
+/// in place when the destination is the initiator (a self-copy, or a get:
+/// the local destination is now readable, which is local data and local
+/// operation completion at once), otherwise by an uncounted reply.
+fn deliver<T: Clone + Send + 'static>(
+    sink: Sink<T>,
+    data: Vec<T>,
+    dest_ev: Option<Event>,
+    me: ImageId,
+    comp: Arc<Completion>,
+) -> AmFn {
+    Box::new(move |img: &Image| {
+        sink.apply(&data);
+        if let Some(e) = dest_ev {
+            img.notify_event_id(e.id);
+        }
+        if img.id() == me {
+            comp.advance(Stage::LocalOp);
+        } else {
+            let reply: AmFn = Box::new(move |_: &Image| comp.advance(Stage::LocalOp));
+            Image::send_unbuffered(&img.shared, img.id(), me, 0, None, reply);
+        }
+    })
 }
 
 impl Image {
@@ -230,25 +257,8 @@ impl Image {
         let comp_task = Arc::clone(&comp);
         let (src_ev, dest_ev) = (ev.src, ev.dest);
         self.submit_after(ev.pre, move || {
-            let data = read();
-            let comp_dst = Arc::clone(&comp_task);
-            let func: AmFn = Box::new(move |img: &Image| {
-                sink.apply(&data);
-                if let Some(e) = dest_ev {
-                    img.notify_event_id(e.id);
-                }
-                if img.id() == me {
-                    comp_dst.advance(Stage::LocalOp);
-                } else {
-                    img.shared.fabric.send_unthrottled(
-                        img.id(),
-                        me,
-                        0,
-                        Msg::Complete { completion: comp_dst, stage: Stage::LocalOp },
-                    );
-                }
-            });
-            Image::send_prepared_am(&shared, me, dst_img, nbytes, tag, None, false, func);
+            let func = deliver(sink, read(), dest_ev, me, Arc::clone(&comp_task));
+            Image::send_unbuffered(&shared, me, dst_img, nbytes, tag, func);
             if !dst_is_local {
                 // Local data completion: the source has been read *and*
                 // the data message injected — so anything the initiator
@@ -261,8 +271,13 @@ impl Image {
                 shared.fabric.poke(me);
             }
             if let Some(e) = src_ev {
+                let task = crate::image::notify_event_from(&shared, me, e.id);
+                if e.owner() == me {
+                    // The owner may be parked waiting on `e`.
+                    shared.fabric.poke(me);
+                }
                 // This thread is the pump: a task parked on `e` runs here.
-                if let Some(task) = crate::image::notify_event_from(&shared, me, e.id) {
+                if let Some(task) = task {
                     task();
                 }
             }
@@ -300,28 +315,9 @@ impl Image {
                 if let Some(e) = src_ev {
                     owner.notify_event_id(e.id);
                 }
-                let comp_dst = comp_req;
-                let func: AmFn = Box::new(move |img: &Image| {
-                    sink.apply(&data);
-                    if let Some(e) = dest_ev {
-                        img.notify_event_id(e.id);
-                    }
-                    if img.id() == me {
-                        // A get: the local destination is now readable —
-                        // local data and local operation completion.
-                        comp_dst.advance(Stage::LocalOp);
-                    } else {
-                        img.shared.fabric.send_unthrottled(
-                            img.id(),
-                            me,
-                            0,
-                            Msg::Complete { completion: comp_dst, stage: Stage::LocalOp },
-                        );
-                    }
-                });
-                owner.send_am(dst_img, nbytes, false, None, func);
+                owner.send_am(dst_img, nbytes, deliver(sink, data, dest_ev, me, comp_req));
             });
-            Image::send_prepared_am(&shared, me, src_owner, REQ_BYTES, tag, None, false, request);
+            Image::send_unbuffered(&shared, me, src_owner, REQ_BYTES, tag, request);
         });
         AsyncOp { completion: comp }
     }
@@ -351,10 +347,10 @@ impl Image {
                     *out_req.lock() = data;
                     comp_req.advance(Stage::LocalOp);
                 });
-                owner.send_am(me, nbytes, false, None, func);
+                owner.send_am(me, nbytes, func);
             }
         });
-        self.send_am(src_owner, REQ_BYTES, false, None, request);
+        self.send_am(src_owner, REQ_BYTES, request);
         self.wait_until("copy", || comp.reached(Stage::LocalOp));
         Arc::try_unwrap(out)
             .map(|m| m.into_inner())

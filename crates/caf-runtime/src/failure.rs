@@ -3,8 +3,8 @@
 //! The fabric's failure detector ([`caf_net::Fabric::poll_failures`])
 //! confirms that an image has died; this module turns that confirmation
 //! into a *team-wide verdict*: the first survivor to confirm posts the
-//! death to the shared [`FailureHub`] and broadcasts `Msg::ImageDown`
-//! over the wire (riding the ack/retry reliable sublayer), every
+//! death to the shared [`FailureHub`] and broadcasts an image-down
+//! control message over the wire (riding the ack/retry reliable sublayer), every
 //! survivor takes the one abort path (`crate::abort`: poison its open
 //! `finish` epochs, abort its blocking construct), and the launch returns
 //! [`RuntimeError::ImageFailed`](crate::RuntimeError::ImageFailed) —

@@ -23,7 +23,7 @@ use caf_net::CommPump;
 use crate::coarray::Coarray;
 use crate::completion::Completion;
 use crate::event::{CoEvent, Event};
-use crate::msg::{Am, AmFn, FinishTag, Msg};
+use crate::msg::{Am, AmFn, FinishTag, Frame};
 use crate::runtime::Shared;
 use crate::state::{ImageState, PendingOp};
 
@@ -131,7 +131,7 @@ impl Image {
     ///
     /// Delivery acks are counted, not sent per message: each AM received
     /// under a finish adds one to what this image owes its sender, and
-    /// the owed counts leave as one [`Msg::Ack`] per (sender, finish)
+    /// the owed counts leave as one counted ack per (sender, finish)
     /// when the drain ends — before the handlers of its last frame run,
     /// and again when the drain comes back empty.
     ///
@@ -148,8 +148,8 @@ impl Image {
             let queued = self.st.borrow_mut().run_queue.pop_front();
             if let Some(am) = queued {
                 self.run_am(am);
-            } else if let Some((m, more_due)) = self.shared.fabric.try_recv(self.me) {
-                self.handle(m, more_due);
+            } else if let Some((frame, more_due)) = self.shared.fabric.try_recv(self.me) {
+                self.receive(frame, more_due);
             } else {
                 break;
             }
@@ -160,7 +160,8 @@ impl Image {
     }
 
     /// Puts on the wire, in order, this image's buffered AMs, its owed
-    /// delivery acks (one counted [`Msg::Ack`] per (sender, finish)),
+    /// delivery acks (one uncounted AM per (sender, finish), which
+    /// applies its count to the sender's detector),
     /// and the fabric's owed wire acks. This is the one place that
     /// decides that order; the fabric never flushes on its own. An ack
     /// therefore never overtakes an AM its image initiated earlier, as
@@ -171,8 +172,15 @@ impl Image {
     fn flush(&self) {
         self.flush_out();
         for (sender, finish, count) in self.st.borrow_mut().owed_acks.drain(..) {
-            let ack = Msg::Ack { finish, count };
-            self.shared.fabric.send_unthrottled(self.me, sender, CTRL_BYTES, ack);
+            let ack: AmFn = Box::new(move |img: &Image| {
+                img.with_frame(finish, |f| (0..count).for_each(|_| f.on_delivered()));
+                img.trace(|| TraceEvent::Delivered {
+                    image: img.me.index(),
+                    finish: Image::trace_fid(finish),
+                    count,
+                });
+            });
+            Image::send_unbuffered(&self.shared, self.me, sender, CTRL_BYTES, None, ack);
         }
         self.shared.fabric.flush_acks(self.me);
     }
@@ -193,44 +201,14 @@ impl Image {
         }
     }
 
-    fn handle(&self, msg: Msg, more_due: bool) {
-        match msg {
-            Msg::Batch(ams) => self.receive(ams, more_due),
-            Msg::Ack { finish, count } => {
-                self.with_frame(finish, |f| (0..count).for_each(|_| f.on_delivered()));
-                self.trace(|| TraceEvent::Delivered {
-                    image: self.me.index(),
-                    finish: Image::trace_fid(finish),
-                    count,
-                });
-            }
-            Msg::EventNotify { slot } => {
-                if let Some(task) = self.shared.event_tables[self.me.index()].cell(slot).notify() {
-                    self.pump.submit(task);
-                }
-            }
-            Msg::Coll(c) => {
-                let prev = self.st.borrow_mut().coll_buf.insert(c.key, c.payload);
-                debug_assert!(prev.is_none(), "duplicate collective hop {:?}", c.key);
-            }
-            Msg::Complete { completion, stage } => completion.advance(stage),
-            Msg::ImageDown { image, incarnation } => {
-                if let Some(hub) = &self.shared.failure {
-                    hub.post(image, incarnation, None);
-                    self.shared.fabric.mark_peer_dead(self.me, image, incarnation);
-                    self.poison_open_finishes(image);
-                }
-            }
-        }
-    }
-
-    /// Counts the reception of a frame's AMs and queues them on the run
-    /// queue, the one path every received AM runs through. `more_due`
+    /// Counts the reception of a frame's counted AMs and queues all of
+    /// its AMs on the run queue, the one path every received message runs
+    /// through. `more_due`
     /// says whether another message is due behind the frame; if not, the
     /// drain ends here and the owed acks, the frame's included, are
     /// flushed before any of its handlers runs.
-    fn receive(&self, ams: Vec<Am>, more_due: bool) {
-        for am in ams {
+    fn receive(&self, frame: Frame, more_due: bool) {
+        for am in frame.init.into_iter().chain([frame.last]) {
             // Count reception and owe the sender a delivery ack (drives
             // its `delivered` counter in the finish detector).
             if let Some(tag) = am.finish {
@@ -240,9 +218,9 @@ impl Image {
                     finish: Image::trace_fid(tag.id),
                 });
                 let owed = &mut self.st.borrow_mut().owed_acks;
-                match owed.iter_mut().find(|(s, f, _)| *s == am.sender && *f == tag.id) {
+                match owed.iter_mut().find(|(s, f, _)| *s == tag.sender && *f == tag.id) {
                     Some((_, _, count)) => *count += 1,
-                    None => owed.push((am.sender, tag.id, 1)),
+                    None => owed.push((tag.sender, tag.id, 1)),
                 }
             }
             self.st.borrow_mut().run_queue.push_back(am);
@@ -254,31 +232,12 @@ impl Image {
 
     /// Runs one received AM's handler under the message's finish context.
     fn run_am(&self, am: Am) {
-        {
-            let mut st = self.st.borrow_mut();
-            // Dynamic scoping: operations initiated while this closure
-            // runs belong to the *message's* finish, not to whatever the
-            // main program is doing.
-            st.ctx_stack.push(am.finish.map(|t| t.id));
-            if am.user {
-                st.pending_scopes.push(Vec::new());
-            }
-        }
+        // Dynamic scoping: operations initiated while this closure runs
+        // belong to the *message's* finish, not to whatever the main
+        // program is doing.
+        self.st.borrow_mut().ctx_stack.push(am.finish.map(|t| t.id));
         (am.func)(self);
-        {
-            let mut st = self.st.borrow_mut();
-            if am.user {
-                // Dropping the scope is safe: implicit operations the
-                // shipped function launched are still tracked by the
-                // finish detector; only their cofence visibility ends
-                // with the function (Fig. 10's dynamic scoping).
-                st.pending_scopes.pop();
-            }
-            st.ctx_stack.pop();
-        }
-        if let Some(ev) = am.completion_event {
-            self.notify_event_id(ev);
-        }
+        self.st.borrow_mut().ctx_stack.pop();
         if let Some(tag) = am.finish {
             self.with_frame(tag.id, |f| f.on_complete(tag.wave));
             self.trace(|| TraceEvent::Complete {
@@ -311,31 +270,26 @@ impl Image {
             finish: Image::trace_fid(fid),
             wave,
         });
-        Some(FinishTag { id: fid, wave })
+        Some(FinishTag { id: fid, wave, sender: self.me })
     }
 
-    /// Sends an active message carrying an already-counted finish tag,
-    /// as a one-AM [`Msg::Batch`]. Callable from communication threads
-    /// (takes no image state), so it skips flow control: a communication
-    /// thread cannot drain an inbox while it waits for credit. The frame
+    /// Sends one active message as its own frame, without aggregation or
+    /// flow control: every control message, and every AM a communication
+    /// thread injects. `finish` is already counted (or `None`). Callable
+    /// from communication threads (takes no image state); a communication
+    /// thread cannot drain an inbox while it waits for credit, and a
+    /// control message is a reply that must never wait for it. The frame
     /// still counts in the target's inbox depth.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn send_prepared_am(
+    pub(crate) fn send_unbuffered(
         shared: &Shared,
         from: ImageId,
-        target: ImageId,
+        to: ImageId,
         payload_bytes: usize,
-        tag: Option<FinishTag>,
-        completion_event: Option<EventId>,
-        user: bool,
+        finish: Option<FinishTag>,
         func: AmFn,
     ) {
-        shared.fabric.send_unthrottled(
-            from,
-            target,
-            payload_bytes,
-            Msg::Batch(vec![Am { func, sender: from, finish: tag, completion_event, user }]),
-        );
+        let frame = Frame { init: Vec::new(), last: Am { func, finish } };
+        shared.fabric.send_unthrottled(from, to, payload_bytes, frame);
     }
 
     /// Initiates an active message from this image's thread: counts it
@@ -346,20 +300,12 @@ impl Image {
     /// anywhere, but a conforming program cannot tell: it observes
     /// completion only through `finish` or events, and every wait polls
     /// progress first.
-    pub(crate) fn send_am(
-        &self,
-        target: ImageId,
-        payload_bytes: usize,
-        user: bool,
-        completion_event: Option<EventId>,
-        func: AmFn,
-    ) {
+    pub(crate) fn send_am(&self, target: ImageId, payload_bytes: usize, func: AmFn) {
         // Even a sender that never blocks must notice a confirmed failure
         // (or its own crash flag) — without this, a crashed image that
         // keeps injecting would never fail-stop.
         self.check_abort("send", None);
-        let tag = self.am_tag();
-        let am = Am { func, sender: self.me, finish: tag, completion_event, user };
+        let am = Am { func, finish: self.am_tag() };
         let full = {
             let mut st = self.st.borrow_mut();
             let buf = &mut st.out[target.index()];
@@ -399,8 +345,9 @@ impl Image {
             if count == 0 {
                 return;
             }
-            let ams = std::mem::replace(&mut buf.ams, Vec::with_capacity(count));
-            (Some(Msg::Batch(ams)), std::mem::take(&mut buf.bytes), count)
+            let mut init = std::mem::replace(&mut buf.ams, Vec::with_capacity(count));
+            let last = init.pop().expect("the buffer is not empty");
+            (Some(Frame { init, last }), std::mem::take(&mut buf.bytes), count)
         };
         let mut sent = || {
             let msg = frame.take().expect("the frame is sent once");
@@ -446,7 +393,8 @@ impl Image {
         // so the spawn is local-data complete at initiation (paper
         // §III-B3: a cofence after a spawn only captures argument
         // evaluation) and never needs a cofence pending entry.
-        self.send_am(target, payload_bytes.max(SPAWN_NOMINAL_BYTES), true, None, Box::new(f));
+        let func: AmFn = Box::new(move |img: &Image| img.run_shipped(f));
+        self.send_am(target, payload_bytes.max(SPAWN_NOMINAL_BYTES), func);
     }
 
     /// Ships `f` to `target` with explicit completion: `ev` is notified
@@ -458,7 +406,22 @@ impl Image {
         ev: Event,
         f: impl FnOnce(&Image) + Send + 'static,
     ) {
-        self.send_am(target, SPAWN_NOMINAL_BYTES, true, Some(ev.id), Box::new(f));
+        let func: AmFn = Box::new(move |img: &Image| {
+            img.run_shipped(f);
+            img.notify_event_id(ev.id);
+        });
+        self.send_am(target, SPAWN_NOMINAL_BYTES, func);
+    }
+
+    /// Runs a shipped function in its own cofence pending scope (paper
+    /// Fig. 10: cofence in a shipped function sees only operations that
+    /// function launched). Dropping the scope afterwards is safe:
+    /// implicit operations the function launched are still tracked by
+    /// the finish detector; only their cofence visibility ends with it.
+    fn run_shipped(&self, f: impl FnOnce(&Image)) {
+        self.st.borrow_mut().pending_scopes.push(Vec::new());
+        f(self);
+        self.st.borrow_mut().pending_scopes.pop();
     }
 
     // ------------------------------------------------------------------
@@ -491,6 +454,8 @@ impl Image {
         self.notify_event_id(ev.id);
     }
 
+    /// Notifies `id` from this image's thread. A local notify needs no
+    /// poke: this thread is the owner's own, running, not parked.
     pub(crate) fn notify_event_id(&self, id: EventId) {
         if let Some(task) = notify_event_from(&self.shared, self.me, id) {
             self.pump.submit(task);
@@ -600,24 +565,18 @@ impl Image {
 }
 
 /// Notifies an event cell from `from`'s perspective: locally when `from`
-/// owns it (with a poke so a parked owner re-checks), via the fabric
-/// otherwise. Callable from communication threads. Returns the task a
-/// local notify hands out, for the caller to dispatch on `from`'s
-/// communication engine.
+/// owns it, otherwise by an uncounted AM that notifies it at its owner.
+/// Callable from communication threads; one that notifies a local event
+/// pokes `from` itself, since the owner may be parked waiting on it.
+/// Returns the task a local notify hands out, for the caller to dispatch
+/// on `from`'s communication engine.
 pub(crate) fn notify_event_from(shared: &Shared, from: ImageId, id: EventId) -> Option<Task> {
     if id.owner == from {
-        let task = shared.event_tables[from.index()].cell(id.slot).notify();
-        shared.fabric.poke(from);
-        task
-    } else {
-        shared.fabric.send_unthrottled(
-            from,
-            id.owner,
-            CTRL_BYTES,
-            Msg::EventNotify { slot: id.slot },
-        );
-        None
+        return shared.event_tables[from.index()].cell(id.slot).notify();
     }
+    let notify: AmFn = Box::new(move |img: &Image| img.notify_event_id(id));
+    Image::send_unbuffered(shared, from, id.owner, CTRL_BYTES, None, notify);
+    None
 }
 
 #[cfg(test)]

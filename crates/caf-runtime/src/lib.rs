@@ -45,7 +45,7 @@ pub mod event;
 mod failure;
 mod finish;
 pub mod image;
-pub mod msg;
+mod msg;
 mod runtime;
 mod state;
 mod watchdog;

@@ -15,13 +15,13 @@ use crate::abort::{verdict, AbortUnwind, ImageReport, RuntimeError};
 use crate::event::EventTable;
 use crate::failure::FailureHub;
 use crate::image::Image;
-use crate::msg::Msg;
+use crate::msg::Frame;
 use crate::watchdog::Watchdog;
 
 /// State shared by every image (and their communication threads).
 pub(crate) struct Shared {
     /// The simulated interconnect.
-    pub fabric: Arc<Fabric<Msg>>,
+    pub fabric: Arc<Fabric<Frame>>,
     /// Runtime configuration.
     pub cfg: RuntimeConfig,
     /// Number of images.

@@ -58,9 +58,9 @@ pub(crate) struct ImageState {
     /// `F` can arrive before this image has entered `F` (paper Fig. 5 is
     /// exactly that race), so reception must be able to materialize it.
     pub finish_frames: HashMap<FinishId, EpochDetector>,
-    /// Delivery acks owed per (sender, finish), not yet flushed as a
-    /// counted [`crate::msg::Msg::Ack`]. Short: one entry per sender and
-    /// finish seen since the last flush.
+    /// Delivery acks owed per (sender, finish), not yet flushed as one
+    /// counted ack each. Short: one entry per sender and finish seen
+    /// since the last flush.
     pub owed_acks: Vec<(ImageId, FinishId, u64)>,
     /// Outgoing aggregation buffers, one per destination image.
     pub out: Vec<OutBuf>,

@@ -1,0 +1,22 @@
+#!/usr/bin/env bash
+# Non-test source lines per crate: the lines of crates/*/src/**/*.rs that
+# come before each file's first `#[cfg(test)]`, skipping `tests.rs` files.
+# Blank lines and comments count; they are part of what a reader reads.
+#
+# Usage:
+#   scripts/sloc.sh        # one line per crate, then the total
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+total=0
+for crate in crates/*/; do
+    name="$(basename "$crate")"
+    lines=0
+    while IFS= read -r -d '' file; do
+        n="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")"
+        lines=$((lines + n))
+    done < <(find "$crate/src" -name '*.rs' ! -name tests.rs -print0)
+    printf '%-12s %6d\n' "$name" "$lines"
+    total=$((total + lines))
+done
+printf '%-12s %6d\n' total "$total"

@@ -229,6 +229,22 @@ impl FailureDetectorState {
         events
     }
 
+    /// The earliest time at which [`tick`](Self::tick) can yield a
+    /// transition: `since + suspect_after` for an Alive peer and
+    /// `since + confirm_after` for a Suspect one. Dead and Retired peers
+    /// have no deadline. A life sign only moves a deadline later, so a
+    /// caller that ticks no earlier than this value misses nothing.
+    pub fn next_deadline(&self) -> Option<Duration> {
+        self.peers
+            .values()
+            .filter_map(|st| match st.health {
+                PeerHealth::Alive => Some(st.since + self.params.suspect_after),
+                PeerHealth::Suspect => Some(st.since + self.params.confirm_after),
+                PeerHealth::Dead | PeerHealth::Retired => None,
+            })
+            .min()
+    }
+
     /// Records an externally learned death (an `ImageDown` broadcast or a
     /// local crash note): `peer` is dead at `incarnation` without going
     /// through this detector's own suspect window.
@@ -405,6 +421,63 @@ mod tests {
         assert!(d.accepts(9, 1));
         assert!(d.on_life_sign(9, 1, ms(0)));
         assert!(d.tick(ms(1000)).is_empty());
+    }
+
+    /// Ticks `d` every 250 µs from `from` until a transition fires and
+    /// returns when it fired.
+    fn first_transition(d: &mut FailureDetectorState, from: Duration) -> Duration {
+        let mut t = from;
+        while d.tick(t).is_empty() {
+            t += Duration::from_micros(250);
+            assert!(t < ms(1000), "no transition fired");
+        }
+        t
+    }
+
+    #[test]
+    fn next_deadline_is_never_later_than_the_first_transition() {
+        // Alive → Suspect.
+        let mut d = det();
+        d.monitor(1, ms(0));
+        d.monitor(2, ms(3));
+        let due = d.next_deadline().expect("two Alive peers");
+        assert_eq!(due, ms(10));
+        assert!(d.tick(due - Duration::from_nanos(1)).is_empty(), "nothing fires before it");
+        assert!(due <= first_transition(&mut d, ms(0)));
+        // Suspect → Dead, after a retry-exhaustion hint moved peer 2 into
+        // its confirmation window.
+        d.on_retry_exhausted(2, ms(11));
+        let due = d.next_deadline().expect("a Suspect peer");
+        assert_eq!(due, ms(20), "peer 1's window opened at 10 ms, before peer 2's");
+        assert!(due <= first_transition(&mut d, ms(11)));
+        // Dead and Retired peers have no deadline.
+        let mut d = det();
+        d.monitor(3, ms(0));
+        d.monitor(4, ms(0));
+        d.mark_dead(3, 1, ms(1));
+        d.retire(4, ms(1));
+        assert_eq!(d.next_deadline(), None);
+    }
+
+    #[test]
+    fn a_life_sign_only_moves_the_deadline_later() {
+        let mut d = det();
+        d.monitor(1, ms(0));
+        d.monitor(2, ms(4));
+        let mut last = d.next_deadline().expect("monitored");
+        for (peer, t) in [(1, 2), (2, 5), (1, 9), (2, 9), (1, 14)] {
+            d.on_life_sign(peer, 1, ms(t));
+            let now = d.next_deadline().expect("still monitored");
+            assert!(now >= last, "a life sign at {t} ms moved the deadline earlier");
+            last = now;
+        }
+        // Refuting a suspicion also moves it later: the new Alive window
+        // ends after the Suspect one would have.
+        d.tick(ms(24));
+        assert_eq!(d.health(1), Some(PeerHealth::Suspect));
+        let suspect = d.next_deadline().expect("monitored");
+        d.on_life_sign(1, 1, ms(25));
+        assert!(d.next_deadline().expect("monitored") >= suspect);
     }
 
     #[test]

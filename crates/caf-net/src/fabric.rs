@@ -38,10 +38,15 @@
 //! image ([`CrashFault`](caf_core::fault::CrashFault) or
 //! [`Fabric::mark_crashed`]) has every transmission touching it destroyed.
 //!
-//! The reliable sublayer's timers run from the image's own receive calls.
-//! [`Fabric::try_recv`] drains first and scans for due retransmissions
-//! only when the drain is over, so acks already queued retire their
-//! frames before the scan sees them. The fabric never flushes the
+//! The protocol timers (retransmissions, heartbeats, failure detectors)
+//! run from the image's own fabric calls, and only when one is due: each
+//! image has one atomic *gate*, the earliest of its next retransmission,
+//! heartbeat and detector deadlines (see [`crate::reliable`]). A pump
+//! before the gate costs one clock read and one relaxed load; a full
+//! pump recomputes the gate, and a park never sleeps past it.
+//! [`Fabric::try_recv`] drains first and pumps only when the drain is
+//! over, so acks already queued retire their frames before a
+//! retransmission scan sees them. The fabric never flushes the
 //! cumulative acks an image owes on its own: [`Fabric::try_recv`] reports
 //! whether another frame is due behind the one it surfaces, and the
 //! receiving image calls [`Fabric::flush_acks`] when its drain ends (no
@@ -173,16 +178,19 @@ impl<M: Send> Fabric<M> {
 
     /// Records at `observer`'s detector a death learned externally (an
     /// `ImageDown` broadcast): engages the posthumous filter there
-    /// without waiting out the observer's own suspect window.
+    /// without waiting out the observer's own suspect window, and opens
+    /// the observer's gate so its next pump abandons the dead letters.
     pub fn mark_peer_dead(&self, observer: ImageId, peer: usize, incarnation: u64) {
-        if let Some(fl) = &self.failure {
+        if let (Some(fl), Some(chaos)) = (&self.failure, &self.chaos) {
             fl.mark_dead(observer, peer, incarnation);
+            chaos.reliable.lower_gate(observer, 0);
         }
     }
 
     /// Drains the deaths `image`'s detector has confirmed since the last
     /// poll (pumping the detector first, so an image that only polls
-    /// still advances its deadlines).
+    /// still advances its deadlines). Takes no lock while no timer is due
+    /// and no death is queued.
     pub fn poll_failures(&self, image: ImageId) -> Vec<ConfirmedDown> {
         self.pump(image);
         self.failure.as_ref().map_or_else(Vec::new, |fl| fl.poll(image))
@@ -346,17 +354,24 @@ impl<M: Send> Fabric<M> {
     }
 
     /// Runs `image`'s protocol timers from its own fabric entry points
-    /// (lazy pumping — the fabric has no thread of its own): due
-    /// retransmissions first, then the failure-detection duty cycle.
+    /// (the fabric has no thread of its own) once its gate is due: due
+    /// retransmissions first, then the failure-detection duty cycle, each
+    /// folding its next deadline into the gate.
     fn pump(&self, image: ImageId) {
         let Some(chaos) = &self.chaos else { return };
-        if self.is_crashed(image) {
-            return; // the dead retransmit nothing and heartbeat no one
-        }
         let now = Instant::now();
+        let now_ns = chaos.ns(now);
+        if now_ns < chaos.reliable.gate(image) {
+            return;
+        }
+        if self.is_crashed(image) {
+            // The dead retransmit nothing and heartbeat no one.
+            chaos.reliable.close_gate(image);
+            return;
+        }
         let fl = self.failure.as_ref();
         let is_dead = |peer| fl.is_some_and(|fl| fl.is_dead(image, peer));
-        let (resend, exhausted) = chaos.reliable.pump(image, chaos.ns(now), is_dead, &self.stats);
+        let (resend, exhausted) = chaos.reliable.pump(image, now_ns, is_dead, &self.stats);
         if let Some(fl) = fl {
             fl.on_retry_exhausted(image, &exhausted);
         }
@@ -365,7 +380,9 @@ impl<M: Send> Fabric<M> {
             self.transmit(image, dest, bytes, count, wire);
         }
         let Some(fl) = fl else { return };
-        for peer in fl.pump(image, now, &self.crashed_at) {
+        let (beats, next) = fl.pump(image, now, &self.crashed_at);
+        chaos.reliable.lower_gate(image, next);
+        for peer in beats {
             self.stats.note_heartbeat();
             let beat = Wire::Heartbeat { from: image, incarnation: FIRST_INCARNATION };
             self.transmit(image, ImageId(peer), HEARTBEAT_BYTES, 1, beat);
@@ -440,16 +457,17 @@ impl<M: Send> Fabric<M> {
     }
 
     /// Parks `image` until a message arrives / becomes due, a poke lands,
-    /// a retransmission falls due, or `deadline` passes. The caller has
+    /// its protocol gate falls due, or `deadline` passes. The caller has
     /// flushed what `image` owes (see [`Fabric::try_recv`]). See
     /// [`Inbox::wait_activity`].
     pub fn wait_activity(&self, image: ImageId, deadline: Instant) {
         self.pump(image);
-        // A parked sender must wake in time to retransmit.
-        let retry = self.chaos.as_ref().and_then(|c| {
-            c.reliable.next_retry_at(image).map(|ns| c.epoch + Duration::from_nanos(ns))
-        });
-        self.inboxes[image.index()].wait_activity(retry.map_or(deadline, |r| r.min(deadline)));
+        // A parked image must wake in time to retransmit and heartbeat.
+        let gate = self
+            .chaos
+            .as_ref()
+            .and_then(|c| c.epoch.checked_add(Duration::from_nanos(c.reliable.gate(image))));
+        self.inboxes[image.index()].wait_activity(gate.map_or(deadline, |g| g.min(deadline)));
         self.pump(image);
     }
 }
@@ -997,6 +1015,86 @@ mod tests {
         assert!(f.stats().snapshot().retries_exhausted > 0);
         assert_eq!(downs[0].peer, 1);
         assert_eq!(downs[0].latency, None, "no crash fault fired; origin unknown");
+    }
+
+    #[test]
+    fn the_gate_pumps_only_when_a_timer_is_due() {
+        // Image 0's link to image 1 is a black hole and image 1 never
+        // runs: nothing ever acks, and every wire send is a timer firing.
+        let plan = FaultPlan::none(12).with_link(0, 1, 1.0);
+        let retry = RetryPolicy {
+            ack_timeout: Duration::from_millis(40),
+            backoff: 10,
+            max_timeout: Duration::from_secs(60),
+            max_retries: 5,
+        };
+        let params = FailureParams {
+            heartbeat_period: Duration::from_millis(100),
+            suspect_after: Duration::from_secs(3600),
+            confirm_after: Duration::from_secs(3600),
+        };
+        let f: Arc<Fabric<u32>> = Fabric::with_chaos(
+            2,
+            NetworkModel::instant(),
+            false,
+            plan,
+            retry.clone(),
+            Some(params),
+        );
+        let sent = |f: &Fabric<u32>| {
+            let t = f.stats().snapshot();
+            (t.retries, t.heartbeats)
+        };
+        // The first pump arms the gate at the first heartbeat; the send
+        // must lower it to its retransmission deadline.
+        assert_eq!(poll(&f, img(0)), None);
+        f.send_unthrottled(img(0), img(1), 0, 1);
+        let t_send = Instant::now();
+        for _ in 0..3 {
+            assert_eq!(poll(&f, img(0)), None);
+        }
+        assert_eq!(sent(&f), (0, 0), "a pump before either deadline sends nothing");
+
+        std::thread::sleep((t_send + retry.ack_timeout).saturating_duration_since(Instant::now()));
+        assert_eq!(poll(&f, img(0)), None);
+        assert_eq!(sent(&f).0, 1, "the first receive after the ack timeout retransmits");
+        assert_eq!(poll(&f, img(0)), None);
+        assert_eq!(sent(&f).0, 1, "once: the next retransmission is 400 ms away");
+
+        let beat_due = t_send + Duration::from_millis(100);
+        std::thread::sleep(beat_due.saturating_duration_since(Instant::now()));
+        for _ in 0..3 {
+            assert_eq!(poll(&f, img(0)), None);
+        }
+        assert_eq!(sent(&f), (1, 1), "a due heartbeat goes out once");
+    }
+
+    #[test]
+    fn a_death_learned_from_a_broadcast_opens_the_gate() {
+        // Nothing is due for an hour, so only the death can make the next
+        // pump run in full and abandon the dead letters.
+        let slow = RetryPolicy { ack_timeout: Duration::from_secs(3600), ..RetryPolicy::default() };
+        let params = FailureParams {
+            heartbeat_period: Duration::from_secs(3600),
+            suspect_after: Duration::from_secs(3600),
+            confirm_after: Duration::from_secs(3600),
+        };
+        let f: Arc<Fabric<u32>> = Fabric::with_chaos(
+            2,
+            NetworkModel::instant(),
+            false,
+            FaultPlan::none(13),
+            slow,
+            Some(params),
+        );
+        for i in 0..3 {
+            f.send_unthrottled(img(0), img(1), 0, i);
+        }
+        assert_eq!(poll(&f, img(0)), None); // a full pump arms the gate an hour out
+        f.mark_peer_dead(img(0), 1, 1);
+        assert_eq!(poll(&f, img(0)), None);
+        assert_eq!(f.retry_backlog(img(0)), 0, "dead letters must leave the queue");
+        assert_eq!(f.stats().snapshot().crash_drops, 3);
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! Each image heartbeats idle links and drives a [`FailureDetectorState`]
 //! from heartbeat deadlines *and* retry-budget exhaustion. Every received
 //! frame is a life sign, or posthumous if its sender is confirmed dead.
-//! Like the reliable layer, it runs from the image's own fabric calls.
+//! Like the reliable layer, it runs from the image's own fabric calls,
+//! and only when one of its deadlines is due: [`FailureLayer::pump`]
+//! returns the earliest next heartbeat or detector deadline, which the
+//! fabric folds into the image's protocol gate. A life sign only moves a
+//! detector deadline later, so it never needs to touch the gate.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,6 +54,10 @@ pub(crate) struct FailureLayer {
     /// dead. Written under the observer's lock on every transition into
     /// or out of `Dead`, so the reliable pump reads it without locking.
     dead: Vec<Vec<AtomicBool>>,
+    /// `queued[observer]`: whether `observer` has confirmed deaths not yet
+    /// drained. Written under the observer's lock, so [`FailureLayer::poll`]
+    /// takes that lock only when there is something to drain.
+    queued: Vec<AtomicBool>,
 }
 
 impl FailureLayer {
@@ -67,8 +75,9 @@ impl FailureLayer {
                 })
             })
             .collect();
-        let dead = (0..n).map(|_| (0..n).map(|_| AtomicBool::new(false)).collect()).collect();
-        FailureLayer { params, epoch, observers, dead }
+        let flags = || (0..n).map(|_| AtomicBool::new(false)).collect();
+        let dead = (0..n).map(|_| flags()).collect();
+        FailureLayer { params, epoch, observers, dead, queued: flags() }
     }
 
     /// Whether `observer`'s detector holds `peer` dead. Lock-free.
@@ -124,8 +133,14 @@ impl FailureLayer {
     }
 
     /// Drains the deaths `image`'s detector confirmed since the last poll.
+    /// Lock-free while none is queued.
     pub(crate) fn poll(&self, image: ImageId) -> Vec<ConfirmedDown> {
-        self.observers[image.index()].lock().confirmed.drain(..).collect()
+        if !self.queued[image.index()].load(Ordering::Acquire) {
+            return Vec::new();
+        }
+        let mut obs = self.observers[image.index()].lock();
+        self.queued[image.index()].store(false, Ordering::Relaxed);
+        obs.confirmed.drain(..).collect()
     }
 
     /// `image`'s detector counters: `(suspects_raised, false_suspects)`.
@@ -138,22 +153,31 @@ impl FailureLayer {
     /// Failure-detection duty cycle for `image`: advances its detector's
     /// deadlines, queues confirmed deaths (timed from `crashed_at`, when
     /// each crash fired), and returns the peers whose link has been idle
-    /// past the heartbeat period — the caller owes each a heartbeat.
+    /// past the heartbeat period — the caller owes each a heartbeat —
+    /// plus when this pump next has work, in nanoseconds since the epoch.
+    /// That is the earliest next heartbeat or detector deadline, or `now`
+    /// itself when a death was confirmed: the reliable layer must abandon
+    /// the dead peer's frames at the next pump.
     pub(crate) fn pump(
         &self,
         image: ImageId,
         now: Instant,
         crashed_at: &[Mutex<Option<Instant>>],
-    ) -> Vec<usize> {
+    ) -> (Vec<usize>, u64) {
         let elapsed = now.saturating_duration_since(self.epoch);
         let mut beats = Vec::new();
-        let mut obs = self.observers[image.index()].lock();
-        for peer in (0..self.observers.len()).filter(|&p| p != image.index()) {
+        let mut guard = self.observers[image.index()].lock();
+        let obs = &mut *guard;
+        let live = |obs: &Observer, peer: usize| {
             // No point heartbeating the confirmed dead or retired.
-            if matches!(
-                obs.detector.health(peer),
-                Some(PeerHealth::Dead) | Some(PeerHealth::Retired)
-            ) {
+            peer != image.index()
+                && !matches!(
+                    obs.detector.health(peer),
+                    Some(PeerHealth::Dead) | Some(PeerHealth::Retired)
+                )
+        };
+        for peer in 0..self.observers.len() {
+            if !live(obs, peer) {
                 continue;
             }
             if now.saturating_duration_since(obs.last_hb[peer]) >= self.params.heartbeat_period {
@@ -161,14 +185,22 @@ impl FailureLayer {
                 beats.push(peer);
             }
         }
+        let mut next = Duration::MAX;
         for ev in obs.detector.tick(elapsed) {
             if let FailureEvent::Confirmed { peer, incarnation, .. } = ev {
                 self.dead[image.index()][peer].store(true, Ordering::Release);
+                self.queued[image.index()].store(true, Ordering::Release);
                 let latency =
                     (*crashed_at[peer].lock()).map(|at| now.saturating_duration_since(at));
                 obs.confirmed.push_back(ConfirmedDown { peer, incarnation, latency });
+                next = elapsed;
             }
         }
-        beats
+        for peer in (0..self.observers.len()).filter(|&p| live(obs, p)) {
+            let last = obs.last_hb[peer].saturating_duration_since(self.epoch);
+            next = next.min(last + self.params.heartbeat_period);
+        }
+        next = next.min(obs.detector.next_deadline().unwrap_or(Duration::MAX));
+        (beats, next.as_nanos().min(u64::MAX as u128) as u64)
     }
 }

@@ -9,6 +9,12 @@
 //! depth check ([`Inbox::len`]), and a refused image thread drains its
 //! own inbox until the target has credit.
 //!
+//! A poke leaves a flag under the lock that the next
+//! [`Inbox::wait_activity`] consumes instead of parking, so a poke that
+//! lands between a receiver's last check and its park is not lost. An
+//! empty [`Inbox::try_pop_due`] spends the flag too: the receiver checks
+//! its predicate after its last poll, so an older poke is stale.
+//!
 //! Every entry carries a *weight*: the number of logical messages its
 //! frame holds. The queue depth that flow control reads is the sum of the
 //! weights, so an aggregated frame of `k` messages takes `k` credits.
@@ -49,6 +55,8 @@ struct Inner<M> {
     seq: u64,
     /// Sum of the queued entries' weights.
     depth: usize,
+    /// A poke no park has consumed yet.
+    poked: bool,
 }
 
 /// A single image's timed message queue.
@@ -71,7 +79,7 @@ impl<M> Inbox<M> {
     /// Creates an empty inbox.
     pub fn new() -> Self {
         Inbox {
-            inner: Mutex::new(Inner { heap: BinaryHeap::new(), seq: 0, depth: 0 }),
+            inner: Mutex::new(Inner { heap: BinaryHeap::new(), seq: 0, depth: 0, poked: false }),
             arrived: Condvar::new(),
             len: AtomicUsize::new(0),
         }
@@ -93,7 +101,7 @@ impl<M> Inbox<M> {
 
     /// Pops the earliest message whose deadline has passed, if any, with
     /// its weight, and reports under the same lock whether another one is
-    /// already due.
+    /// already due. An empty poll spends any pending poke.
     pub fn try_pop_due(&self) -> Option<(M, usize, bool)> {
         let now = Instant::now();
         let mut inner = self.inner.lock();
@@ -104,24 +112,33 @@ impl<M> Inbox<M> {
             self.len.store(inner.depth, Ordering::Release);
             Some((msg, weight, more_due))
         } else {
+            // The caller re-checks its predicate after an empty poll, so a
+            // poke that came before it is spent.
+            inner.poked = false;
             None
         }
     }
 
     /// Wakes any receiver parked in [`Inbox::wait_activity`] without
-    /// enqueueing a message. Used by communication threads after
-    /// advancing an operation's completion state, so the image
-    /// re-evaluates its wait predicate promptly.
+    /// enqueueing a message, or, if none is parked, makes the next
+    /// [`Inbox::wait_activity`] return at once. Used by communication
+    /// threads after advancing an operation's completion state, so the
+    /// image re-evaluates its wait predicate promptly.
     pub fn poke(&self) {
+        self.inner.lock().poked = true;
         self.arrived.notify_all();
     }
 
     /// Parks until *something happens*: a message arrives, [`Inbox::poke`]
-    /// is called, the earliest pending delivery deadline passes, or
-    /// `deadline` is reached. Callers re-check their predicate and drain
-    /// due messages after this returns; spurious wakeups are harmless.
+    /// is called (or was, since the last park), the earliest pending
+    /// delivery deadline passes, or `deadline` is reached. Callers
+    /// re-check their predicate and drain due messages after this
+    /// returns; spurious wakeups are harmless.
     pub fn wait_activity(&self, deadline: Instant) {
         let mut inner = self.inner.lock();
+        if std::mem::take(&mut inner.poked) {
+            return;
+        }
         let now = Instant::now();
         if inner.heap.peek().is_some_and(|t| t.deliver_at <= now) {
             return; // something is already due
@@ -129,6 +146,8 @@ impl<M> Inbox<M> {
         let until = inner.heap.peek().map(|t| t.deliver_at.min(deadline)).unwrap_or(deadline);
         if until > now {
             self.arrived.wait_until(&mut inner, until);
+            // The caller re-checks everything; a poke that woke it is spent.
+            inner.poked = false;
         }
     }
 
@@ -242,6 +261,33 @@ mod tests {
         inbox.push(t, 3, 'c');
         assert_eq!(inbox.drain(), 4, "drain reports logical messages");
         assert!(inbox.is_empty());
+    }
+
+    #[test]
+    fn a_poke_before_the_park_is_not_lost() {
+        let inbox: Inbox<u8> = Inbox::new();
+        let start = Instant::now();
+        inbox.poke();
+        inbox.wait_activity(start + Duration::from_secs(2));
+        assert!(
+            start.elapsed() < Duration::from_millis(100),
+            "a poke that came before the park slept {:?}",
+            start.elapsed()
+        );
+        // The poke is spent: the next park sleeps to its deadline.
+        let again = Instant::now();
+        inbox.wait_activity(again + Duration::from_millis(20));
+        assert!(again.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn an_empty_poll_spends_a_poke() {
+        let inbox: Inbox<u8> = Inbox::new();
+        inbox.poke();
+        assert!(inbox.try_pop_due().is_none());
+        let start = Instant::now();
+        inbox.wait_activity(start + Duration::from_millis(20));
+        assert!(start.elapsed() >= Duration::from_millis(20), "a stale poke cut the park short");
     }
 
     #[test]

@@ -8,11 +8,21 @@
 //! the threaded fabric adds around it: the [`Wire`] envelope, a payload
 //! slot, and one mutex per image over that image's machines.
 //!
-//! The fabric calls [`Reliable`] at five points: [`Reliable::inject`] a
+//! The fabric calls [`Reliable`] at four points: [`Reliable::inject`] a
 //! fresh message, [`Reliable::open`] an arriving frame,
-//! [`Reliable::owed_acks`] at its flush points, [`Reliable::pump`] due
-//! retransmissions, and [`Reliable::next_retry_at`] to clamp parks. Times
-//! are nanoseconds since the fabric's epoch.
+//! [`Reliable::owed_acks`] at its flush points, and [`Reliable::pump`] due
+//! retransmissions. Times are nanoseconds since the fabric's epoch.
+//!
+//! Each image also has a *protocol gate*: one atomic holding the earliest
+//! time at which its protocol timers may have work (a retransmission here,
+//! a heartbeat or a detector deadline in [`crate::failure`]). The fabric
+//! skips the pump while the clock is before the gate and clamps parks to
+//! it. The gate may be early, never late: an ack or a life sign only
+//! moves a deadline later and leaves the gate alone, [`Reliable::inject`]
+//! lowers it under the links lock that [`Reliable::pump`] recomputes it
+//! under (a communication thread injects for its image concurrently),
+//! and the fabric opens it (lowers it to 0) when a death gives the pump
+//! dead letters to abandon.
 //!
 //! * Payloads are **not `Clone`** (active messages carry `Box<dyn FnOnce>`
 //!   closures), so every reliable send allocates one shared single-use
@@ -20,11 +30,12 @@
 //!   at it, the first fresh arrival takes the value, and sequence-number
 //!   dedup filters the later copies before they touch the empty slot.
 //! * The fabric has **no progress thread**: retransmission timers are
-//!   pumped lazily from the sending image's own fabric calls — GASNet's
-//!   polling discipline — and parks are clamped to the next retry.
+//!   pumped from the sending image's own fabric calls when its gate is
+//!   due — GASNet's polling discipline — and parks are clamped to the gate.
 //! * Delivery stays **unordered**: the layer restores *exactly-once*, not
 //!   ordering (no reorder buffer; the runtime tolerates non-FIFO links).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use caf_core::fault::{CumAck, LinkAction, LinkMachine, RetryPolicy};
@@ -83,12 +94,35 @@ pub(crate) struct Reliable<M> {
     retry: RetryPolicy,
     /// `links[image][peer]`: `image`'s end of its link with `peer`.
     links: Vec<Mutex<Vec<LinkMachine<Handle<M>>>>>,
+    /// `gate[image]`: the earliest time `image`'s protocol timers may have
+    /// work; `u64::MAX` when none is armed.
+    gate: Vec<AtomicU64>,
 }
 
 impl<M> Reliable<M> {
     pub(crate) fn new(n: usize, retry: RetryPolicy) -> Self {
         let machines = || Mutex::new((0..n).map(|_| LinkMachine::default()).collect());
-        Reliable { retry, links: (0..n).map(|_| machines()).collect() }
+        Reliable {
+            retry,
+            links: (0..n).map(|_| machines()).collect(),
+            gate: (0..n).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// When `image`'s protocol timers next may have work.
+    pub(crate) fn gate(&self, image: ImageId) -> u64 {
+        self.gate[image.index()].load(Ordering::Relaxed)
+    }
+
+    /// Moves `image`'s gate no later than `at`.
+    pub(crate) fn lower_gate(&self, image: ImageId, at: u64) {
+        self.gate[image.index()].fetch_min(at, Ordering::Relaxed);
+    }
+
+    /// Closes `image`'s gate for good (it crashed: its timers never run
+    /// again).
+    pub(crate) fn close_gate(&self, image: ImageId) {
+        self.gate[image.index()].store(u64::MAX, Ordering::Relaxed);
     }
 
     /// Sends `msg`, a frame of `count` logical messages, as the next frame
@@ -104,7 +138,11 @@ impl<M> Reliable<M> {
         now: u64,
     ) -> Wire<M> {
         let handle = (Arc::new(Mutex::new(Some(msg))), bytes, count);
-        let frame = self.links[from.index()].lock()[to.index()].send(handle, now, &self.retry);
+        let mut links = self.links[from.index()].lock();
+        let link = &mut links[to.index()];
+        let frame = link.send(handle, now, &self.retry);
+        self.lower_gate(from, link.next_due().expect("a frame was just queued"));
+        drop(links);
         Wire::Data { from, link_seq: frame.seq, ack: frame.ack, payload: frame.payload.0 }
     }
 
@@ -163,7 +201,9 @@ impl<M> Reliable<M> {
     /// Frames toward a peer `is_dead` reports are dead letters: they are
     /// abandoned (counted as crash drops) instead of burning the retry
     /// budget against a black hole. Returns the retransmissions plus one
-    /// destination per frame whose budget ran out.
+    /// destination per frame whose budget ran out, and resets `image`'s
+    /// gate to its earliest remaining retransmission deadline; the caller
+    /// lowers it further for its other timers.
     pub(crate) fn pump(
         &self,
         image: ImageId,
@@ -193,13 +233,9 @@ impl<M> Reliable<M> {
                 }
             });
         }
+        let next = links.iter().filter_map(LinkMachine::next_due).min();
+        self.gate[image.index()].store(next.unwrap_or(u64::MAX), Ordering::Relaxed);
         (resend, exhausted)
-    }
-
-    /// Earliest pending retransmission deadline owed by `image`, if any.
-    /// O(links); it may report early (a harmless extra wake-up), never late.
-    pub(crate) fn next_retry_at(&self, image: ImageId) -> Option<u64> {
-        self.links[image.index()].lock().iter().filter_map(LinkMachine::next_due).min()
     }
 
     /// Unacknowledged messages `image` owns as a sender.

@@ -18,12 +18,14 @@
 //! (§III-B4); in this runtime that ordering is inherited from the lock
 //! guarding each cell plus the in-order handling of fabric messages.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use caf_core::ids::{EventId, ImageId};
 use caf_net::pump::Task;
 use parking_lot::Mutex;
+
+use crate::state::IdMap;
 
 /// One event cell: a notification count, and the communication tasks of
 /// predicated copies waiting for it, oldest first. While a task is parked
@@ -86,7 +88,7 @@ impl EventCell {
 /// because the owner's comm thread and the progress engine both touch it.
 #[derive(Default)]
 pub struct EventTable {
-    slots: Mutex<HashMap<u64, Arc<EventCell>>>,
+    slots: Mutex<IdMap<u64, Arc<EventCell>>>,
 }
 
 impl EventTable {

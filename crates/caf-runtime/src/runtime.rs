@@ -1,7 +1,6 @@
 //! Runtime launch and process-wide shared state.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -16,6 +15,7 @@ use crate::event::EventTable;
 use crate::failure::FailureHub;
 use crate::image::Image;
 use crate::msg::Frame;
+use crate::state::IdMap;
 use crate::watchdog::Watchdog;
 
 /// State shared by every image (and their communication threads).
@@ -34,10 +34,10 @@ pub(crate) struct Shared {
     /// `(team, seq)` creates the coarray; teammates attach to it. Entries
     /// live for the runtime's lifetime (coarrays in CAF are symmetric,
     /// long-lived objects; per-allocation this costs one boxed handle).
-    pub allocs: Mutex<HashMap<(TeamId, u64), Box<dyn Any + Send>>>,
+    pub allocs: Mutex<IdMap<(TeamId, u64), Box<dyn Any + Send>>>,
     /// `team_split` id registry: `(parent, split_seq, color) → TeamId`,
     /// so every member of a new team agrees on its id.
-    pub team_ids: Mutex<HashMap<(TeamId, u64, u64), TeamId>>,
+    pub team_ids: Mutex<IdMap<(TeamId, u64, u64), TeamId>>,
     /// Next fresh team id (0 is `team_world`).
     pub next_team: AtomicU64,
     /// The no-progress watchdog, when `cfg.watchdog` configures one.
@@ -115,8 +115,8 @@ impl Runtime {
             fabric,
             n,
             event_tables: (0..n).map(|_| EventTable::default()).collect(),
-            allocs: Mutex::new(HashMap::new()),
-            team_ids: Mutex::new(HashMap::new()),
+            allocs: Mutex::new(IdMap::default()),
+            team_ids: Mutex::new(IdMap::default()),
             next_team: AtomicU64::new(1),
             watchdog: cfg.watchdog.map(|window| Watchdog::new(window, n)),
             failure: cfg.failure.as_ref().map(|_| FailureHub::new()),

@@ -8,6 +8,7 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use caf_core::cofence::LocalAccess;
@@ -18,6 +19,36 @@ use caf_core::termination::EpochDetector;
 use crate::completion::Completion;
 use crate::event::Event;
 use crate::msg::{Am, CollKey};
+
+/// A map keyed by the runtime's own ids (finishes, teams, collective and
+/// event slots), hashed by [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// One multiply per word instead of SipHash: `finish_frames` is looked up
+/// three times per active message. The runtime generates every key these
+/// maps hold, so resistance to hash flooding buys nothing here. The
+/// multiply pushes each word's bits up into the high bits the table's
+/// control bytes read, and the rotation mixes the next word into them.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
 
 /// An implicitly completed asynchronous operation awaiting local data
 /// completion, tracked for `cofence`.
@@ -57,7 +88,7 @@ pub(crate) struct ImageState {
     /// this image knows of. Created lazily: a message belonging to finish
     /// `F` can arrive before this image has entered `F` (paper Fig. 5 is
     /// exactly that race), so reception must be able to materialize it.
-    pub finish_frames: HashMap<FinishId, EpochDetector>,
+    pub finish_frames: IdMap<FinishId, EpochDetector>,
     /// Delivery acks owed per (sender, finish), not yet flushed as one
     /// counted ack each. Short: one entry per sender and finish seen
     /// since the last flush.
@@ -70,7 +101,7 @@ pub(crate) struct ImageState {
     /// its frame run.
     pub run_queue: VecDeque<Am>,
     /// Next finish sequence number per team.
-    pub finish_seq: HashMap<TeamId, u64>,
+    pub finish_seq: IdMap<TeamId, u64>,
     /// Dynamic attribution context: what finish (if any) newly initiated
     /// operations belong to. The main program pushes on `finish` entry;
     /// AM handlers push the incoming message's attribution (dynamic
@@ -78,15 +109,15 @@ pub(crate) struct ImageState {
     pub ctx_stack: Vec<Option<FinishId>>,
     /// Buffered synchronous-collective hops that arrived before the local
     /// matching call consumed them.
-    pub coll_buf: HashMap<CollKey, Box<dyn Any + Send>>,
+    pub coll_buf: IdMap<CollKey, Box<dyn Any + Send>>,
     /// Next collective sequence number per team (SPMD-matched).
-    pub coll_seq: HashMap<TeamId, u64>,
+    pub coll_seq: IdMap<TeamId, u64>,
     /// Next collective-allocation sequence number per team.
-    pub alloc_seq: HashMap<TeamId, u64>,
+    pub alloc_seq: IdMap<TeamId, u64>,
     /// Next team-split sequence number per parent team.
-    pub split_seq: HashMap<TeamId, u64>,
+    pub split_seq: IdMap<TeamId, u64>,
     /// Next asynchronous-collective sequence number per team.
-    pub async_seq: HashMap<TeamId, u64>,
+    pub async_seq: IdMap<TeamId, u64>,
     /// Next co-event slot (SPMD-matched across images).
     pub coevent_seq: u64,
     /// Next purely local event slot (disjoint range from co-events).
@@ -99,7 +130,7 @@ pub(crate) struct ImageState {
     /// Asynchronous-collective instances, keyed by `(team, async seq)`.
     /// Created by whichever side arrives first — the local call or a tree
     /// message — and reconciled as the other side shows up.
-    pub async_inst: HashMap<(TeamId, u64), crate::async_coll::AsyncInst>,
+    pub async_inst: IdMap<(TeamId, u64), crate::async_coll::AsyncInst>,
     /// Reduction waves used by the most recent completed finish block
     /// (Fig. 18's metric).
     pub last_finish_waves: usize,
@@ -112,28 +143,28 @@ pub(crate) struct ImageState {
 impl ImageState {
     pub(crate) fn new(seed: u64, images: usize) -> Self {
         ImageState {
-            finish_frames: HashMap::new(),
+            finish_frames: IdMap::default(),
             owed_acks: Vec::new(),
             out: (0..images).map(|_| OutBuf::default()).collect(),
             run_queue: VecDeque::new(),
-            finish_seq: HashMap::new(),
+            finish_seq: IdMap::default(),
             ctx_stack: Vec::new(),
-            coll_buf: HashMap::new(),
-            coll_seq: HashMap::new(),
-            alloc_seq: HashMap::new(),
-            split_seq: HashMap::new(),
-            async_seq: HashMap::new(),
+            coll_buf: IdMap::default(),
+            coll_seq: IdMap::default(),
+            alloc_seq: IdMap::default(),
+            split_seq: IdMap::default(),
+            async_seq: IdMap::default(),
             coevent_seq: 0,
             local_event_seq: 1 << 62,
             pending_scopes: vec![Vec::new()],
-            async_inst: HashMap::new(),
+            async_inst: IdMap::default(),
             last_finish_waves: 0,
             rng: SplitMix64::new(seed),
         }
     }
 
     /// Next sequence number from one of the per-team counters.
-    pub(crate) fn bump(map: &mut HashMap<TeamId, u64>, team: TeamId) -> u64 {
+    pub(crate) fn bump(map: &mut IdMap<TeamId, u64>, team: TeamId) -> u64 {
         let c = map.entry(team).or_insert(0);
         let v = *c;
         *c += 1;

@@ -294,3 +294,38 @@ fn comm_thread_waiting_on_a_dead_notifiers_pre_event_unblocks() {
         other => panic!("expected ImageFailed, got {other:?}"),
     }
 }
+
+/// A sender that never blocks must still fail-stop: image 0 spawns to
+/// image 1 in a loop with no `finish`, barrier or wait, so the only place
+/// it can learn of image 1's death is the failure check on its send path.
+/// The launch runs on its own thread so a hang fails this test instead of
+/// stalling the suite.
+#[test]
+fn a_sender_that_never_blocks_still_fail_stops() {
+    let _serial = serialize();
+    let mut cfg = failure_cfg(0xFA16);
+    cfg.failure = Some(FailureParams::aggressive());
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let out: Result<Vec<()>, RuntimeError> = Runtime::try_launch(2, cfg, |img| {
+            if img.id().index() == 1 {
+                panic!("image 1 dies");
+            }
+            loop {
+                img.spawn(img.image(1), |_| {});
+            }
+        });
+        let _ = tx.send(out);
+    });
+    let out = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("launch hung: a sender that never blocks missed the death");
+    match out {
+        Err(RuntimeError::ImageFailed(r)) => {
+            assert_eq!(r.image, 1, "the panicking image is the victim: {r}");
+            let obs: Vec<_> = r.observers.iter().map(|o| (o.image, o.construct)).collect();
+            assert_eq!(obs, vec![(0, "send")], "the survivor aborts on its send path: {r}");
+        }
+        other => panic!("expected ImageFailed, got {other:?}"),
+    }
+}

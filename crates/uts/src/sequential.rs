@@ -111,6 +111,53 @@ mod tests {
         assert!((0.185..0.215).contains(&p0), "leaf probability {p0} ≉ 0.2");
     }
 
+    /// How much the host slows the node kernel down when two threads run
+    /// it at once, the situation of a two-image UTS traversal: prints the
+    /// `count_tree` rate of `geo_fixed(4.0, 8, 19)` on one thread, then
+    /// on each of two concurrent threads, over five rounds. A two-thread
+    /// time above the one-thread time is the host's doing (shared cores,
+    /// caches or clock), not the runtime's, and lowers `uts.efficiency`
+    /// by the same factor. Run with
+    /// `cargo test -p uts --release -- --ignored --nocapture two_thread_kernel_scaling`.
+    #[test]
+    #[ignore = "a timing probe; run with --ignored --nocapture (use --release)"]
+    fn two_thread_kernel_scaling() {
+        use std::sync::Barrier;
+        use std::time::Instant;
+
+        let spec = TreeSpec::geo_fixed(4.0, 8, 19);
+        let timed = |spec: &TreeSpec| {
+            let t = Instant::now();
+            let stats = count_tree(spec);
+            (stats.nodes, t.elapsed().as_secs_f64())
+        };
+        let (nodes, _) = timed(&spec); // warm-up
+        for round in 1..=5 {
+            let (_, one) = timed(&spec);
+            let barrier = Barrier::new(2);
+            let two: Vec<f64> = std::thread::scope(|s| {
+                let runs: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            timed(&spec).1
+                        })
+                    })
+                    .collect();
+                runs.into_iter().map(|h| h.join().expect("kernel thread")).collect()
+            });
+            let slowest = two.iter().copied().fold(0.0, f64::max);
+            println!(
+                "round {round}: {nodes} nodes; one thread {:.2} M nodes/s; two threads {:.2} and \
+                 {:.2} M nodes/s each; two-thread time / one-thread time {:.2}",
+                nodes as f64 / one / 1e6,
+                nodes as f64 / two[0] / 1e6,
+                nodes as f64 / two[1] / 1e6,
+                slowest / one
+            );
+        }
+    }
+
     #[test]
     fn bounded_count_detects_oversize() {
         let spec = TreeSpec::geo_fixed(4.0, 5, 19);

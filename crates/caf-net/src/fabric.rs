@@ -44,6 +44,11 @@
 //! heartbeat and detector deadlines (see [`crate::reliable`]). A pump
 //! before the gate costs one clock read and one relaxed load; a full
 //! pump recomputes the gate, and a park never sleeps past it.
+//!
+//! Each image's own thread [`Fabric::attach`]es to its inbox before
+//! anything can wake it, and [`Fabric::wait_activity`] parks that thread.
+//! A push, [`Fabric::poke`] and [`Fabric::mark_crashed`] all wake an image
+//! the same way, by unparking it (see [`crate::inbox`]).
 //! [`Fabric::try_recv`] drains first and pumps only when the drain is
 //! over, so acks already queued retire their frames before a
 //! retransmission scan sees them. The fabric never flushes the
@@ -70,13 +75,16 @@ use crate::inbox::Inbox;
 use crate::reliable::{Reliable, Wire};
 use crate::stats::FabricStats;
 
-/// The fault schedule plus the reliable layer answering it.
+/// The fault schedule plus the reliable layer answering it, and the
+/// failure detection that may run beside it.
 struct Chaos<M> {
     plan: FaultPlan,
     /// Fabric creation time — stall windows and retry deadlines are
     /// relative to this.
     epoch: Instant,
     reliable: Reliable<M>,
+    /// Heartbeats and failure detectors, when engaged.
+    failure: Option<FailureLayer>,
 }
 
 impl<M> Chaos<M> {
@@ -93,10 +101,9 @@ pub struct Fabric<M> {
     non_fifo: bool,
     seq: AtomicU64,
     stats: FabricStats,
-    /// Fault injection and reliable delivery; `None` on a lossless wire.
+    /// Fault injection, reliable delivery and failure detection; `None`
+    /// on a lossless wire.
     chaos: Option<Chaos<M>>,
-    /// Heartbeats and failure detectors; only ever set alongside `chaos`.
-    failure: Option<FailureLayer>,
     /// Fail-stop flags, one per image, set by a crash fault firing on the
     /// wire or by [`Fabric::mark_crashed`] (panic boundaries crash images
     /// even without a fault plan).
@@ -127,9 +134,9 @@ impl<M: Send> Fabric<M> {
         failure: Option<FailureParams>,
     ) -> Arc<Self> {
         let epoch = Instant::now();
+        let failure = failure.map(|params| FailureLayer::new(n, params, epoch));
         Arc::new(Fabric {
-            chaos: Some(Chaos { plan, epoch, reliable: Reliable::new(n, retry) }),
-            failure: failure.map(|params| FailureLayer::new(n, params, epoch)),
+            chaos: Some(Chaos { plan, epoch, reliable: Reliable::new(n, retry), failure }),
             ..Fabric::lossless(n, model, non_fifo)
         })
     }
@@ -142,7 +149,6 @@ impl<M: Send> Fabric<M> {
             seq: AtomicU64::new(0),
             stats: FabricStats::default(),
             chaos: None,
-            failure: None,
             crashed: (0..n).map(|_| AtomicBool::new(false)).collect(),
             crashed_at: (0..n).map(|_| Mutex::new(None)).collect(),
         }
@@ -158,6 +164,11 @@ impl<M: Send> Fabric<M> {
         self.chaos.is_some()
     }
 
+    /// The failure-detection layer, when engaged.
+    fn failure(&self) -> Option<&FailureLayer> {
+        self.chaos.as_ref()?.failure.as_ref()
+    }
+
     /// Whether `image` has fail-stopped (crash fault fired, or the
     /// runtime reported it via [`Fabric::mark_crashed`]). An image thread
     /// observing its own flag must unwind instead of continuing to run.
@@ -167,7 +178,7 @@ impl<M: Send> Fabric<M> {
 
     /// Reports `image` as fail-stopped from outside the fault plan — the
     /// runtime's panic boundary calls this when an image closure panics.
-    /// Idempotent; wakes every parked image so senders re-check flags.
+    /// Idempotent; wakes every image so senders re-check flags.
     pub fn mark_crashed(&self, image: ImageId) {
         self.crashed[image.index()].store(true, Ordering::Release);
         self.crashed_at[image.index()].lock().get_or_insert_with(Instant::now);
@@ -181,9 +192,9 @@ impl<M: Send> Fabric<M> {
     /// without waiting out the observer's own suspect window, and opens
     /// the observer's gate so its next pump abandons the dead letters.
     pub fn mark_peer_dead(&self, observer: ImageId, peer: usize, incarnation: u64) {
-        if let (Some(fl), Some(chaos)) = (&self.failure, &self.chaos) {
+        if let Some(Chaos { reliable, failure: Some(fl), .. }) = &self.chaos {
             fl.mark_dead(observer, peer, incarnation);
-            chaos.reliable.lower_gate(observer, 0);
+            reliable.lower_gate(observer, 0);
         }
     }
 
@@ -193,20 +204,20 @@ impl<M: Send> Fabric<M> {
     /// and no death is queued.
     pub fn poll_failures(&self, image: ImageId) -> Vec<ConfirmedDown> {
         self.pump(image);
-        self.failure.as_ref().map_or_else(Vec::new, |fl| fl.poll(image))
+        self.failure().map_or_else(Vec::new, |fl| fl.poll(image))
     }
 
     /// Announces `image`'s clean exit to every surviving detector, so the
     /// silence of a normal staggered shutdown is never read as a crash.
     pub fn retire(&self, image: ImageId) {
-        if let Some(fl) = &self.failure {
+        if let Some(fl) = self.failure() {
             fl.retire(image);
         }
     }
 
     /// Discards every queued message in every inbox (graceful team-wide
-    /// drain after a failure verdict), returning the number of logical
-    /// messages dropped.
+    /// drain after a failure verdict, once every image thread has
+    /// joined), returning the number of logical messages dropped.
     pub fn drain_inboxes(&self) -> usize {
         self.inboxes.iter().map(|inbox| inbox.drain()).sum()
     }
@@ -369,7 +380,7 @@ impl<M: Send> Fabric<M> {
             chaos.reliable.close_gate(image);
             return;
         }
-        let fl = self.failure.as_ref();
+        let fl = chaos.failure.as_ref();
         let is_dead = |peer| fl.is_some_and(|fl| fl.is_dead(image, peer));
         let (resend, exhausted) = chaos.reliable.pump(image, now_ns, is_dead, &self.stats);
         if let Some(fl) = fl {
@@ -413,15 +424,16 @@ impl<M: Send> Fabric<M> {
             Wire::Data { from, .. } | Wire::Ack { from, .. } => (from, FIRST_INCARNATION),
             Wire::Heartbeat { from, incarnation } => (from, incarnation),
         };
+        // Protocol envelopes only exist under chaos.
+        let chaos = self.chaos.as_ref()?;
         // Posthumous filter: a frame from a confirmed-dead incarnation must
         // not be acked, delivered, or resurrect work under a poisoned epoch.
-        if let Some(fl) = &self.failure {
+        if let Some(fl) = &chaos.failure {
             if !fl.note_life_sign(image, from, incarnation) {
                 self.stats.note_posthumous_drop();
                 return None;
             }
         }
-        let chaos = self.chaos.as_ref().expect("protocol frames only exist under chaos");
         chaos.reliable.open(image, wire, count, &self.stats)
     }
 
@@ -450,16 +462,23 @@ impl<M: Send> Fabric<M> {
         self.inboxes[image.index()].len()
     }
 
+    /// Makes the calling thread the one that parks for `image` and that
+    /// its wakes unpark. An image's thread calls this before anything can
+    /// poke it. See [`Inbox::attach`].
+    pub fn attach(&self, image: ImageId) {
+        self.inboxes[image.index()].attach();
+    }
+
     /// Wakes `image` if it is parked waiting for activity (no message is
-    /// enqueued). See [`Inbox::poke`].
+    /// enqueued), or cuts its next park short. See [`Inbox::poke`].
     pub fn poke(&self, image: ImageId) {
         self.inboxes[image.index()].poke();
     }
 
-    /// Parks `image` until a message arrives / becomes due, a poke lands,
-    /// its protocol gate falls due, or `deadline` passes. The caller has
-    /// flushed what `image` owes (see [`Fabric::try_recv`]). See
-    /// [`Inbox::wait_activity`].
+    /// Parks `image`'s attached thread until a message arrives / becomes
+    /// due, a poke lands, its protocol gate falls due, or `deadline`
+    /// passes. The caller has flushed what `image` owes (see
+    /// [`Fabric::try_recv`]). See [`Inbox::wait_activity`].
     pub fn wait_activity(&self, image: ImageId, deadline: Instant) {
         self.pump(image);
         // A parked image must wake in time to retransmit and heartbeat.
@@ -495,6 +514,7 @@ mod tests {
     /// Receives the way the runtime does: [`poll`], park in
     /// [`Fabric::wait_activity`] until something happens.
     fn recv<M: Send>(f: &Fabric<M>, image: ImageId, deadline: Instant) -> Option<M> {
+        f.attach(image);
         loop {
             if let Some(m) = poll(f, image) {
                 return Some(m);
@@ -715,6 +735,7 @@ mod tests {
         };
         let horizon = retry.exhaustion_horizon();
         let f = faulty(2, plan, retry);
+        f.attach(img(0));
         f.send_unthrottled(img(0), img(1), 0, 7);
         assert_eq!(f.retry_backlog(img(0)), 1);
         let deadline = Instant::now() + horizon * 4 + Duration::from_millis(50);
@@ -738,6 +759,7 @@ mod tests {
             max_retries: 4,
         };
         let f = faulty(2, plan, retry);
+        f.attach(img(0));
         f.send_unthrottled(img(0), img(1), 0, 11);
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut surfaced = Vec::new();
@@ -857,6 +879,8 @@ mod tests {
     #[test]
     fn idle_links_heartbeat_and_stay_alive() {
         let f = chaos_pair(FaultPlan::none(7));
+        f.attach(img(0));
+        f.attach(img(1));
         let deadline = Instant::now() + FailureParams::aggressive().detection_horizon() * 3;
         while Instant::now() < deadline {
             for i in 0..2 {
@@ -982,7 +1006,7 @@ mod tests {
             assert!(f.poll_failures(img(0)).is_empty(), "clean exit misread as a crash");
             std::thread::sleep(Duration::from_micros(500));
         }
-        let (suspects, _) = f.failure.as_ref().expect("detection is on").metrics(img(0));
+        let (suspects, _) = f.failure().expect("detection is on").metrics(img(0));
         assert_eq!(suspects, 0, "retired peers must never enter the suspect window");
     }
 
@@ -1004,6 +1028,7 @@ mod tests {
         };
         let f: Arc<Fabric<u32>> =
             Fabric::with_chaos(2, NetworkModel::instant(), false, plan, retry, Some(params));
+        f.attach(img(0));
         f.send_unthrottled(img(0), img(1), 0, 9);
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut downs = Vec::new();

@@ -3,17 +3,17 @@
 //! Each image owns one inbox. Messages are stamped with a delivery
 //! deadline when sent; [`Inbox::try_pop_due`] only surfaces a message once
 //! its deadline has passed, which is how the fabric models wire latency
-//! without dedicating a thread to the network. Blocked receivers park on
-//! the inbox's one condvar with a timeout at the earliest pending
-//! deadline. Senders never park here: flow control is a non-blocking
-//! depth check ([`Inbox::len`]), and a refused image thread drains its
-//! own inbox until the target has credit.
+//! without dedicating a thread to the network. Senders never park here:
+//! flow control is a non-blocking depth check ([`Inbox::len`]), and a
+//! refused image thread drains its own inbox until the target has credit.
 //!
-//! A poke leaves a flag under the lock that the next
-//! [`Inbox::wait_activity`] consumes instead of parking, so a poke that
-//! lands between a receiver's last check and its park is not lost. An
-//! empty [`Inbox::try_pop_due`] spends the flag too: the receiver checks
-//! its predicate after its last poll, so an older poke is stale.
+//! The image's own thread is the only one that parks on its inbox. It
+//! [`Inbox::attach`]es once, and [`Inbox::wait_activity`] is then a
+//! `park_timeout` of that thread until the earliest pending deadline.
+//! Every wake is an `unpark` of it: a push, a poke, a crash or an abort.
+//! The park token is sticky, so a wake that lands between the receiver's
+//! last check and its park is not lost; one that lands while the receiver
+//! runs costs it one extra poll at its next park.
 //!
 //! Every entry carries a *weight*: the number of logical messages its
 //! frame holds. The queue depth that flow control reads is the sum of the
@@ -21,9 +21,11 @@
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::thread::{self, Thread};
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 struct Timed<M> {
     deliver_at: Instant,
@@ -55,14 +57,13 @@ struct Inner<M> {
     seq: u64,
     /// Sum of the queued entries' weights.
     depth: usize,
-    /// A poke no park has consumed yet.
-    poked: bool,
 }
 
 /// A single image's timed message queue.
 pub struct Inbox<M> {
     inner: Mutex<Inner<M>>,
-    arrived: Condvar,
+    /// The thread that parks in [`Inbox::wait_activity`], once attached.
+    owner: OnceLock<Thread>,
     /// Weighted queue depth mirror, maintained under `inner`'s lock but
     /// readable without it — `len()` is on senders' flow-control fast
     /// path.
@@ -79,15 +80,24 @@ impl<M> Inbox<M> {
     /// Creates an empty inbox.
     pub fn new() -> Self {
         Inbox {
-            inner: Mutex::new(Inner { heap: BinaryHeap::new(), seq: 0, depth: 0, poked: false }),
-            arrived: Condvar::new(),
+            inner: Mutex::new(Inner { heap: BinaryHeap::new(), seq: 0, depth: 0 }),
+            owner: OnceLock::new(),
             len: AtomicUsize::new(0),
         }
     }
 
+    /// Makes the calling thread the one that parks on this inbox and that
+    /// every wake unparks. Call it before anyone may poke the inbox; a
+    /// push that comes first is found by the first park's look at the
+    /// queue. Idempotent on the same thread.
+    pub fn attach(&self) {
+        let owner = self.owner.get_or_init(thread::current);
+        debug_assert_eq!(owner.id(), thread::current().id(), "an inbox has one parking thread");
+    }
+
     /// Enqueues a frame of `weight` logical messages to surface at
-    /// `deliver_at`, waking any parked receiver so it can re-evaluate its
-    /// next deadline.
+    /// `deliver_at`, waking the receiver so it can re-evaluate its next
+    /// deadline.
     pub fn push(&self, deliver_at: Instant, weight: usize, msg: M) {
         let mut inner = self.inner.lock();
         inner.seq += 1;
@@ -96,12 +106,12 @@ impl<M> Inbox<M> {
         inner.depth += weight;
         self.len.store(inner.depth, Ordering::Release);
         drop(inner);
-        self.arrived.notify_all();
+        self.poke();
     }
 
     /// Pops the earliest message whose deadline has passed, if any, with
     /// its weight, and reports under the same lock whether another one is
-    /// already due. An empty poll spends any pending poke.
+    /// already due.
     pub fn try_pop_due(&self) -> Option<(M, usize, bool)> {
         let now = Instant::now();
         let mut inner = self.inner.lock();
@@ -112,54 +122,47 @@ impl<M> Inbox<M> {
             self.len.store(inner.depth, Ordering::Release);
             Some((msg, weight, more_due))
         } else {
-            // The caller re-checks its predicate after an empty poll, so a
-            // poke that came before it is spent.
-            inner.poked = false;
             None
         }
     }
 
-    /// Wakes any receiver parked in [`Inbox::wait_activity`] without
-    /// enqueueing a message, or, if none is parked, makes the next
-    /// [`Inbox::wait_activity`] return at once. Used by communication
-    /// threads after advancing an operation's completion state, so the
-    /// image re-evaluates its wait predicate promptly.
+    /// Unparks the attached receiver without enqueueing a message; if it
+    /// is not parked, its next [`Inbox::wait_activity`] returns at once.
+    /// Used by communication threads after advancing an operation's
+    /// completion state, so the image re-evaluates its wait predicate
+    /// promptly. A no-op before [`Inbox::attach`].
     pub fn poke(&self) {
-        self.inner.lock().poked = true;
-        self.arrived.notify_all();
+        if let Some(owner) = self.owner.get() {
+            owner.unpark();
+        }
     }
 
-    /// Parks until *something happens*: a message arrives, [`Inbox::poke`]
-    /// is called (or was, since the last park), the earliest pending
-    /// delivery deadline passes, or `deadline` is reached. Callers
-    /// re-check their predicate and drain due messages after this
-    /// returns; spurious wakeups are harmless.
+    /// Parks the attached thread until *something happens*: a message
+    /// arrives, [`Inbox::poke`] is called (or was, since the last park),
+    /// the earliest pending delivery deadline passes, or `deadline` is
+    /// reached. Callers re-check their predicate and drain due messages
+    /// after this returns; spurious wakeups are harmless.
     pub fn wait_activity(&self, deadline: Instant) {
-        let mut inner = self.inner.lock();
-        if std::mem::take(&mut inner.poked) {
-            return;
-        }
+        debug_assert!(
+            self.owner.get().is_some_and(|t| t.id() == thread::current().id()),
+            "only the attached thread parks on an inbox"
+        );
+        let earliest = self.inner.lock().heap.peek().map(|t| t.deliver_at);
+        let until = earliest.map_or(deadline, |at| at.min(deadline));
         let now = Instant::now();
-        if inner.heap.peek().is_some_and(|t| t.deliver_at <= now) {
-            return; // something is already due
-        }
-        let until = inner.heap.peek().map(|t| t.deliver_at.min(deadline)).unwrap_or(deadline);
         if until > now {
-            self.arrived.wait_until(&mut inner, until);
-            // The caller re-checks everything; a poke that woke it is spent.
-            inner.poked = false;
+            thread::park_timeout(until - now);
         }
     }
 
     /// Discards every queued message, due or not, returning how many
-    /// logical messages were dropped.
+    /// logical messages were dropped. Wakes no one: it runs once the
+    /// receiver has stopped.
     pub fn drain(&self) -> usize {
         let mut inner = self.inner.lock();
         let n = std::mem::take(&mut inner.depth);
         inner.heap.clear();
         self.len.store(0, Ordering::Release);
-        drop(inner);
-        self.arrived.notify_all();
         n
     }
 
@@ -184,6 +187,7 @@ mod tests {
     /// Receives the way the fabric does: pop what is due, else park in
     /// [`Inbox::wait_activity`] until something happens or `deadline`.
     fn pop_until<M>(inbox: &Inbox<M>, deadline: Instant) -> Option<M> {
+        inbox.attach();
         loop {
             if let Some((msg, _, _)) = inbox.try_pop_due() {
                 return Some(msg);
@@ -266,6 +270,7 @@ mod tests {
     #[test]
     fn a_poke_before_the_park_is_not_lost() {
         let inbox: Inbox<u8> = Inbox::new();
+        inbox.attach();
         let start = Instant::now();
         inbox.poke();
         inbox.wait_activity(start + Duration::from_secs(2));
@@ -281,13 +286,20 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_poll_spends_a_poke() {
-        let inbox: Inbox<u8> = Inbox::new();
-        inbox.poke();
-        assert!(inbox.try_pop_due().is_none());
+    fn a_poke_from_another_thread_wakes_a_parked_receiver() {
+        let inbox = std::sync::Arc::new(Inbox::<u8>::new());
+        inbox.attach();
+        let poker = {
+            let inbox = inbox.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(10));
+                inbox.poke();
+            })
+        };
         let start = Instant::now();
-        inbox.wait_activity(start + Duration::from_millis(20));
-        assert!(start.elapsed() >= Duration::from_millis(20), "a stale poke cut the park short");
+        inbox.wait_activity(start + Duration::from_secs(2));
+        assert!(start.elapsed() < Duration::from_secs(1), "the poke never woke the park");
+        poker.join().unwrap();
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   call returns (the GASNet-like behaviour), so initiation already
 //!   implies local data completion.
 
-use crossbeam::channel::{unbounded, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 
 pub use caf_core::config::CommMode;
@@ -39,7 +39,7 @@ impl CommPump {
         match mode {
             CommMode::Inline => CommPump { backend: Backend::Inline },
             CommMode::DedicatedThread => {
-                let (tx, rx) = unbounded::<Task>();
+                let (tx, rx) = channel::<Task>();
                 let handle = std::thread::Builder::new()
                     .name(format!("caf-comm-{image_index}"))
                     .spawn(move || {
@@ -71,7 +71,7 @@ impl Drop for CommPump {
         if let Backend::Thread { tx, handle } = &mut self.backend {
             // Close the channel, then join so queued tasks finish before
             // the runtime tears down shared state.
-            let (closed, _) = unbounded::<Task>();
+            let (closed, _) = channel::<Task>();
             *tx = closed;
             if let Some(h) = handle.take() {
                 let _ = h.join();

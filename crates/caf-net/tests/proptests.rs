@@ -24,6 +24,7 @@ fn poll(f: &Fabric<u64>, to: ImageId) -> Option<u64> {
 /// Receives the way the runtime does: `poll`, park in `wait_activity`
 /// until something happens or `deadline` passes.
 fn recv(f: &Fabric<u64>, to: ImageId, deadline: Instant) -> Option<u64> {
+    f.attach(to);
     loop {
         if let Some(v) = poll(f, to) {
             return Some(v);
@@ -157,6 +158,7 @@ proptest! {
             ..NetworkModel::instant()
         };
         let f: Arc<Fabric<u64>> = Fabric::with_chaos(4, model, non_fifo, plan, retry, None);
+        f.attach(ImageId(3));
         for (i, &(from, bytes)) in sends.iter().enumerate() {
             f.send_unthrottled(ImageId(from), ImageId(3), bytes, i as u64);
         }

@@ -307,7 +307,8 @@ impl Image {
     /// this image, not the launch: it records the panic message, posts
     /// the death (the boundary *is* the detector here — zero latency),
     /// broadcasts it before this image's traffic is silenced, then
-    /// silences it and unwinds with the abort payload.
+    /// silences it, which wakes every image, and unwinds with the abort
+    /// payload.
     pub(crate) fn die_of_panic(&self, payload: Box<dyn Any + Send>) -> ! {
         let hub = match &self.shared.failure {
             Some(hub) if !payload.is::<AbortUnwind>() => hub,
@@ -324,9 +325,6 @@ impl Image {
             self.broadcast_down(self.id().index(), FIRST_INCARNATION);
         }
         self.shared.fabric.mark_crashed(self.id());
-        for i in 0..self.shared.n {
-            self.shared.fabric.poke(ImageId(i));
-        }
         std::panic::resume_unwind(Box::new(AbortUnwind));
     }
 

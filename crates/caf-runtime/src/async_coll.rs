@@ -31,7 +31,7 @@ use crate::copy::AsyncOp;
 use crate::event::Event;
 use crate::image::Image;
 use crate::msg::AmFn;
-use crate::state::{AsyncReg, ImageState};
+use crate::state::AsyncReg;
 
 /// Events accepted by asynchronous collectives.
 #[derive(Default, Clone, Copy)]
@@ -79,7 +79,7 @@ pub struct AsyncScalar {
 
 impl Image {
     fn bump_async_seq(&self, team: &Team) -> u64 {
-        ImageState::bump(&mut self.st.borrow_mut().async_seq, team.id())
+        self.st.borrow_mut().next_seq(team.id(), |s| &mut s.async_coll)
     }
 
     /// Runs `f` on the instance (created on first touch), then fires any

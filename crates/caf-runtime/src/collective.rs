@@ -21,7 +21,6 @@ use caf_core::topology::{dissemination_peers, BinomialTree, Team};
 
 use crate::image::Image;
 use crate::msg::{AmFn, CollKey};
-use crate::state::ImageState;
 
 /// Tag bases distinguishing stages within one collective call.
 mod tag {
@@ -42,7 +41,7 @@ impl Image {
     }
 
     fn next_coll_seq(&self, team: &Team) -> u64 {
-        ImageState::bump(&mut self.st.borrow_mut().coll_seq, team.id())
+        self.st.borrow_mut().next_seq(team.id(), |s| &mut s.coll)
     }
 
     fn coll_send<T: Any + Send>(&self, team: &Team, seq: u64, tg: u32, to: TeamRank, payload: T) {
@@ -406,7 +405,7 @@ impl Image {
     /// `color` form a new team, ranked by `key` (ties by parent rank).
     /// Collective over `parent`; every member receives its new team.
     pub fn team_split(&self, parent: &Team, color: u64, key: u64) -> Team {
-        let split_seq = ImageState::bump(&mut self.st.borrow_mut().split_seq, parent.id());
+        let split_seq = self.st.borrow_mut().next_seq(parent.id(), |s| &mut s.split);
         let pairs: Vec<(u64, u64)> = self.allgather(parent, (color, key));
         let groups = parent.split_by(|r| pairs[r.0]);
         let (_, members) = groups

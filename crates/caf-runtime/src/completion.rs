@@ -8,12 +8,12 @@
 //! descriptor holds one [`Completion`] cell; the comm engine and incoming
 //! acknowledgements advance it monotonically.
 
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 /// The observable stages of one asynchronous operation, in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum Stage {
     /// The initiating call has returned; the operation is queued.
     Initiated,
@@ -26,30 +26,29 @@ pub enum Stage {
 }
 
 /// A monotonically advancing completion cell, shared between the
-/// initiating image, its communication thread, and AM handlers.
+/// initiating image, its communication thread, and AM handlers. Lock-free:
+/// an advance releases what its advancer wrote (a snapshot taken, a reply
+/// applied) to whoever then sees the stage reached.
 #[derive(Debug)]
 pub struct Completion {
-    stage: Mutex<Stage>,
+    stage: AtomicU8,
 }
 
 impl Completion {
     /// A fresh cell at [`Stage::Initiated`].
     pub fn new() -> Arc<Self> {
-        Arc::new(Completion { stage: Mutex::new(Stage::Initiated) })
+        Arc::new(Completion { stage: AtomicU8::new(Stage::Initiated as u8) })
     }
 
     /// Advances to `to` if that is later than the current stage (stages
     /// never regress).
     pub fn advance(&self, to: Stage) {
-        let mut s = self.stage.lock();
-        if to > *s {
-            *s = to;
-        }
+        self.stage.fetch_max(to as u8, Ordering::Release);
     }
 
     /// Whether the operation has reached `at` (or later).
     pub fn reached(&self, at: Stage) -> bool {
-        *self.stage.lock() >= at
+        self.stage.load(Ordering::Acquire) >= at as u8
     }
 }
 

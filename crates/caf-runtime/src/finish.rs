@@ -18,7 +18,6 @@ use caf_core::topology::Team;
 use caf_core::trace::TraceEvent;
 
 use crate::image::Image;
-use crate::state::ImageState;
 
 impl Image {
     /// Runs `body` inside a finish block over `team`, then blocks until
@@ -41,7 +40,7 @@ impl Image {
             team.id()
         );
         let fid = {
-            let seq = ImageState::bump(&mut self.st.borrow_mut().finish_seq, team.id());
+            let seq = self.st.borrow_mut().next_seq(team.id(), |s| &mut s.finish);
             FinishId { team: team.id(), seq }
         };
         // Materialize the frame and enter the attribution context.

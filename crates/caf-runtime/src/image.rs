@@ -63,7 +63,10 @@ pub(crate) fn frame_cap_ams(inbox_capacity: Option<usize>) -> usize {
 }
 
 impl Image {
+    /// Runs on the image's own thread, which becomes the one that parks
+    /// for `me`, before the communication thread that may poke it starts.
     pub(crate) fn new(shared: Arc<Shared>, me: ImageId) -> Self {
+        shared.fabric.attach(me);
         let world = Team::world(shared.n);
         let pump = CommPump::new(shared.cfg.comm_mode, me.index());
         let seed = shared.cfg.seed ^ (me.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -492,7 +495,7 @@ impl Image {
         len: usize,
         init: T,
     ) -> Coarray<T> {
-        let seq = ImageState::bump(&mut self.st.borrow_mut().alloc_seq, team.id());
+        let seq = self.st.borrow_mut().next_seq(team.id(), |s| &mut s.alloc);
         let mut allocs = self.shared.allocs.lock();
         let entry = allocs
             .entry((team.id(), seq))

@@ -4,7 +4,7 @@
 //! run on it during progress), so it sits behind a `RefCell` in
 //! [`crate::image::Image`]. State shared with communication threads —
 //! event tables, coarray segments, completion cells — lives elsewhere
-//! behind locks.
+//! behind locks or atomics.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -82,6 +82,23 @@ pub(crate) struct OutBuf {
     pub bytes: usize,
 }
 
+/// One image's sequence counters for one team: each numbers one kind of
+/// call that every member makes at the same program point, so the
+/// members agree on the `n`-th call's id.
+#[derive(Default)]
+pub(crate) struct TeamSeq {
+    /// Next `finish` block.
+    pub finish: u64,
+    /// Next synchronous collective.
+    pub coll: u64,
+    /// Next collective allocation.
+    pub alloc: u64,
+    /// Next `team_split` with this team as the parent.
+    pub split: u64,
+    /// Next asynchronous collective.
+    pub async_coll: u64,
+}
+
 /// All single-thread mutable state of one image.
 pub(crate) struct ImageState {
     /// The paper's termination detector of each dynamic `finish` block
@@ -100,8 +117,8 @@ pub(crate) struct ImageState {
     /// handler blocked in a nested progress loop still lets the rest of
     /// its frame run.
     pub run_queue: VecDeque<Am>,
-    /// Next finish sequence number per team.
-    pub finish_seq: IdMap<TeamId, u64>,
+    /// The sequence counters of each team this image has used.
+    pub team_seq: IdMap<TeamId, TeamSeq>,
     /// Dynamic attribution context: what finish (if any) newly initiated
     /// operations belong to. The main program pushes on `finish` entry;
     /// AM handlers push the incoming message's attribution (dynamic
@@ -110,14 +127,6 @@ pub(crate) struct ImageState {
     /// Buffered synchronous-collective hops that arrived before the local
     /// matching call consumed them.
     pub coll_buf: IdMap<CollKey, Box<dyn Any + Send>>,
-    /// Next collective sequence number per team (SPMD-matched).
-    pub coll_seq: IdMap<TeamId, u64>,
-    /// Next collective-allocation sequence number per team.
-    pub alloc_seq: IdMap<TeamId, u64>,
-    /// Next team-split sequence number per parent team.
-    pub split_seq: IdMap<TeamId, u64>,
-    /// Next asynchronous-collective sequence number per team.
-    pub async_seq: IdMap<TeamId, u64>,
     /// Next co-event slot (SPMD-matched across images).
     pub coevent_seq: u64,
     /// Next purely local event slot (disjoint range from co-events).
@@ -147,13 +156,9 @@ impl ImageState {
             owed_acks: Vec::new(),
             out: (0..images).map(|_| OutBuf::default()).collect(),
             run_queue: VecDeque::new(),
-            finish_seq: IdMap::default(),
+            team_seq: IdMap::default(),
             ctx_stack: Vec::new(),
             coll_buf: IdMap::default(),
-            coll_seq: IdMap::default(),
-            alloc_seq: IdMap::default(),
-            split_seq: IdMap::default(),
-            async_seq: IdMap::default(),
             coevent_seq: 0,
             local_event_seq: 1 << 62,
             pending_scopes: vec![Vec::new()],
@@ -163,9 +168,13 @@ impl ImageState {
         }
     }
 
-    /// Next sequence number from one of the per-team counters.
-    pub(crate) fn bump(map: &mut IdMap<TeamId, u64>, team: TeamId) -> u64 {
-        let c = map.entry(team).or_insert(0);
+    /// Next number from the `counter` of `team`'s sequence counters.
+    pub(crate) fn next_seq(
+        &mut self,
+        team: TeamId,
+        counter: impl FnOnce(&mut TeamSeq) -> &mut u64,
+    ) -> u64 {
+        let c = counter(self.team_seq.entry(team).or_default());
         let v = *c;
         *c += 1;
         v

@@ -1,5 +1,5 @@
 //! Validation of real-execution traces captured by `caf-core`'s
-//! [`TraceRecorder`] hooks in `caf-runtime`.
+//! [`TraceRecorder`](caf_core::trace::TraceRecorder) hooks in `caf-runtime`.
 //!
 //! The runtime records the same protocol events the model checker
 //! explores — sends, delivery acks, receptions, completions, wave entries

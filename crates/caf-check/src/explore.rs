@@ -1,7 +1,7 @@
 //! Stateless sleep-set DFS over all schedules of a bounded scenario.
 //!
 //! The explorer enumerates every transition interleaving of a
-//! [`Scenario`](crate::scenario::Scenario)'s protocol events, pruned by a
+//! [`Scenario`]'s protocol events, pruned by a
 //! classic sleep-set partial-order reduction: after exploring transition
 //! `t` from a state, `t` is put to sleep for the remaining siblings and
 //! stays asleep in their subtrees as long as it is independent of every

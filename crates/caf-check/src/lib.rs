@@ -27,7 +27,7 @@
 //!   reproduces the identical counter history.
 //!
 //! Counterexamples are minimized by two-level delta debugging
-//! ([`shrink`]) and emitted as self-contained replay files ([`replay`])
+//! ([`shrink`](mod@shrink)) and emitted as self-contained replay files ([`replay`])
 //! that `caf-check replay <file>` and the fixture regression tests
 //! consume. [`capture`] closes the loop with the real runtime: traces
 //! recorded by `caf-runtime` through `caf-core`'s `TraceRecorder` are

@@ -104,8 +104,9 @@ impl Default for NetworkModel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommMode {
     /// A dedicated communication thread per image snapshots source buffers
-    /// and injects messages; initiation is a cheap descriptor enqueue and
-    /// local data completion happens strictly later.
+    /// and injects messages, unless the image runs its queued tasks itself
+    /// while it waits; initiation is a cheap descriptor enqueue and local
+    /// data completion happens strictly later.
     #[default]
     DedicatedThread,
     /// The initiating thread itself snapshots the source buffer before

@@ -1,5 +1,5 @@
 //! The third frontend: reconstruct a [`Plan`] from a `caf-core`
-//! [`TraceRecorder`] capture, so executions of the *real* threaded
+//! [`TraceRecorder`](caf_core::trace::TraceRecorder) capture, so executions of the *real* threaded
 //! runtime can be pushed through the same static analyses as
 //! hand-written plans.
 //!

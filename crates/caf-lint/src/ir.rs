@@ -14,7 +14,7 @@
 //! keeps both the static happens-before relation and the `caf-check`
 //! schedule exploration decidable.
 //!
-//! [`lower`] flattens a plan into per-image [`Ctx`] step sequences (plus
+//! [`Plan::lower`] flattens a plan into per-image [`Ctx`] step sequences (plus
 //! one symbolic context per spawnable function) with every copy's local
 //! access class precomputed through the paper's classification: a local
 //! source *reads* local memory, a local destination *writes* it, both

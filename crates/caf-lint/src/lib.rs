@@ -14,7 +14,7 @@
 //! communication skeleton.
 //!
 //! Three frontends produce plans: a fluent [`builder`], a textual
-//! format ([`parse`]), and reconstruction from `caf-core` protocol
+//! format ([`parse`](mod@parse)), and reconstruction from `caf-core` protocol
 //! traces ([`from_trace`]). One lowering ([`ir`]) flattens a plan into
 //! per-image step sequences with every operation's local-access class
 //! precomputed; the happens-before engine ([`hb`]) and the four

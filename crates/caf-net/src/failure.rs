@@ -6,7 +6,7 @@
 //! from heartbeat deadlines *and* retry-budget exhaustion. Every received
 //! frame is a life sign, or posthumous if its sender is confirmed dead.
 //! Like the reliable layer, it runs from the image's own fabric calls,
-//! and only when one of its deadlines is due: [`FailureLayer::pump`]
+//! and only when one of its deadlines is due: `FailureLayer::pump`
 //! returns the earliest next heartbeat or detector deadline, which the
 //! fabric folds into the image's protocol gate. A life sign only moves a
 //! detector deadline later, so it never needs to touch the gate.

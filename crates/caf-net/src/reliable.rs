@@ -5,12 +5,12 @@
 //! dedup, owed and piggybacked acks, budget exhaustion — is the sans-IO
 //! [`LinkMachine`] in `caf_core::fault`, one per (image, peer) pair, which
 //! the discrete-event simulator drives too. This module only supplies what
-//! the threaded fabric adds around it: the [`Wire`] envelope, a payload
+//! the threaded fabric adds around it: the `Wire` envelope, a payload
 //! slot, and one mutex per image over that image's machines.
 //!
-//! The fabric calls [`Reliable`] at four points: [`Reliable::inject`] a
-//! fresh message, [`Reliable::open`] an arriving frame,
-//! [`Reliable::owed_acks`] at its flush points, and [`Reliable::pump`] due
+//! The fabric calls `Reliable` at four points: `Reliable::inject` a
+//! fresh message, `Reliable::open` an arriving frame,
+//! `Reliable::owed_acks` at its flush points, and `Reliable::pump` due
 //! retransmissions. Times are nanoseconds since the fabric's epoch.
 //!
 //! Each image also has a *protocol gate*: one atomic holding the earliest
@@ -18,8 +18,8 @@
 //! a heartbeat or a detector deadline in [`crate::failure`]). The fabric
 //! skips the pump while the clock is before the gate and clamps parks to
 //! it. The gate may be early, never late: an ack or a life sign only
-//! moves a deadline later and leaves the gate alone, [`Reliable::inject`]
-//! lowers it under the links lock that [`Reliable::pump`] recomputes it
+//! moves a deadline later and leaves the gate alone, `Reliable::inject`
+//! lowers it under the links lock that `Reliable::pump` recomputes it
 //! under (a communication thread injects for its image concurrently),
 //! and the fabric opens it (lowers it to 0) when a death gives the pump
 //! dead letters to abandon.

@@ -2,10 +2,10 @@
 //! `copy_async(destA[p1], srcA[p2], preE, srcE, destE)`.
 //!
 //! Initiation only enqueues a descriptor on the image's communication
-//! engine; the source-buffer snapshot happens later (on the communication
-//! thread under [`caf_core::config::CommMode::DedicatedThread`]), so
-//! *local data completion* is a genuinely later point than initiation —
-//! the window the `cofence` micro-benchmark (Fig. 12) exploits. The data
+//! engine; the source snapshot runs later, on whoever holds its runner
+//! slot (the communication thread, or the image once it waits), so *local
+//! data completion* is a genuinely later point than initiation — the
+//! window the `cofence` micro-benchmark (Fig. 12) exploits. The data
 //! plane rides ordinary active messages, so finish accounting and latency
 //! modelling come for free:
 //!
@@ -271,12 +271,12 @@ impl Image {
                 shared.fabric.poke(me);
             }
             if let Some(e) = src_ev {
+                // The owner may be parked waiting on `e`. This thread holds
+                // the runner slot, so a task parked on `e` runs here.
                 let task = crate::image::notify_event_from(&shared, me, e.id);
                 if e.owner() == me {
-                    // The owner may be parked waiting on `e`.
                     shared.fabric.poke(me);
                 }
-                // This thread is the pump: a task parked on `e` runs here.
                 if let Some(task) = task {
                     task();
                 }

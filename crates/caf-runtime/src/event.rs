@@ -11,8 +11,8 @@
 //! A predicated copy whose `preE` is not yet posted parks its
 //! communication task on the cell. The next notify hands the oldest
 //! parked task out instead of raising the count, and the notifying thread
-//! (the owner's image thread or communication thread) dispatches it. No
-//! thread ever blocks on a cell.
+//! dispatches it (in place if it holds the engine's runner slot, as a
+//! copy's `srcE` notify does). No thread ever blocks on a cell.
 //!
 //! `event_notify` has release semantics and `event_wait` acquire semantics
 //! (§III-B4); in this runtime that ordering is inherited from the lock

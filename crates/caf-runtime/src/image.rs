@@ -192,6 +192,7 @@ impl Image {
     /// `construct` names the blocking construct for the abort report.
     /// Each park iteration polls [`Image::check_abort`], so a confirmed
     /// image failure or a declared stall aborts the wait (and the image).
+    /// Before it parks, the image runs its own queued communication tasks.
     pub(crate) fn wait_until(&self, construct: &'static str, mut pred: impl FnMut() -> bool) {
         let waiting = self.shared.watchdog.as_ref().map(|w| w.enter_wait(self.me.index()));
         loop {
@@ -200,7 +201,9 @@ impl Image {
                 return;
             }
             self.check_abort(construct, waiting.as_ref());
-            self.shared.fabric.wait_activity(self.me, Instant::now() + MAX_PARK);
+            if !self.pump.run_queued() {
+                self.shared.fabric.wait_activity(self.me, Instant::now() + MAX_PARK);
+            }
         }
     }
 
@@ -278,9 +281,9 @@ impl Image {
 
     /// Sends one active message as its own frame, without aggregation or
     /// flow control: every control message, and every AM a communication
-    /// thread injects. `finish` is already counted (or `None`). Callable
-    /// from communication threads (takes no image state); a communication
-    /// thread cannot drain an inbox while it waits for credit, and a
+    /// task injects. `finish` is already counted (or `None`). Callable
+    /// from communication tasks (takes no image state); a task on the
+    /// communication thread cannot drain an inbox while it waits, and a
     /// control message is a reply that must never wait for it. The frame
     /// still counts in the target's inbox depth.
     pub(crate) fn send_unbuffered(
@@ -569,7 +572,7 @@ impl Image {
 
 /// Notifies an event cell from `from`'s perspective: locally when `from`
 /// owns it, otherwise by an uncounted AM that notifies it at its owner.
-/// Callable from communication threads; one that notifies a local event
+/// Callable from communication tasks; one that notifies a local event
 /// pokes `from` itself, since the owner may be parked waiting on it.
 /// Returns the task a local notify hands out, for the caller to dispatch
 /// on `from`'s communication engine.

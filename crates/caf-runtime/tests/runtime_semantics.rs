@@ -359,6 +359,47 @@ fn directional_cofence_lets_writes_pass() {
     });
 }
 
+/// Copy A sends image 0's source word to image 1 with `srcE = e`; copy
+/// B, with `preE = e`, then overwrites that word with the next value.
+/// B's task is handed out by A's `srcE` notify and runs on whichever
+/// thread holds the runner slot, the image thread inside `cofence` or
+/// the communication thread. Had B read-and-written before A's snapshot,
+/// image 1 would receive B's value, not A's.
+#[test]
+fn a_copy_triggered_by_another_copys_src_event_runs_after_it() {
+    const ITERS: u64 = 1_000;
+    within("a copy triggered by a srcE never ran", || {
+        Runtime::launch(2, cfg_threaded(), |img| {
+            let w = img.world();
+            let word = img.coarray(&w, 1, 0u64);
+            let dst = img.coarray(&w, ITERS as usize, u64::MAX);
+            img.finish(&w, |img| {
+                if img.id().index() != 0 {
+                    return;
+                }
+                let e = img.event();
+                let (me, peer) = (img.id(), img.image(1));
+                for i in 0..ITERS {
+                    let slot = i as usize..i as usize + 1;
+                    img.copy_async(
+                        dst.slice(peer, slot),
+                        word.slice(me, 0..1),
+                        CopyEvents::on_src(e),
+                    );
+                    let next = LocalArray::new(vec![i + 1]);
+                    let b = CopyEvents { pre: Some(e), ..CopyEvents::none() };
+                    img.copy_async_from(word.slice(me, 0..1), &next, 0..1, b);
+                    img.cofence();
+                    assert_eq!(word.read(me, 0..1), vec![i + 1], "B wrote after the cofence");
+                }
+            });
+            if img.id().index() == 1 {
+                assert_eq!(dst.read(img.id(), 0..ITERS as usize), (0..ITERS).collect::<Vec<_>>());
+            }
+        })
+    });
+}
+
 // ----------------------------------------------------------------------
 // Collectives
 // ----------------------------------------------------------------------

@@ -88,6 +88,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== fmt =="
 cargo fmt --all --check
 
+echo "== rustdoc (warnings are errors: broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
+
 if [[ "${1:-}" == "--stress" || "${CI_SOAK:-0}" == "1" ]]; then
     echo "== chaos-stress soak =="
     cargo test --quiet -p caf-runtime --features chaos-stress --test chaos

@@ -10,12 +10,12 @@
 //!
 //! This façade re-exports the member crates:
 //!
-//! * [`core`](caf_core) — ids, teams, topologies, epochs, termination
+//! * [`core`] — ids, teams, topologies, epochs, termination
 //!   detectors, the cofence algebra, and the memory-model checker;
-//! * [`net`](caf_net) — the simulated interconnect;
-//! * [`runtime`](caf_runtime) — the threaded CAF 2.0 runtime;
-//! * [`des`](caf_des) — the discrete-event engine;
-//! * [`sim`](caf_sim) — paper-scale workload models;
+//! * [`net`] — the simulated interconnect;
+//! * [`runtime`] — the threaded CAF 2.0 runtime;
+//! * [`des`] — the discrete-event engine;
+//! * [`sim`] — paper-scale workload models;
 //! * [`uts`] — Unbalanced Tree Search;
 //! * [`randomaccess`] — HPC Challenge RandomAccess.
 //!

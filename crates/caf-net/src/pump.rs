@@ -1,15 +1,14 @@
 //! The per-image communication engine (paper §III-B).
 //!
-//! GASNet completes local data before a non-blocking call returns, which
-//! leaves `cofence` nothing to overlap; the paper offloads communication
-//! to a dedicated thread so the image can compute after initiating.
-//! [`CommPump`] queues tasks (source snapshot + injection) on a per-image
-//! FIFO with one runner slot: whoever takes the slot runs them in order,
-//! one at a time. Under [`CommMode::DedicatedThread`], `submit` rings the
-//! communication thread, and an image about to park runs the queue itself
-//! if the slot is free ([`CommPump::run_queued`]): blocked, it has nothing
-//! to overlap. Under [`CommMode::Inline`], `submit` runs the queue before
-//! it returns (GASNet-like), so initiation implies local data completion.
+//! The paper offloads communication to a dedicated thread so the image
+//! can compute after initiating. [`CommPump`] queues tasks (source
+//! snapshot + injection) on a per-image FIFO with one runner slot:
+//! whoever takes the slot runs them in order, one at a time. Under
+//! [`CommMode::DedicatedThread`], `submit` rings the communication thread,
+//! and an image about to park runs the queue itself if the slot is free
+//! ([`CommPump::run_queued`]): blocked, it has nothing to overlap. Under
+//! [`CommMode::Inline`], `submit` runs the queue before it returns
+//! (GASNet-like), so initiation implies local data completion.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
@@ -23,13 +22,12 @@ pub use caf_core::config::CommMode;
 /// A communication task: a source snapshot plus injection, run once.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// One image's task FIFO and runner slot. `len` mirrors `tasks.len()`
-/// (stored under the lock, read without it); `closed` is set on drop.
+/// One image's task FIFO and runner slot; `len` mirrors `tasks.len()`.
 #[derive(Default)]
 struct Queue {
     tasks: Mutex<VecDeque<Task>>,
     len: AtomicUsize,
-    running: AtomicBool,
+    slot: Mutex<()>,
     closed: AtomicBool,
 }
 
@@ -41,16 +39,17 @@ impl Queue {
         r
     }
 
-    /// Runs queued tasks while this thread can take the slot; returns whether
-    /// any ran. The re-check after release strands no task rung meanwhile.
+    /// Runs queued tasks while this thread holds the slot, whose guard
+    /// frees it on unwind too; returns whether any ran. The re-check after
+    /// each release strands no task rung meanwhile.
     fn run(&self) -> bool {
         let mut ran = false;
-        while self.len.load(SeqCst) > 0 && !self.running.swap(true, SeqCst) {
+        while self.len.load(SeqCst) > 0 {
+            let Some(_slot) = self.slot.try_lock() else { break };
             while let Some(task) = self.edit(VecDeque::pop_front) {
                 task();
                 ran = true;
             }
-            self.running.store(false, SeqCst);
         }
         ran
     }
@@ -223,5 +222,39 @@ mod tests {
             }
         } // drop joins the comm thread once it has run the rest
         assert_eq!(hit.load(Ordering::SeqCst), submitted);
+    }
+
+    #[test]
+    fn drop_joins_after_a_task_panicked_on_the_image_thread() {
+        let here = std::thread::current().id();
+        let pump = CommPump::new(CommMode::DedicatedThread, 0);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            pump.submit(move || {
+                // Only the image thread's run panics, so the slot holder unwinds.
+                assert_ne!(std::thread::current().id(), here, "task panics on the image thread");
+            });
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pump.run_queued()));
+            if run.is_err() {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the image thread never took the slot");
+        }
+        let hit = Arc::new(AtomicUsize::new(0));
+        for _ in 0..50 {
+            let h = hit.clone();
+            pump.submit(move || {
+                h.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        // Drop on another thread, so a stuck slot fails the test, not hangs it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(pump);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("drop hung on a slot the panic left taken");
+        assert_eq!(hit.load(Ordering::SeqCst), 50);
     }
 }

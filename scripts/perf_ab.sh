@@ -16,7 +16,9 @@
 # seed i, untraced, and alternates which side runs first, so drift of the
 # host over minutes hits both sides alike. For each workload it prints
 # every pair's change/parent ratio of the end-to-end metrics, then the
-# median of each side and of the ratios, and `failed` per side. It exits
+# median of each side and of the ratios, each side's quartiles (so a
+# claimed gain can be set against the parent's interquartile spread),
+# and `failed` per side. It exits
 # 1 if any run fails or reports a failed operation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -58,6 +60,11 @@ pairs = int(pairs)
 seconds = seconds or str(spec["run_seconds"])
 bins = {"parent": parent_bin, "change": change_bin}
 ok = True
+
+
+def quartiles(values):
+    """First, second and third quartile (one run: that run three times)."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
 def run(side, workload, seed):
@@ -104,9 +111,11 @@ for w in workloads:
         p = [r["metrics"][m]["value"] for r in got["parent"]]
         c = [r["metrics"][m]["value"] for r in got["change"]]
         ratio = statistics.median(x / y for x, y in zip(c, p))
+        (pq1, _, pq3), (cq1, _, cq3) = quartiles(p), quartiles(c)
         print(f"{w:15} {m:12} parent {statistics.median(p):12.6g} "
               f"change {statistics.median(c):12.6g} ratio median {ratio:.3f} "
-              f"range {min(x / y for x, y in zip(c, p)):.3f}-{max(x / y for x, y in zip(c, p)):.3f}")
+              f"range {min(x / y for x, y in zip(c, p)):.3f}-{max(x / y for x, y in zip(c, p)):.3f} "
+              f"quartiles parent {pq1:.6g}-{pq3:.6g} change {cq1:.6g}-{cq3:.6g}")
     failed = {side: sum(r["failed"] for r in got[side]) for side in got}
     print(f"{w:15} failed       parent {failed['parent']} change {failed['change']}")
 sys.exit(0 if ok else 1)

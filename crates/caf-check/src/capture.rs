@@ -5,8 +5,10 @@
 //! explores — sends, delivery acks, receptions, completions, wave entries
 //! and exits, poison — with wave tags, ack counts and contributions
 //! attached. This module replays a captured trace through fresh
-//! [`EpochDetector`]s (a counted ack applies all of its deliveries) and
-//! cross-checks every recorded value against the replica:
+//! [`EpochDetector`]s running the runtime's one finish algorithm, the
+//! paper's with its quiescence wait (a counted ack applies all of its
+//! deliveries), and cross-checks every recorded value against the
+//! replica:
 //!
 //! * each `Send`'s recorded wave tag must equal the replica's wave count
 //!   at that point in the image's program order;
@@ -42,12 +44,11 @@ fn fail(detail: String) -> Violation {
     Violation { kind: ViolationKind::Capture, detail }
 }
 
-/// Validates a captured event stream. `wait_quiescence` must match the
-/// runtime's `finish_wait_quiescence` config. Event order within each
-/// image is the image thread's program order; cross-image order is
-/// whatever the recorder's lock happened to serialize, which is a legal
-/// interleaving by construction.
-pub fn validate(events: &[TraceEvent], wait_quiescence: bool) -> Result<CaptureReport, Violation> {
+/// Validates a captured event stream. Event order within each image is
+/// the image thread's program order; cross-image order is whatever the
+/// recorder's lock happened to serialize, which is a legal interleaving
+/// by construction.
+pub fn validate(events: &[TraceEvent]) -> Result<CaptureReport, Violation> {
     let mut report = CaptureReport::default();
     // Group by finish id, preserving order.
     let mut by_finish: BTreeMap<(u64, u64), Vec<&TraceEvent>> = BTreeMap::new();
@@ -57,16 +58,12 @@ pub fn validate(events: &[TraceEvent], wait_quiescence: bool) -> Result<CaptureR
     report.finishes = by_finish.len();
     report.events = events.len();
     for (fid, evs) in by_finish {
-        report.waves += validate_finish(fid, &evs, wait_quiescence)?;
+        report.waves += validate_finish(fid, &evs)?;
     }
     Ok(report)
 }
 
-fn validate_finish(
-    fid: (u64, u64),
-    events: &[&TraceEvent],
-    wait_quiescence: bool,
-) -> Result<usize, Violation> {
+fn validate_finish(fid: (u64, u64), events: &[&TraceEvent]) -> Result<usize, Violation> {
     let mut dets: BTreeMap<usize, EpochDetector> = BTreeMap::new();
     // Per-image count of exited waves (the image's current wave index),
     // and the recorded per-wave contributions/sums for cross-checks.
@@ -77,7 +74,7 @@ fn validate_finish(
     let mut max_wave = 0usize;
     for ev in events {
         let image = ev.image();
-        let det = dets.entry(image).or_insert_with(|| EpochDetector::new(wait_quiescence));
+        let det = dets.entry(image).or_insert_with(|| EpochDetector::new(true));
         match ev {
             TraceEvent::Send { wave, .. } => {
                 let replica = det.on_send();
@@ -181,7 +178,7 @@ mod tests {
 
     #[test]
     fn clean_capture_validates() {
-        let report = validate(&clean_capture(), true).expect("clean capture");
+        let report = validate(&clean_capture()).expect("clean capture");
         assert_eq!(report, CaptureReport { finishes: 1, events: 8, waves: 1 });
     }
 
@@ -189,7 +186,7 @@ mod tests {
     fn wrong_wave_tag_is_flagged() {
         let mut evs = clean_capture();
         evs[0] = TraceEvent::Send { image: 0, finish: (0, 1), wave: 1 };
-        let v = validate(&evs, true).unwrap_err();
+        let v = validate(&evs).unwrap_err();
         assert_eq!(v.kind, ViolationKind::Capture);
         assert!(v.detail.contains("send"), "{}", v.detail);
     }
@@ -202,17 +199,15 @@ mod tests {
             TraceEvent::Send { image: 0, finish: f, wave: 0 },
             TraceEvent::EnterWave { image: 0, finish: f, contribution: [1, 0] },
         ];
-        let v = validate(&evs, true).unwrap_err();
+        let v = validate(&evs).unwrap_err();
         assert!(v.detail.contains("not ready"), "{}", v.detail);
-        // The loose detector is allowed to do exactly that.
-        assert!(validate(&evs, false).is_ok());
     }
 
     #[test]
     fn diverged_sum_is_flagged() {
         let mut evs = clean_capture();
         evs[7] = TraceEvent::ExitWave { image: 1, finish: (0, 1), sum: [1, 0], terminated: false };
-        let v = validate(&evs, true).unwrap_err();
+        let v = validate(&evs).unwrap_err();
         assert!(v.detail.contains("allreduce diverged"), "{}", v.detail);
     }
 
@@ -220,7 +215,7 @@ mod tests {
     fn wrong_contribution_is_flagged() {
         let mut evs = clean_capture();
         evs[4] = TraceEvent::EnterWave { image: 0, finish: (0, 1), contribution: [2, 0] };
-        let v = validate(&evs, true).unwrap_err();
+        let v = validate(&evs).unwrap_err();
         assert!(v.detail.contains("contribut"), "{}", v.detail);
     }
 }

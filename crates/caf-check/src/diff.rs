@@ -209,7 +209,7 @@ fn des_replay(world: &World) -> Result<(), String> {
     let mut tags: BTreeMap<String, u32> = BTreeMap::new();
     let mut history: Vec<(usize, [u64; 4])> = Vec::new();
     let snapshot = |bank: &Vec<EpochDetector>, image: usize| {
-        let c = bank[image].epochs().counters();
+        let c = bank[image].counters();
         (image, [c.sent, c.delivered, c.received, c.completed])
     };
     while let Some((_, step)) = engine.pop() {

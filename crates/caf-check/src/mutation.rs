@@ -262,9 +262,9 @@ impl WaveDetector for CheckedDetector {
             // `w + 1` aliases to `w`, as parity would have it.
             Det::Epoch(d)
                 if self.mutation == Some(Mutation::NextWaveAlias)
-                    && d.epochs().wave() as usize > d.waves() =>
+                    && d.epoch() as usize > d.waves() =>
             {
-                tag.min(d.epochs().wave())
+                tag.min(d.epoch())
             }
             _ => tag,
         };
@@ -338,7 +338,7 @@ impl CheckedDetector {
     pub fn epoch_counters(&self) -> Option<[u64; 4]> {
         match &self.det {
             Det::Epoch(d) => {
-                let c = d.epochs().counters();
+                let c = d.counters();
                 Some([c.sent, c.delivered, c.received, c.completed])
             }
             Det::Four(_) | Det::Barrier(_) => None,

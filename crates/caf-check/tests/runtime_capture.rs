@@ -27,7 +27,6 @@ fn traced_config() -> (RuntimeConfig, Arc<TraceRecorder>) {
 #[test]
 fn single_spawn_capture_validates() {
     let (cfg, rec) = traced_config();
-    let wq = cfg.finish_wait_quiescence;
     Runtime::launch(3, cfg, |img| {
         let w = img.world();
         let cells = img.coarray(&w, 1, 0u64);
@@ -42,7 +41,7 @@ fn single_spawn_capture_validates() {
     });
     let events = rec.snapshot();
     assert!(!events.is_empty(), "the traced finish recorded nothing");
-    let report = capture::validate(&events, wq)
+    let report = capture::validate(&events)
         .unwrap_or_else(|v| panic!("capture rejected: {} — {}", v.kind.name(), v.detail));
     assert_eq!(report.finishes, 1);
     assert!(report.waves >= 1, "a non-empty finish closes at least one wave");
@@ -60,7 +59,6 @@ fn transitive_spawn_chain_capture_validates() {
         non_fifo: true,
         ..base
     };
-    let wq = cfg.finish_wait_quiescence;
     Runtime::launch(3, cfg, |img| {
         let w = img.world();
         img.finish(&w, |img| {
@@ -73,7 +71,7 @@ fn transitive_spawn_chain_capture_validates() {
             }
         });
     });
-    let report = capture::validate(&rec.snapshot(), wq)
+    let report = capture::validate(&rec.snapshot())
         .unwrap_or_else(|v| panic!("capture rejected: {} — {}", v.kind.name(), v.detail));
     assert_eq!(report.finishes, 1);
 }
@@ -81,7 +79,6 @@ fn transitive_spawn_chain_capture_validates() {
 #[test]
 fn back_to_back_finishes_validate_per_block() {
     let (cfg, rec) = traced_config();
-    let wq = cfg.finish_wait_quiescence;
     Runtime::launch(2, cfg, |img| {
         let w = img.world();
         for _ in 0..3 {
@@ -92,34 +89,10 @@ fn back_to_back_finishes_validate_per_block() {
             });
         }
     });
-    let report = capture::validate(&rec.snapshot(), wq)
+    let report = capture::validate(&rec.snapshot())
         .unwrap_or_else(|v| panic!("capture rejected: {} — {}", v.kind.name(), v.detail));
     assert_eq!(report.finishes, 3, "each dynamic finish block validates separately");
     assert!(report.waves >= 3);
-}
-
-#[test]
-fn loose_detector_capture_validates_against_loose_replica() {
-    let rec = Arc::new(TraceRecorder::new());
-    let cfg = RuntimeConfig {
-        trace: Some(rec.clone()),
-        finish_wait_quiescence: false,
-        ..RuntimeConfig::testing()
-    };
-    Runtime::launch(3, cfg, |img| {
-        let w = img.world();
-        img.finish(&w, |img| {
-            if img.id().index() == 0 {
-                img.spawn(img.image(1), move |q| {
-                    q.spawn(q.image(2), |_r| {});
-                });
-            }
-        });
-    });
-    // The replica must be configured to match: the loose variant enters
-    // waves without local quiescence, which the strict replica rejects.
-    capture::validate(&rec.snapshot(), false)
-        .unwrap_or_else(|v| panic!("capture rejected: {} — {}", v.kind.name(), v.detail));
 }
 
 #[test]
@@ -128,7 +101,6 @@ fn burst_of_spawns_on_one_link_validates() {
     // image 1 in bursts: its counted acks cover many deliveries each, and
     // the replica must apply every one of them to image 0's detector.
     let (cfg, rec) = traced_config();
-    let wq = cfg.finish_wait_quiescence;
     let issued = Arc::new(AtomicBool::new(false));
     Runtime::launch(2, cfg, move |img| {
         let w = img.world();
@@ -162,7 +134,7 @@ fn burst_of_spawns_on_one_link_validates() {
         .collect();
     assert_eq!(counts.iter().sum::<u64>(), 64, "every delivery acked exactly once");
     assert!(counts.len() < 64, "the drain coalesced acks: {counts:?}");
-    let report = capture::validate(&events, wq)
+    let report = capture::validate(&events)
         .unwrap_or_else(|v| panic!("capture rejected: {} — {}", v.kind.name(), v.detail));
     assert_eq!(report.finishes, 1);
 }

@@ -129,18 +129,6 @@ impl CofenceSpec {
         CofenceSpec { downward, upward }
     }
 
-    /// Builder: set the downward permission.
-    pub fn allow_down(mut self, p: Pass) -> Self {
-        self.downward = p;
-        self
-    }
-
-    /// Builder: set the upward permission.
-    pub fn allow_up(mut self, p: Pass) -> Self {
-        self.upward = p;
-        self
-    }
-
     /// Must a pending *earlier* implicit operation with the given local
     /// access reach local data completion before this fence completes?
     /// (`true` = the fence waits for it.)

@@ -118,6 +118,10 @@ pub enum CommMode {
 }
 
 /// Full configuration of a runtime or simulator instance.
+///
+/// The runtime's `finish` always runs the paper's algorithm, which waits
+/// for local quiescence before each wave (Fig. 7 line 4); the Fig. 18
+/// baseline without that wait lives in the DES and `caf-check`.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
     /// Interconnect cost model.
@@ -131,10 +135,6 @@ pub struct RuntimeConfig {
     /// images out of order (the termination-detection algorithm must not
     /// assume FIFO channels — paper §III-A2 limitations discussion).
     pub non_fifo: bool,
-    /// Whether `finish` waits for local quiescence before each reduction
-    /// wave (the paper's algorithm, Fig. 7 line 4). `false` selects the
-    /// "algorithm w/o upper bound" baseline of Fig. 18.
-    pub finish_wait_quiescence: bool,
     /// Fault-injection schedule. `None` (or an inactive plan) keeps the
     /// fabric on its zero-overhead reliable path; an active plan routes
     /// every remote message through the ack/retry delivery layer and
@@ -170,7 +170,6 @@ impl Default for RuntimeConfig {
             comm_mode: CommMode::default(),
             seed: 0x5eed,
             non_fifo: false,
-            finish_wait_quiescence: true,
             faults: None,
             retry: RetryPolicy::default(),
             watchdog: None,

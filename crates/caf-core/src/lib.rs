@@ -14,9 +14,8 @@
 //!   filtering;
 //! * [`topology`] — teams, `team_split`, binomial trees, dissemination
 //!   rounds, hypercube lifeline neighbours;
-//! * [`epoch`] — the wave-numbered epoch counters of the `finish`
-//!   termination detector;
-//! * [`termination`] — the paper's detection algorithm plus the baselines
+//! * [`termination`] — the paper's detection algorithm (wave-numbered
+//!   epoch counters, [`termination::EpochDetector`]) plus the baselines
 //!   it is compared against (`caf-check` exercises them, exhaustively and
 //!   on seeded timed schedules);
 //! * [`cofence`] — the directional fence algebra;
@@ -35,7 +34,6 @@
 
 pub mod cofence;
 pub mod config;
-pub mod epoch;
 pub mod failure;
 pub mod fault;
 pub mod ids;
@@ -47,11 +45,11 @@ pub mod trace;
 
 pub use cofence::{CofenceSpec, LocalAccess, Pass};
 pub use config::{CommMode, NetworkModel, RuntimeConfig};
-pub use epoch::{EpochCounters, EpochState};
 pub use failure::{FailureDetectorState, FailureEvent, FailureParams, PeerHealth};
 pub use fault::{
     CrashFault, CumAck, FaultDecision, FaultPlan, RetryPolicy, SeqTracker, StallWindow,
 };
 pub use ids::{EventId, FinishId, ImageId, TeamId, TeamRank};
+pub use termination::EpochCounters;
 pub use topology::{BinomialTree, Team};
 pub use trace::{TraceEvent, TraceRecorder};

@@ -1,10 +1,43 @@
 //! The paper's epoch-based termination-detection algorithm (Fig. 7),
 //! packaged behind the [`WaveDetector`] interface.
+//!
+//! The lifetime of a `finish` block is divided into consecutively numbered
+//! *epochs*: an image is in epoch `w` once it has entered `w` reduction
+//! waves. Every message carries its sender's epoch number at send time, and
+//! each image keeps one cumulative set of counters over the life of the
+//! block. When an image enters wave `w + 1` it contributes
+//! `sent − completed`, leaving out the completions of messages tagged
+//! `w + 1`: their sends happened after their senders entered the wave, so
+//! they belong to the next cut. That makes the allreduce time cut
+//! consistent without FIFO channels or global clocks.
+//!
+//! The paper tags with the epoch parity (the number mod 2) and flips an
+//! image into the odd epoch when an odd-tagged message arrives. That is
+//! enough only when every image leaves a wave at the same moment. In the
+//! threaded runtime they do not (the allreduce root has the sum first), so
+//! an image still inside wave `w` can complete a message sent in epoch
+//! `w + 1`, and parity cannot tell it from one sent in `w − 1`. The full
+//! number can: a tag can be at most one ahead of the receiver, because
+//! nobody leaves wave `w` before everyone has entered it.
 
 use super::{Contribution, WaveDecision, WaveDetector};
-use crate::epoch::EpochState;
 
-/// Per-image state of the paper's algorithm.
+/// The four cumulative counters of Fig. 7: messages this image has `sent`,
+/// had `delivered` remotely (acknowledged), `received`, and `completed`
+/// executing locally.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EpochCounters {
+    /// Messages sent by this image.
+    pub sent: u64,
+    /// Of those sent, how many are acknowledged as delivered at the target.
+    pub delivered: u64,
+    /// Messages received by this image.
+    pub received: u64,
+    /// Of those received, how many finished executing locally.
+    pub completed: u64,
+}
+
+/// Per-image state of the paper's algorithm for one `finish` block.
 ///
 /// With `wait_for_quiescence = true` this is exactly Fig. 7: an image
 /// refuses to start a new reduction wave until every message it sent has
@@ -16,50 +49,100 @@ use crate::epoch::EpochState;
 /// keeps reducing speculatively.
 #[derive(Debug, Clone)]
 pub struct EpochDetector {
-    state: EpochState,
+    counts: EpochCounters,
+    /// Waves this image has entered: its present epoch, and the tag its
+    /// sends carry.
+    epoch: u32,
+    /// Completions since the last wave entry whose tag is above `epoch`.
+    ahead: u64,
     wait_for_quiescence: bool,
+    /// Waves this image has exited.
     waves: usize,
     poisoned: Option<usize>,
 }
 
 impl EpochDetector {
-    /// Creates a detector. `wait_for_quiescence` selects between the
-    /// paper's algorithm (`true`) and the no-upper-bound variant (`false`).
+    /// Creates a detector in epoch 0 with all counters zero.
+    /// `wait_for_quiescence` selects between the paper's algorithm
+    /// (`true`) and the no-upper-bound variant (`false`).
     pub fn new(wait_for_quiescence: bool) -> Self {
-        EpochDetector { state: EpochState::new(), wait_for_quiescence, waves: 0, poisoned: None }
+        EpochDetector {
+            counts: EpochCounters::default(),
+            epoch: 0,
+            ahead: 0,
+            wait_for_quiescence,
+            waves: 0,
+            poisoned: None,
+        }
     }
 
-    /// Read access to the underlying epoch state (for tests/metrics).
-    pub fn epochs(&self) -> &EpochState {
-        &self.state
+    /// This image's epoch: the number of waves it has entered, and the
+    /// tag its sends carry. [`WaveDetector::waves`] counts waves exited.
+    #[inline]
+    pub fn epoch(&self) -> u32 {
+        self.epoch
+    }
+
+    /// The cumulative counters.
+    #[inline]
+    pub fn counters(&self) -> &EpochCounters {
+        &self.counts
+    }
+
+    /// Messages this image has sent minus completed — used by invariant
+    /// checks in tests.
+    pub fn local_imbalance(&self) -> i64 {
+        self.counts.sent as i64 - self.counts.completed as i64
     }
 }
 
 impl WaveDetector for EpochDetector {
     fn on_send(&mut self) -> u32 {
-        self.state.on_send()
+        self.counts.sent += 1;
+        self.epoch
     }
 
     fn on_delivered(&mut self) {
-        self.state.on_delivered();
+        self.counts.delivered += 1;
     }
 
     fn on_receive(&mut self) {
-        self.state.on_receive();
+        self.counts.received += 1;
     }
 
+    /// A tag above this image's epoch was sent after its sender entered
+    /// the wave this image has yet to enter, so the next contribution
+    /// leaves it out.
     fn on_complete(&mut self, tag: u32) {
-        self.state.on_complete(tag);
+        self.counts.completed += 1;
+        if tag > self.epoch {
+            self.ahead += 1;
+        }
     }
 
+    /// The wait condition of Fig. 7 line 4: "a process waits until all
+    /// messages it sent were received and all spawned functions received
+    /// completed execution before the process performs a new sum
+    /// reduction." It is a throttle that bounds the number of waves by
+    /// `L + 1` (Theorem 1, Fig. 18); the consistent cut itself comes from
+    /// [`enter_wave`](Self::enter_wave).
     fn ready(&self) -> bool {
         // A poisoned finish stops waiting for quiescence: the dead image
         // will never deliver the acks/completions the precondition needs.
-        self.poisoned.is_some() || !self.wait_for_quiescence || self.state.ready_for_wave()
+        let c = &self.counts;
+        self.poisoned.is_some()
+            || !self.wait_for_quiescence
+            || (c.sent == c.delivered && c.received == c.completed)
     }
 
+    /// Contributes `sent − completed` without the completions tagged
+    /// ahead (Fig. 7 lines 6–8), and moves into the next epoch.
     fn enter_wave(&mut self) -> Contribution {
-        [self.state.enter_wave(), 0]
+        let c = &self.counts;
+        let contribution = c.sent as i64 - (c.completed - self.ahead) as i64;
+        self.ahead = 0;
+        self.epoch += 1;
+        [contribution, 0]
     }
 
     fn exit_wave(&mut self, reduced: Contribution) -> WaveDecision {
@@ -91,9 +174,56 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quiescent_image_is_immediately_ready() {
+    fn fresh_state_is_ready_and_balanced() {
         let d = EpochDetector::new(true);
         assert!(d.ready());
+        assert_eq!(d.epoch(), 0);
+        assert_eq!(d.local_imbalance(), 0);
+    }
+
+    #[test]
+    fn send_tags_with_the_epoch_number() {
+        let mut d = EpochDetector::new(true);
+        assert_eq!(d.on_send(), 0);
+        assert!(!d.ready()); // sent=1, delivered=0
+        d.on_delivered();
+        assert!(d.ready());
+        // Entering a wave moves into the next epoch; sends are tagged 1.
+        assert_eq!(d.enter_wave(), [1, 0]); // sent 1, completed 0
+        assert_eq!(d.on_send(), 1);
+    }
+
+    #[test]
+    fn a_completion_tagged_ahead_waits_for_the_next_cut() {
+        let mut d = EpochDetector::new(true);
+        d.on_receive();
+        d.on_complete(1); // its sender is already in epoch 1
+        assert_eq!(d.enter_wave(), [0, 0], "left out of wave 1");
+        assert_eq!(d.enter_wave(), [-1, 0], "counted in wave 2");
+    }
+
+    #[test]
+    fn counts_accumulate_across_waves() {
+        let mut d = EpochDetector::new(true);
+        d.on_send(); // epoch 0
+        d.on_delivered();
+        d.enter_wave();
+        d.on_send(); // epoch 1
+        d.on_delivered();
+        assert_eq!(d.counters().sent, 2);
+        assert_eq!(d.counters().delivered, 2);
+        // Contribution of the next wave is cumulative sent − completed.
+        assert_eq!(d.enter_wave(), [2, 0]);
+    }
+
+    #[test]
+    fn imbalance_tracks_sent_minus_completed() {
+        let mut d = EpochDetector::new(true);
+        d.on_send();
+        assert_eq!(d.local_imbalance(), 1);
+        d.on_receive();
+        d.on_complete(0);
+        assert_eq!(d.local_imbalance(), 0); // 1 sent − 1 completed
     }
 
     #[test]

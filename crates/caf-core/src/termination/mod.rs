@@ -29,7 +29,7 @@ mod four_counter;
 
 pub use barrier::BarrierDetector;
 pub use centralized::{CentralizedDetector, CentralizedHome, VectorReport};
-pub use epoch_detector::EpochDetector;
+pub use epoch_detector::{EpochCounters, EpochDetector};
 pub use four_counter::FourCounterDetector;
 
 /// Outcome of one reduction wave.

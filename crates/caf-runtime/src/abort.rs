@@ -345,7 +345,7 @@ impl Image {
             .finish_frames
             .iter()
             .map(|(fid, detector)| {
-                let c = detector.epochs().counters();
+                let c = detector.counters();
                 FinishDiag {
                     finish: *fid,
                     sent: c.sent,

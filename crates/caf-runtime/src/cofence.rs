@@ -65,6 +65,6 @@ impl Image {
     /// test/metric hook into the detector.
     pub fn finish_local_imbalance(&self) -> Option<i64> {
         let fid = self.st.borrow().ctx_stack.last().copied().flatten()?;
-        Some(self.with_frame(fid, |d| d.epochs().local_imbalance()))
+        Some(self.with_frame(fid, |d| d.local_imbalance()))
     }
 }

@@ -268,16 +268,11 @@ impl Image {
                 // completion. For a self-copy the destination is local
                 // too, so LDC waits for the write (conservative).
                 comp_task.advance(Stage::LocalData);
-                shared.fabric.poke(me);
             }
             if let Some(e) = src_ev {
-                // The owner may be parked waiting on `e`. This thread holds
-                // the runner slot, so a task parked on `e` runs here.
-                let task = crate::image::notify_event_from(&shared, me, e.id);
-                if e.owner() == me {
-                    shared.fabric.poke(me);
-                }
-                if let Some(task) = task {
+                // This thread holds the runner slot, so a task parked on
+                // `e` runs here.
+                if let Some(task) = crate::image::notify_event_from(&shared, me, e.id) {
                     task();
                 }
             }

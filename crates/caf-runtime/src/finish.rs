@@ -80,10 +80,6 @@ impl Image {
         }
         {
             let mut st = self.st.borrow_mut();
-            // Drop the frame. A straggler delivery ack can recreate an
-            // empty frame after this (only in the no-upper-bound variant,
-            // which doesn't wait for acks); that costs one map entry and
-            // is harmless.
             let detector = st.finish_frames.remove(&fid).expect("every wave ran on this frame");
             st.last_finish_waves = detector.waves();
         }

@@ -68,7 +68,8 @@ impl Image {
     pub(crate) fn new(shared: Arc<Shared>, me: ImageId) -> Self {
         shared.fabric.attach(me);
         let world = Team::world(shared.n);
-        let pump = CommPump::new(shared.cfg.comm_mode, me.index());
+        let fabric = Arc::clone(&shared.fabric);
+        let pump = CommPump::new(shared.cfg.comm_mode, me.index(), move || fabric.poke(me));
         let seed = shared.cfg.seed ^ (me.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let st = RefCell::new(ImageState::new(seed, shared.n));
         let frame_ams = frame_cap_ams(shared.cfg.network.inbox_capacity);
@@ -262,8 +263,7 @@ impl Image {
         f: impl FnOnce(&mut EpochDetector) -> R,
     ) -> R {
         let mut st = self.st.borrow_mut();
-        let wq = self.shared.cfg.finish_wait_quiescence;
-        f(st.finish_frames.entry(fid).or_insert_with(|| EpochDetector::new(wq)))
+        f(st.finish_frames.entry(fid).or_insert_with(|| EpochDetector::new(true)))
     }
 
     /// Current finish attribution for newly initiated operations, plus
@@ -572,9 +572,8 @@ impl Image {
 
 /// Notifies an event cell from `from`'s perspective: locally when `from`
 /// owns it, otherwise by an uncounted AM that notifies it at its owner.
-/// Callable from communication tasks; one that notifies a local event
-/// pokes `from` itself, since the owner may be parked waiting on it.
-/// Returns the task a local notify hands out, for the caller to dispatch
+/// Callable from communication tasks, whose pump wakes `from` after its
+/// drain, since the owner may be parked waiting on the event. Returns the task a local notify hands out, for the caller to dispatch
 /// on `from`'s communication engine.
 pub(crate) fn notify_event_from(shared: &Shared, from: ImageId, id: EventId) -> Option<Task> {
     if id.owner == from {

@@ -76,11 +76,6 @@ impl FinishSim {
         self.detectors[img].on_delivered();
     }
 
-    /// Whether `img`'s detector permits joining the next wave.
-    pub fn detector_ready(&self, img: usize) -> bool {
-        self.detectors[img].ready()
-    }
-
     /// Whether `img` is currently inside the open wave.
     pub fn in_wave(&self, img: usize) -> bool {
         self.in_wave[img]

@@ -18,8 +18,10 @@
 # every pair's change/parent ratio of the end-to-end metrics, then the
 # median of each side and of the ratios, each side's quartiles (so a
 # claimed gain can be set against the parent's interquartile spread),
-# and `failed` per side. It exits
-# 1 if any run fails or reports a failed operation.
+# and `failed` per side. A metric whose median change/parent ratio is
+# worse than its `bound` in BENCHMARK.json (by its `better` direction) is
+# marked WORSE. It exits 1 if any run fails, reports a failed operation,
+# or is marked WORSE.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +57,7 @@ import sys
 parent_bin, change_bin, rev, workloads, pairs, seconds = sys.argv[1:]
 spec = json.load(open("BENCHMARK.json"))
 metrics = [m["name"] for m in spec["end_to_end"]]
+limits = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 workloads = workloads.split(",") if workloads else [w["name"] for w in spec["workloads"]]
 pairs = int(pairs)
 seconds = seconds or str(spec["run_seconds"])
@@ -111,8 +114,11 @@ for w in workloads:
         p = [r["metrics"][m]["value"] for r in got["parent"]]
         c = [r["metrics"][m]["value"] for r in got["change"]]
         ratio = statistics.median(x / y for x, y in zip(c, p))
+        better, bound = limits[m]
+        worse = ratio < 1 - bound if better == "higher" else ratio > 1 + bound
+        ok = ok and not worse
         (pq1, _, pq3), (cq1, _, cq3) = quartiles(p), quartiles(c)
-        print(f"{w:15} {m:12} parent {statistics.median(p):12.6g} "
+        print(f"{w:15} {m:12} {'WORSE ' if worse else ''}parent {statistics.median(p):12.6g} "
               f"change {statistics.median(c):12.6g} ratio median {ratio:.3f} "
               f"range {min(x / y for x, y in zip(c, p)):.3f}-{max(x / y for x, y in zip(c, p)):.3f} "
               f"quartiles parent {pq1:.6g}-{pq3:.6g} change {cq1:.6g}-{cq3:.6g}")

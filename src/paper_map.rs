@@ -54,8 +54,8 @@
 //!
 //! The block construct is [`caf_runtime::Image::finish`]; its engine —
 //! Fig. 7's epoch algorithm — is
-//! [`caf_core::termination::EpochDetector`] over
-//! [`caf_core::epoch::EpochState`], with Theorem 1's `L+1` bound checked
+//! [`caf_core::termination::EpochDetector`], which holds the
+//! [`caf_core::EpochCounters`], with Theorem 1's `L+1` bound checked
 //! by `caf-check` over every bounded schedule and property-tested on its
 //! seeded timed schedules. Messages carry the sender's full wave number
 //! where the paper carries its parity: images leave a wave at different
